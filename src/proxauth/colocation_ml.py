@@ -9,7 +9,9 @@ Conventions
 * Samples are numeric feature matrices ``X`` of shape (n, 4) as produced by
   :func:`proxauth.beacon_model.encode_dataset`, with integer labels ``y``
   (1 = Authentic, the positive class; 0 = Unauthorized).
-* Internal tree nodes route ``feature <= threshold`` to the left child.
+* Trees are built and stored as ``SplitNode``/``LeafNode``, routing ``feature <=
+  threshold`` to the left child, and compiled once into flat node arrays that
+  one vectorized descent reads for every prediction.
 * All tie-breaks fail toward Unauthorized: leaf majorities and forest votes
   that end even predict Unauthorized.
 * Randomness comes from numpy's PCG64 generator seeded through
@@ -22,8 +24,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,32 +135,62 @@ class SplitNode:
     right: "SplitNode | LeafNode"  # samples with feature > threshold
 
 
+class _Layout(NamedTuple):
+    """Preorder parallel node arrays of one or more trees, the layout of
+    scikit-learn's ``Tree``; tree t starts at node ``roots[t]``. ``feature``
+    is -1 at a leaf, whose ``left`` and ``right`` point back at itself."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    authentic: np.ndarray
+    roots: np.ndarray
+    depth: int  # the longest root-to-leaf path
+
+
+def _compile(roots: Sequence[SplitNode | LeafNode]) -> _Layout:
+    nodes: list[list] = []  # [feature, threshold, left, right, authentic, depth]
+    stack = [(root, -1, 0) for root in reversed(roots)]  # (node, parent of a right child, depth)
+    while stack:
+        node, parent, d = stack.pop()
+        i = len(nodes)
+        if parent >= 0:
+            nodes[parent][3] = i
+        if isinstance(node, SplitNode):
+            nodes.append([node.feature_index, node.threshold, i + 1, -1, False, d])
+            stack += [(node.right, i, d + 1), (node.left, -1, d + 1)]
+        else:
+            nodes.append([-1, 0.0, i, i, node.label is Label.AUTHENTIC, d])
+    dtypes = (np.int32, np.float64, np.int32, np.int32, bool, np.int32)
+    *columns, depth = (np.array([n[k] for n in nodes], t) for k, t in enumerate(dtypes))
+    return _Layout(*columns, np.flatnonzero(depth == 0).astype(np.int32), int(depth.max(initial=0)))
+
+
 @dataclass(frozen=True)
 class DecisionTree:
     root: SplitNode | LeafNode
     params: TreeParams
 
-    def depth(self) -> int:
-        def walk(node, d):
-            if isinstance(node, LeafNode):
-                return d
-            return max(walk(node.left, d + 1), walk(node.right, d + 1))
+    @cached_property
+    def _layout(self) -> _Layout:  # compiled on first use; not a dataclass field
+        return _compile((self.root,))
 
-        return walk(self.root, 0)
+    def depth(self) -> int:
+        return self._layout.depth
 
     def node_count(self) -> int:
-        def walk(node):
-            if isinstance(node, LeafNode):
-                return 1
-            return 1 + walk(node.left) + walk(node.right)
-
-        return walk(self.root)
+        return len(self._layout.feature)
 
 
 @dataclass(frozen=True)
 class RandomForest:
     trees: tuple[DecisionTree, ...]
     params: ForestParams
+
+    @cached_property
+    def _layout(self) -> _Layout:
+        return _compile([t.root for t in self.trees])
 
 
 @dataclass(frozen=True)
@@ -351,16 +384,10 @@ def _build_tree(
     if params.max_depth is not None and depth >= params.max_depth:
         return leaf()
 
-    features = choose_features()
-    cand = best_split(X, y, features, min_child=params.min_samples_leaf)
-    if cand is None:
-        # Deadlock-breaker: a mixed node whose every split exactly ties the
-        # parent impurity (weighted child Gini can never exceed it) still
-        # separates deeper down; take the best tie split rather than giving
-        # up, so consistent data always trains to purity.
-        cand = best_split(
-            X, y, features, min_child=params.min_samples_leaf, require_improvement=False
-        )
+    # Deadlock-breaker: without require_improvement, a mixed node whose every
+    # split ties the parent impurity still takes the best tie split, which
+    # separates deeper down, so consistent data always trains to purity.
+    cand = best_split(X, y, choose_features(), params.min_samples_leaf, require_improvement=False)
     if cand is None:
         return leaf()
 
@@ -419,45 +446,30 @@ def train_random_forest(
     return RandomForest(trees=tuple(trees), params=params)
 
 
-def _walk(node: SplitNode | LeafNode, x: np.ndarray) -> Label:
-    while isinstance(node, SplitNode):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
-    return node.label
+def _vote(layout: _Layout, X: np.ndarray) -> np.ndarray:
+    """The one tree descent: all (tree, row) positions step down a level at a
+    time (flat ``take`` indexing keeps one login's few rows cheap); each row
+    then takes its trees' majority, an even vote Unauthorized."""
+    n_trees, (n_rows, width) = len(layout.roots), X.shape
+    row_start = np.tile(np.arange(n_rows) * width, n_trees)
+    pos = np.repeat(layout.roots, n_rows)
+    for _ in range(layout.depth):  # a leaf reads any value and stays put
+        x = X.take(row_start + layout.feature.take(pos))
+        pos = np.where(x <= layout.threshold.take(pos), layout.left.take(pos), layout.right.take(pos))
+    votes = layout.authentic.take(pos).reshape(n_trees, n_rows).sum(axis=0)
+    return (2 * votes > n_trees).astype(np.int8)
 
 
 def predict(model: DecisionTree | RandomForest, x: np.ndarray) -> Label:
     """Classify one feature vector. Forests take an unweighted majority vote;
     an even vote predicts Unauthorized."""
-    if isinstance(model, DecisionTree):
-        return _walk(model.root, x)
-    votes = sum(1 for t in model.trees if _walk(t.root, x) is Label.AUTHENTIC)
-    return Label.AUTHENTIC if 2 * votes > len(model.trees) else Label.UNAUTHORIZED
-
-
-def _predict_tree_batch(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    out = np.empty(len(X), dtype=np.int8)
-
-    def descend(node, idx):
-        if isinstance(node, LeafNode):
-            out[idx] = 1 if node.label is Label.AUTHENTIC else 0
-            return
-        go_left = X[idx, node.feature_index] <= node.threshold
-        descend(node.left, idx[go_left])
-        descend(node.right, idx[~go_left])
-
-    descend(tree.root, np.arange(len(X)))
-    return out
+    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return Label.AUTHENTIC if _vote(model._layout, row)[0] else Label.UNAUTHORIZED
 
 
 def predict_batch(model: DecisionTree | RandomForest, X: np.ndarray) -> np.ndarray:
     """Vectorized prediction of many rows; returns int labels (1 = Authentic)."""
-    X = np.asarray(X, dtype=np.float64)
-    if isinstance(model, DecisionTree):
-        return _predict_tree_batch(model, X)
-    votes = np.zeros(len(X), dtype=np.int32)
-    for t in model.trees:
-        votes += _predict_tree_batch(t, X)
-    return (2 * votes > len(model.trees)).astype(np.int8)
+    return _vote(model._layout, np.asarray(X, dtype=np.float64))
 
 
 def evaluate(

@@ -524,10 +524,12 @@ def _session_with_retries(
     rng: np.random.Generator,
     geometry: LocationGeometry | None,
     campaign: CampaignConfig | None,
+    device_ids: tuple[str, str] = ("sim-mobile", "sim-login"),
+    base_timestamp_ms: int | None = None,
 ) -> tuple[ScanSnapshot, ScanSnapshot, Label]:
     for _ in range(101):  # initial try plus 100 retries with a fresh anchor
         try:
-            return generate_session(env, loss, scenario, rng, geometry=geometry, campaign=campaign)
+            return generate_session(env, loss, scenario, rng, geometry, campaign, device_ids, base_timestamp_ms)
         except NoVisibleAp:
             continue
     raise ConfigurationError(
@@ -631,22 +633,7 @@ def scenario_session(
     dataset; the session randomness comes from ``session_seed`` alone."""
     geo = location_geometry(env, loss, campaign, env_seed, location_index, locations)
     rng = derived_rng(session_seed, _ATTEMPT_STREAM)
-    for _ in range(101):
-        try:
-            mobile, login, _ = generate_session(
-                env,
-                loss,
-                scenario,
-                rng,
-                geometry=geo,
-                campaign=campaign,
-                device_ids=device_ids,
-                base_timestamp_ms=base_timestamp_ms,
-            )
-            return mobile, login
-        except NoVisibleAp:
-            continue
-    raise ConfigurationError("could not place an attempt session that sees any AP")
+    return _session_with_retries(env, loss, scenario, rng, geo, campaign, device_ids, base_timestamp_ms)[:2]
 
 
 def simulation_metadata(

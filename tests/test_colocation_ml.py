@@ -409,6 +409,110 @@ class TestPredict:
             assert (single is Label.AUTHENTIC) == bool(batch[i] == 1)
 
 
+def reference_leaf(node, x):
+    """Reference node walk: follow ``x[feature] <= threshold`` to the left."""
+    while isinstance(node, SplitNode):
+        node = node.left if x[node.feature_index] <= node.threshold else node.right
+    return node
+
+
+def reference_predict(model, X):
+    """Per-row walk of every tree, then an unweighted majority with ties to 0."""
+    trees = model.trees if isinstance(model, RandomForest) else (model,)
+    out = []
+    for x in X:
+        votes = sum(reference_leaf(t.root, x).label is Label.AUTHENTIC for t in trees)
+        out.append(1 if 2 * votes > len(trees) else 0)
+    return np.array(out, dtype=np.int8)
+
+
+def reference_shape(node):
+    """(node count, depth) by recursion over the node objects."""
+    if isinstance(node, LeafNode):
+        return 1, 0
+    nl, dl = reference_shape(node.left)
+    nr, dr = reference_shape(node.right)
+    return 1 + nl + nr, 1 + max(dl, dr)
+
+
+def hand_built_trees():
+    a = LeafNode(Label.AUTHENTIC, (0, 3))
+    u = LeafNode(Label.UNAUTHORIZED, (2, 1))
+    return (
+        DecisionTree(a, TreeParams()),
+        DecisionTree(SplitNode(3, -60.0, a, u), TreeParams()),
+        DecisionTree(SplitNode(1, 2.5, SplitNode(3, -70.0, u, a), u), TreeParams()),
+        DecisionTree(
+            SplitNode(0, 0.5, u, SplitNode(2, 0.5, SplitNode(3, -55.0, a, u), a)), TreeParams()
+        ),
+    )
+
+
+class TestCompiledDescent:
+    def _probes(self, rng, n=300):
+        probes = np.column_stack(
+            [
+                rng.integers(0, 2, n),
+                rng.integers(0, 6, n),
+                rng.integers(0, 4, n) / 3.0,
+                rng.integers(-90, -39, n),
+            ]
+        ).astype(np.float64)
+        # rows sitting exactly on the hand-built thresholds go left
+        probes[:10] = [[0.5, 2.5, 0.5, -60.0]] * 5 + [[0.5, 2.5, 0.5, -70.0]] * 5
+        probes[10] = np.nan  # compares false, so it goes right
+        return probes
+
+    def test_trained_forest_matches_reference_walk(self):
+        rng = np.random.default_rng(59)
+        X, y = random_consistent_data(rng, n_max=200)
+        forest = train_random_forest(X, y, ForestParams(n_trees=8, seed=5))  # even, so votes can tie
+        probes = self._probes(rng)
+        assert np.array_equal(predict_batch(forest, probes), reference_predict(forest, probes))
+        for t in forest.trees[:3]:
+            assert np.array_equal(predict_batch(t, probes), reference_predict(t, probes))
+
+    def test_hand_built_trees_match_reference_walk(self):
+        rng = np.random.default_rng(61)
+        probes = self._probes(rng)
+        trees = hand_built_trees()
+        for tree in trees:
+            assert np.array_equal(predict_batch(tree, probes), reference_predict(tree, probes))
+        for k in range(1, len(trees) + 1):
+            forest = RandomForest(trees=trees[:k], params=ForestParams(n_trees=k))
+            expected = reference_predict(forest, probes)
+            assert np.array_equal(predict_batch(forest, probes), expected)
+            assert [predict(forest, x) is Label.AUTHENTIC for x in probes[:20]] == [
+                bool(v) for v in expected[:20]
+            ]
+
+    def test_shape_matches_recursive_count(self):
+        rng = np.random.default_rng(67)
+        X, y = random_consistent_data(rng, n_max=200)
+        trained = train_random_forest(X, y, ForestParams(n_trees=5, seed=2)).trees
+        for tree in trained + hand_built_trees():
+            assert (tree.node_count(), tree.depth()) == reference_shape(tree.root)
+
+    def test_zero_rows(self):
+        tree = hand_built_trees()[2]
+        forest = RandomForest(trees=hand_built_trees(), params=ForestParams(n_trees=4))
+        for model in (tree, forest):
+            out = predict_batch(model, np.empty((0, 4)))
+            assert out.dtype == np.int8
+            assert out.shape == (0,)
+
+    def test_layout_outside_equality_hash_and_repr(self):
+        a = hand_built_trees()[3]
+        b = DecisionTree(a.root, a.params)
+        assert a == b and hash(a) == hash(b)
+        assert "_layout" not in repr(a)
+
+    def test_empty_forest_predicts_unauthorized(self):
+        forest = RandomForest(trees=(), params=ForestParams(n_trees=1))
+        assert predict_batch(forest, np.zeros((3, 4))).tolist() == [0, 0, 0]
+        assert predict(forest, np.zeros(4)) is Label.UNAUTHORIZED
+
+
 class TestEvaluate:
     def test_perfect_model(self):
         X = np.array([[0, 1, 0.5, -50]] * 10 + [[0, 1, 0.5, -90]] * 10, float)
