@@ -257,10 +257,6 @@ class UserStore:
             f.write(json.dumps(entry, separators=(",", ":")) + "\n")
 
 
-def _observation_key(obs: BeaconObservation) -> tuple[str, str | None]:
-    return (obs.ssid, obs.bssid)
-
-
 def overlap_observations(
     mobile: ScanSnapshot,
     login: ScanSnapshot,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -150,20 +151,21 @@ class _Layout(NamedTuple):
 
 
 def _compile(roots: Sequence[SplitNode | LeafNode]) -> _Layout:
-    nodes: list[list] = []  # [feature, threshold, left, right, authentic, depth]
+    columns = [array(t) for t in "idiibi"]  # feature, threshold, left, right, authentic, depth
     stack = [(root, -1, 0) for root in reversed(roots)]  # (node, parent of a right child, depth)
     while stack:
         node, parent, d = stack.pop()
-        i = len(nodes)
+        i = len(columns[0])
         if parent >= 0:
-            nodes[parent][3] = i
+            columns[3][parent] = i
         if isinstance(node, SplitNode):
-            nodes.append([node.feature_index, node.threshold, i + 1, -1, False, d])
+            row = (node.feature_index, node.threshold, i + 1, -1, False, d)
             stack += [(node.right, i, d + 1), (node.left, -1, d + 1)]
         else:
-            nodes.append([-1, 0.0, i, i, node.label is Label.AUTHENTIC, d])
-    dtypes = (np.int32, np.float64, np.int32, np.int32, bool, np.int32)
-    *columns, depth = (np.array([n[k] for n in nodes], t) for k, t in enumerate(dtypes))
+            row = (-1, 0.0, i, i, node.label is Label.AUTHENTIC, d)
+        for column, value in zip(columns, row):
+            column.append(value)
+    *columns, depth = (np.frombuffer(c, bool if c.typecode == "b" else c.typecode) for c in columns)
     return _Layout(*columns, np.flatnonzero(depth == 0).astype(np.int32), int(depth.max(initial=0)))
 
 

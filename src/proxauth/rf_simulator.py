@@ -14,8 +14,8 @@ and every (zone, device, AP) combination carries a persistent shadowing
 offset standing in for walls and multipath. This spot-based structure is
 what makes single observations (SSID + RSSI) informative about the label;
 device pairs dropped uniformly at random would produce statistically
-indistinguishable classes. :func:`generate_session` without a geometry
-still performs a one-off uniform placement for standalone use.
+indistinguishable classes, so every session is drawn at a location's
+geometry: there is no uniform placement mode.
 
 Everything is a pure function of (configs, seed).
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -71,6 +71,7 @@ _GEOMETRY_STREAM = 101
 _SESSION_STREAM = 202
 _PROBE_STREAM = 303
 _ATTEMPT_STREAM = 404
+_PROBE_SESSIONS_PER_CLASS = 30
 
 
 @dataclass(frozen=True)
@@ -169,18 +170,12 @@ class Scenario:
             raise ValueError("separation range must be an increasing positive pair")
 
     @staticmethod
-    def authentic(
-        min_m: float = AUTHENTIC_MIN_SEPARATION_M,
-        max_m: float = AUTHENTIC_MAX_SEPARATION_M,
-    ) -> "Scenario":
-        return Scenario(Label.AUTHENTIC, (min_m, max_m))
+    def authentic() -> "Scenario":
+        return Scenario(Label.AUTHENTIC, (AUTHENTIC_MIN_SEPARATION_M, AUTHENTIC_MAX_SEPARATION_M))
 
     @staticmethod
-    def unauthorized(
-        min_m: float = UNAUTHORIZED_MIN_SEPARATION_M,
-        max_m: float = UNAUTHORIZED_MAX_SEPARATION_M,
-    ) -> "Scenario":
-        return Scenario(Label.UNAUTHORIZED, (min_m, max_m))
+    def unauthorized() -> "Scenario":
+        return Scenario(Label.UNAUTHORIZED, (UNAUTHORIZED_MIN_SEPARATION_M, UNAUTHORIZED_MAX_SEPARATION_M))
 
     @property
     def is_authentic(self) -> bool:
@@ -229,17 +224,18 @@ def rssi_at_distance(
     caller fold in a persistent shadowing term before round-and-clamp."""
     if distance_m <= 0:
         raise NonPositiveDistance(f"distance must be positive, got {distance_m}")
-    value = (
-        cfg.p0_dbm
-        - 10.0 * cfg.exponent_n * math.log10(distance_m / cfg.d0_m)
-        + extra_offset_dbm
-    )
+    value = _mean_rssi_dbm(cfg, distance_m) + extra_offset_dbm
     if cfg.noise_sigma_dbm > 0:
         if rng is None:
             raise ValueError("an rng is required when noise_sigma_dbm > 0")
         value += rng.normal(0.0, cfg.noise_sigma_dbm)
     lo, hi = cfg.clamp_dbm
     return int(min(max(round(value), lo), hi))
+
+
+def _mean_rssi_dbm(loss: PathLossConfig, distance_m: float) -> float:
+    """The deterministic log-distance path loss, before noise and shadowing."""
+    return loss.p0_dbm - 10.0 * loss.exponent_n * math.log10(distance_m / loss.d0_m)
 
 
 def _ap_identity(env: EnvironmentConfig, i: int) -> tuple[str, int, str]:
@@ -252,11 +248,9 @@ def _ap_identity(env: EnvironmentConfig, i: int) -> tuple[str, int, str]:
 def place_access_points(
     env: EnvironmentConfig,
     rng: np.random.Generator,
-    indices: Sequence[int] | None = None,
+    indices: Sequence[int],
 ) -> tuple[AccessPoint, ...]:
     """Place the APs with the given identity indices uniformly in the area."""
-    if indices is None:
-        indices = range(env.n_aps)
     indices = list(indices)
     xy = rng.uniform(0.0, env.area_m, size=(len(indices), 2))
     aps = []
@@ -266,12 +260,8 @@ def place_access_points(
     return tuple(aps)
 
 
-def _sees_any_ap(point: np.ndarray, aps: Sequence[AccessPoint], radius: float) -> bool:
-    return any(math.hypot(point[0] - ap.x, point[1] - ap.y) <= radius for ap in aps)
-
-
-def _sees_all_aps(point: np.ndarray, aps: Sequence[AccessPoint], radius: float) -> bool:
-    return all(math.hypot(point[0] - ap.x, point[1] - ap.y) <= radius for ap in aps)
+def _ap_distances(point: np.ndarray, aps: Sequence[AccessPoint]) -> list[float]:
+    return [math.hypot(point[0] - ap.x, point[1] - ap.y) for ap in aps]
 
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
@@ -297,14 +287,8 @@ def _det_rssi_interval(
     b = anchor + t_range[1] * bearing
     slop = jitter * math.sqrt(2.0)
     d_min = max(_point_segment_distance(ap.pos, a, b) - slop, 1e-3)
-    d_max = (
-        max(math.hypot(*(ap.pos - a)), math.hypot(*(ap.pos - b))) + slop
-    )
-
-    def det(d: float) -> float:
-        return loss.p0_dbm - 10.0 * loss.exponent_n * math.log10(d / loss.d0_m)
-
-    return det(d_max), det(d_min)
+    d_max = max(math.hypot(*(ap.pos - a)), math.hypot(*(ap.pos - b))) + slop
+    return _mean_rssi_dbm(loss, d_max), _mean_rssi_dbm(loss, d_min)
 
 
 def _role_t_range(role_idx: int, separation_range: tuple[float, float]) -> tuple[float, float]:
@@ -318,28 +302,27 @@ def _enforce_band_gaps(
     loss: PathLossConfig,
     campaign: CampaignConfig,
     aps: Sequence[AccessPoint],
-    home: np.ndarray,
-    intruder: np.ndarray,
-    bearing_auth: np.ndarray,
-    bearing_unauth: np.ndarray,
+    spots: tuple[np.ndarray, np.ndarray],
+    bearings: Sequence[np.ndarray],
     shadows: np.ndarray,
 ) -> None:
     """Shift the intruder zone's shadow offsets so each (device, AP) signal
     band keeps at least ``min_band_gap_dbm`` of contrast with the home zone's
-    band. Position geometry alone leaves some AP/zone combinations nearly
+    band; ``spots`` and ``bearings`` are indexed by zone like ``shadows``.
+    Position geometry alone leaves some AP/zone combinations nearly
     indistinguishable; a guaranteed contrast models the reality that two
     separate spots see each AP through different obstructions."""
-    sep_auth = (AUTHENTIC_MIN_SEPARATION_M, AUTHENTIC_MAX_SEPARATION_M)
-    sep_unauth = (UNAUTHORIZED_MIN_SEPARATION_M, UNAUTHORIZED_MAX_SEPARATION_M)
+    sep_auth = Scenario.authentic().separation_range_m
+    sep_unauth = Scenario.unauthorized().separation_range_m
     gap = campaign.min_band_gap_dbm
     for role_idx in (0, 1):
         for k, ap in enumerate(aps):
             a_lo, a_hi = _det_rssi_interval(
-                loss, ap, home, bearing_auth,
+                loss, ap, spots[0], bearings[0],
                 _role_t_range(role_idx, sep_auth), campaign.anchor_jitter_m,
             )
             u_lo, u_hi = _det_rssi_interval(
-                loss, ap, intruder, bearing_unauth,
+                loss, ap, spots[1], bearings[1],
                 _role_t_range(role_idx, sep_unauth), campaign.anchor_jitter_m,
             )
             a_lo += shadows[0, role_idx, k]
@@ -370,9 +353,10 @@ def _pick_zone(
         candidate = propose(rng)
         if not (0.0 <= candidate[0] <= env.area_m and 0.0 <= candidate[1] <= env.area_m):
             continue
-        if _sees_all_aps(candidate, aps, strict_radius):
+        distances = _ap_distances(candidate, aps)
+        if all(d <= strict_radius for d in distances):
             return candidate
-        if fallback is None and _sees_any_ap(candidate, aps, env.detection_radius_m):
+        if fallback is None and any(d <= env.detection_radius_m for d in distances):
             fallback = candidate
     return fallback
 
@@ -422,9 +406,7 @@ def location_geometry(
     angles = rng.uniform(0.0, 2.0 * math.pi, size=2)
     bearings = [np.array([math.cos(a), math.sin(a)]) for a in angles]
     shadows = rng.normal(0.0, campaign.shadow_sigma_dbm, size=(2, 2, len(aps)))
-    _enforce_band_gaps(
-        loss, campaign, aps, home, intruder, bearings[0], bearings[1], shadows
-    )
+    _enforce_band_gaps(loss, campaign, aps, (home, intruder), bearings, shadows)
     return LocationGeometry(
         tag=f"loc-{location_index}",
         aps=aps,
@@ -441,55 +423,34 @@ def generate_session(
     loss: PathLossConfig,
     scenario: Scenario,
     rng: np.random.Generator,
-    geometry: LocationGeometry | None = None,
-    campaign: CampaignConfig | None = None,
+    geometry: LocationGeometry,
+    campaign: CampaignConfig = CampaignConfig(),
     device_ids: tuple[str, str] = ("sim-mobile", "sim-login"),
     base_timestamp_ms: int | None = None,
 ) -> tuple[ScanSnapshot, ScanSnapshot, Label]:
-    """Place one device pair and scan.
+    """Place one device pair at a location and scan.
 
-    Without a geometry this is a standalone draw: APs are placed fresh from
-    the rng and the pair midpoint lands uniformly in the area with the
-    scenario's separation at a uniform bearing. With a geometry, the pair
-    jitters around the location's home or intruder spot and moves along the
-    campaign bearing, with the zone's shadow offsets applied.
+    The pair midpoint jitters around the location's home spot (authentic) or
+    intruder zone (unauthorized), the two devices sit the scenario's
+    separation apart along that zone's campaign bearing, and each reading
+    carries the zone's persistent shadow offset for its device and AP.
 
     Both snapshots share a timestamp within one second. Raises
     :class:`NoVisibleAp` when either device sees no AP.
     """
     separation = scenario.draw_separation(rng)
-    if geometry is None:
-        aps: Sequence[AccessPoint] = place_access_points(env, rng)
-        anchor = rng.uniform(0.0, env.area_m, size=2)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        bearing = np.array([math.cos(angle), math.sin(angle)])
-        shadows = None
-        tag = None
-    else:
-        camp = campaign or CampaignConfig()
-        if scenario.is_authentic:
-            spot, bearing = geometry.home, geometry.bearing_authentic
-        else:
-            spot, bearing = geometry.intruder_anchor, geometry.bearing_unauthorized
-        anchor = spot + rng.uniform(-camp.anchor_jitter_m, camp.anchor_jitter_m, size=2)
-        aps = geometry.aps
-        shadows = geometry.shadows[0 if scenario.is_authentic else 1]
-        tag = geometry.tag
-
+    zone = 0 if scenario.is_authentic else 1
+    spot = (geometry.home, geometry.intruder_anchor)[zone]
+    bearing = (geometry.bearing_authentic, geometry.bearing_unauthorized)[zone]
+    anchor = spot + rng.uniform(-campaign.anchor_jitter_m, campaign.anchor_jitter_m, size=2)
     positions = (anchor - 0.5 * separation * bearing, anchor + 0.5 * separation * bearing)
 
-    visible: list[list[tuple[int, float]]] = []
-    for pos in positions:
-        seen = []
-        for k, ap in enumerate(aps):
-            d = math.hypot(pos[0] - ap.x, pos[1] - ap.y)
-            if d <= env.detection_radius_m:
-                seen.append((k, max(d, 1e-3)))
-        visible.append(seen)
+    visible = [
+        [(k, max(d, 1e-3)) for k, d in enumerate(_ap_distances(pos, geometry.aps)) if d <= env.detection_radius_m]
+        for pos in positions
+    ]
     if not visible[0] or not visible[1]:
-        raise NoVisibleAp(
-            f"a device saw no AP within {env.detection_radius_m} m"
-        )
+        raise NoVisibleAp(f"a device saw no AP within {env.detection_radius_m} m")
 
     if base_timestamp_ms is None:
         base_timestamp_ms = int(rng.integers(1_600_000_000_000, 1_900_000_000_000))
@@ -499,8 +460,8 @@ def generate_session(
     for role_idx, role in enumerate((DeviceRole.MOBILE, DeviceRole.LOGIN)):
         observations = []
         for k, d in visible[role_idx]:
-            ap = aps[k]
-            extra = float(shadows[role_idx, k]) if shadows is not None else 0.0
+            ap = geometry.aps[k]
+            extra = float(geometry.shadows[zone, role_idx, k])
             rssi = rssi_at_distance(loss, d, rng, extra_offset_dbm=extra)
             observations.append(
                 BeaconObservation(ssid=ap.ssid, frequency=ap.frequency, rssi=rssi, bssid=ap.bssid)
@@ -511,7 +472,7 @@ def generate_session(
                 role=role,
                 timestamp=base_timestamp_ms + (login_delay_ms if role is DeviceRole.LOGIN else 0),
                 observations=tuple(observations),
-                location_tag=tag,
+                location_tag=geometry.tag,
             )
         )
     return snapshots[0], snapshots[1], scenario.label
@@ -522,8 +483,8 @@ def _session_with_retries(
     loss: PathLossConfig,
     scenario: Scenario,
     rng: np.random.Generator,
-    geometry: LocationGeometry | None,
-    campaign: CampaignConfig | None,
+    geometry: LocationGeometry,
+    campaign: CampaignConfig,
     device_ids: tuple[str, str] = ("sim-mobile", "sim-login"),
     base_timestamp_ms: int | None = None,
 ) -> tuple[ScanSnapshot, ScanSnapshot, Label]:
@@ -532,9 +493,26 @@ def _session_with_retries(
             return generate_session(env, loss, scenario, rng, geometry, campaign, device_ids, base_timestamp_ms)
         except NoVisibleAp:
             continue
-    raise ConfigurationError(
-        "100 consecutive placements saw no AP; environment is too sparse"
-    )
+    raise ConfigurationError("100 consecutive placements saw no AP; environment is too sparse")
+
+
+def _campaign_sessions(
+    env: EnvironmentConfig,
+    loss: PathLossConfig,
+    campaign: CampaignConfig,
+    seed: int,
+    stream: int,
+    per_location: Sequence[int],
+) -> Iterator[tuple[LocationGeometry, ScanSnapshot, ScanSnapshot, Label]]:
+    """Yield (geometry, mobile, login, label) for ``per_location[j]`` sessions
+    of each class at location j of ``len(per_location)``; each (location,
+    class) pair draws from its own rng on ``stream``."""
+    for j, count in enumerate(per_location):
+        geo = location_geometry(env, loss, campaign, seed, j, len(per_location))
+        for class_idx, scenario in enumerate((Scenario.authentic(), Scenario.unauthorized())):
+            rng = derived_rng(seed, stream, j, class_idx)
+            for _ in range(count):
+                yield (geo, *_session_with_retries(env, loss, scenario, rng, geo, campaign))
 
 
 def _allocation(total: int, buckets: int) -> list[int]:
@@ -562,28 +540,20 @@ def generate_dataset(
         raise ValueError("n_sessions_per_class must be >= 1")
     if locations < 1:
         raise ValueError("locations must be >= 1")
-    geos = [location_geometry(env, loss, campaign, seed, j, locations) for j in range(locations)]
     per_location = _allocation(n_sessions_per_class, locations)
-
-    scenarios = (Scenario.authentic(), Scenario.unauthorized())
-    samples: list[LabeledSample] = []
-    for j, geo in enumerate(geos):
-        for class_idx, scenario in enumerate(scenarios):
-            rng = derived_rng(seed, _SESSION_STREAM, j, class_idx)
-            for _ in range(per_location[j]):
-                mobile, login, label = _session_with_retries(
-                    env, loss, scenario, rng, geo, campaign
-                )
-                for snap in (mobile, login):
-                    for obs in snap.observations:
-                        samples.append(
-                            LabeledSample(
-                                role=snap.role,
-                                observation=replace(obs, bssid=None),
-                                location_tag=geo.tag,
-                                label=label,
-                            )
-                        )
+    samples = [
+        LabeledSample(
+            role=snap.role,
+            observation=replace(obs, bssid=None),
+            location_tag=geo.tag,
+            label=label,
+        )
+        for geo, mobile, login, label in _campaign_sessions(
+            env, loss, campaign, seed, _SESSION_STREAM, per_location
+        )
+        for snap in (mobile, login)
+        for obs in snap.observations
+    ]
     return Dataset(samples=tuple(samples), provenance=Provenance.SIMULATED)
 
 
@@ -594,24 +564,20 @@ def sessions_for_target_rows(
     locations: int,
     seed: int,
     campaign: CampaignConfig = CampaignConfig(),
-    probe_sessions_per_class: int = 30,
 ) -> int:
     """Estimate the per-class session count that yields roughly ``target_rows``
     flattened rows, by probing the same geometries with a separate stream."""
     if target_rows < 1:
         raise ValueError("target_rows must be >= 1")
-    geos = [location_geometry(env, loss, campaign, seed, j, locations) for j in range(locations)]
-    scenarios = (Scenario.authentic(), Scenario.unauthorized())
-    rows = 0
-    sessions = 0
-    for j, geo in enumerate(geos):
-        for class_idx, scenario in enumerate(scenarios):
-            rng = derived_rng(seed, _PROBE_STREAM, j, class_idx)
-            for _ in range(probe_sessions_per_class):
-                mobile, login, _ = _session_with_retries(env, loss, scenario, rng, geo, campaign)
-                rows += len(mobile.observations) + len(login.observations)
-                sessions += 1
-    mean_rows = rows / sessions
+    if locations < 1:
+        raise ValueError("locations must be >= 1")
+    rows = [
+        len(mobile.observations) + len(login.observations)
+        for _, mobile, login, _ in _campaign_sessions(
+            env, loss, campaign, seed, _PROBE_STREAM, [_PROBE_SESSIONS_PER_CLASS] * locations
+        )
+    ]
+    mean_rows = sum(rows) / len(rows)
     return max(locations, int(math.floor(target_rows / (2.0 * mean_rows) + 0.5)))
 
 

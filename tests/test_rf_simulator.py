@@ -126,12 +126,12 @@ class TestScenario:
 class TestGenerateSession:
     def test_authentic_label(self):
         rng = derived_rng(10)
-        _, _, label = generate_session(ENV, LOSS, Scenario.authentic(), rng)
+        _, _, label = generate_session(ENV, LOSS, Scenario.authentic(), rng, center_geometry())
         assert label is Label.AUTHENTIC
 
     def test_unauthorized_label(self):
         rng = derived_rng(11)
-        _, _, label = generate_session(ENV, LOSS, Scenario.unauthorized(), rng)
+        _, _, label = generate_session(ENV, LOSS, Scenario.unauthorized(), rng, center_geometry())
         assert label is Label.UNAUTHORIZED
 
     def test_single_central_ap_seen_by_both(self):
@@ -147,7 +147,7 @@ class TestGenerateSession:
     def test_timestamps_within_one_second(self):
         rng = derived_rng(13)
         for _ in range(50):
-            mobile, login, _ = generate_session(ENV, LOSS, Scenario.authentic(), rng)
+            mobile, login, _ = generate_session(ENV, LOSS, Scenario.authentic(), rng, center_geometry())
             assert mobile.role is DeviceRole.MOBILE
             assert login.role is DeviceRole.LOGIN
             assert 0 <= login.timestamp - mobile.timestamp <= 1000
@@ -171,7 +171,7 @@ class TestGenerateSession:
     def test_base_timestamp_respected(self):
         rng = derived_rng(15)
         mobile, login, _ = generate_session(
-            ENV, LOSS, Scenario.authentic(), rng, base_timestamp_ms=123456
+            ENV, LOSS, Scenario.authentic(), rng, center_geometry(), base_timestamp_ms=123456
         )
         assert mobile.timestamp == 123456
         assert 123456 <= login.timestamp <= 124456
@@ -179,7 +179,7 @@ class TestGenerateSession:
     def test_device_ids(self):
         rng = derived_rng(16)
         mobile, login, _ = generate_session(
-            ENV, LOSS, Scenario.authentic(), rng, device_ids=("m-1", "l-1")
+            ENV, LOSS, Scenario.authentic(), rng, center_geometry(), device_ids=("m-1", "l-1")
         )
         assert mobile.device_id == "m-1"
         assert login.device_id == "l-1"
@@ -237,7 +237,7 @@ class TestGeometry:
 
     def test_place_access_points_identities(self):
         rng = derived_rng(30)
-        aps = place_access_points(ENV, rng)
+        aps = place_access_points(ENV, rng, range(ENV.n_aps))
         assert len(aps) == 10
         assert aps[0].frequency == 2412000000
         assert aps[5].frequency == 2412000000  # round-robin wraps at 5
@@ -279,6 +279,8 @@ class TestGenerateDataset:
             generate_dataset(ENV, LOSS, 0, 3, seed=1)
         with pytest.raises(ValueError):
             generate_dataset(ENV, LOSS, 5, 0, seed=1)
+        with pytest.raises(ValueError):
+            sessions_for_target_rows(ENV, LOSS, 100, 0, seed=1)
 
     def test_metadata_document(self):
         ds = generate_dataset(ENV, LOSS, 6, 2, seed=4)
