@@ -12,9 +12,9 @@ State and durability: user records live in a JSON file rewritten atomically
 by a single writer; decisions are appended to a JSON-lines audit log.
 Secrets are stored only as salted PBKDF2 hashes and never appear in scan
 records, the audit log, or decisions. Sessions are in-memory and
-short-lived. A service-wide lock serializes state transitions, so each
-session processes one submission at a time while the immutable model and
-encoder serve concurrent predictions freely.
+short-lived. A service-wide lock serializes every state transition,
+classification included, so the service decides one session at a time;
+the model and encoder themselves are immutable.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import secrets as _secrets
 import threading
 import time
 import uuid
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
 from typing import Callable
@@ -147,11 +147,14 @@ class AuthDecision:
 class AuthSession:
     session_id: str
     username: str
-    state: SessionState
     created_at: int
     mobile_scan: ScanSnapshot | None = None
     login_scan: ScanSnapshot | None = None
     decision: AuthDecision | None = None
+
+    @property
+    def state(self) -> SessionState:
+        return SessionState.AWAITING_SCANS if self.decision is None else SessionState.DECIDED
 
 
 def hash_secret(secret: str, salt: bytes | None = None) -> str:
@@ -188,32 +191,17 @@ class UserStore:
         self._users: dict[str, UserRecord] = {}
         self._devices: dict[str, str] = {}  # device_id -> username
         if self.root is not None:
+            self._users_path = self.root / "users.json"
+            self._audit_path = self.root / "audit.log"
             self.root.mkdir(parents=True, exist_ok=True)
             self._load()
-
-    @property
-    def _users_path(self) -> Path:
-        assert self.root is not None
-        return self.root / "users.json"
-
-    @property
-    def _audit_path(self) -> Path:
-        assert self.root is not None
-        return self.root / "audit.log"
 
     def _load(self) -> None:
         if not self._users_path.exists():
             return
         doc = json.loads(self._users_path.read_text(encoding="utf-8"))
         for u in doc.get("users", []):
-            record = UserRecord(
-                username=u["username"],
-                credential_hash=u["credential_hash"],
-                mobile_device_id=u["mobile_device_id"],
-                login_device_id=u["login_device_id"],
-                enrolled_at=int(u["enrolled_at"]),
-            )
-            self._index(record)
+            self._index(UserRecord(**{**u, "enrolled_at": int(u["enrolled_at"])}))
 
     def _index(self, record: UserRecord) -> None:
         self._users[record.username] = record
@@ -223,19 +211,8 @@ class UserStore:
     def _flush(self) -> None:
         if self.root is None:
             return
-        doc = {
-            "version": 1,
-            "users": [
-                {
-                    "username": r.username,
-                    "credential_hash": r.credential_hash,
-                    "mobile_device_id": r.mobile_device_id,
-                    "login_device_id": r.login_device_id,
-                    "enrolled_at": r.enrolled_at,
-                }
-                for r in self._users.values()
-            ],
-        }
+        # a record's __dict__ holds its fields in declaration order; asdict would copy each one
+        doc = {"version": 1, "users": [vars(r) for r in self._users.values()]}
         tmp = self._users_path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
         os.replace(tmp, self._users_path)
@@ -266,44 +243,35 @@ def overlap_observations(
 
     APs match by BSSID when both sides carry one; anything left unmatched
     falls back to SSID equality (or SSID only, per the policy's match key).
-    The result carries both devices' observations of each common AP, in the
-    mobile snapshot's AP order; it is empty when the devices share no AP.
+    Each pass keeps every mobile observation whose key some still-unmatched
+    login observation shares, and the first time a key matches, every login
+    observation with that key. The result lists the passes in turn, each in
+    the mobile snapshot's AP order; it is empty when the devices share no AP.
     """
-    mobile_unmatched = list(mobile.observations)
-    login_unmatched = list(login.observations)
+    keys = ("bssid", "ssid") if policy.match_key is MatchKey.BSSID_THEN_SSID else ("ssid",)
+    mobile_left, login_left = mobile.observations, login.observations
+    mobile_role, login_role = DeviceRole.MOBILE, DeviceRole.LOGIN  # looked up once, not per AP
     pairs: list[tuple[DeviceRole, BeaconObservation]] = []
-
-    if policy.match_key is MatchKey.BSSID_THEN_SSID:
-        login_by_bssid: dict[str, list[BeaconObservation]] = {}
-        for obs in login_unmatched:
-            if obs.bssid is not None:
-                login_by_bssid.setdefault(obs.bssid, []).append(obs)
-        matched_login: set[int] = set()
+    for key in keys:
+        login_by_key: dict[str | None, list[BeaconObservation]] = {}
+        for obs in login_left:
+            login_by_key.setdefault(getattr(obs, key), []).append(obs)
+        login_by_key.pop(None, None)  # an observation without the key matches nothing
+        matched: set[str] = set()
         still_mobile = []
-        for obs in mobile_unmatched:
-            hits = login_by_bssid.get(obs.bssid) if obs.bssid is not None else None
-            if hits:
-                pairs.append((DeviceRole.MOBILE, obs))
-                for hit in hits:
-                    if id(hit) not in matched_login:
-                        pairs.append((DeviceRole.LOGIN, hit))
-                        matched_login.add(id(hit))
-            else:
+        for obs in mobile_left:
+            value = getattr(obs, key)
+            hits = login_by_key.get(value)
+            if hits is None:
                 still_mobile.append(obs)
-        mobile_unmatched = still_mobile
-        login_unmatched = [o for o in login_unmatched if id(o) not in matched_login]
-
-    login_by_ssid: dict[str, list[BeaconObservation]] = {}
-    for obs in login_unmatched:
-        login_by_ssid.setdefault(obs.ssid, []).append(obs)
-    matched_ssids: set[str] = set()
-    for obs in mobile_unmatched:
-        if obs.ssid in login_by_ssid:
-            pairs.append((DeviceRole.MOBILE, obs))
-            if obs.ssid not in matched_ssids:
-                for hit in login_by_ssid[obs.ssid]:
-                    pairs.append((DeviceRole.LOGIN, hit))
-                matched_ssids.add(obs.ssid)
+            else:
+                pairs.append((mobile_role, obs))
+                if value not in matched:
+                    matched.add(value)
+                    pairs += [(login_role, hit) for hit in hits]
+        mobile_left = still_mobile
+        if matched:
+            login_left = [o for o in login_left if getattr(o, key) not in matched]
     return pairs
 
 
@@ -364,12 +332,7 @@ class AuthService:
             if record is None:
                 raise UnknownUser(f"no such user {username!r}")
             now = self._clock()
-            session = AuthSession(
-                session_id=uuid.uuid4().hex,
-                username=username,
-                state=SessionState.AWAITING_SCANS,
-                created_at=now,
-            )
+            session = AuthSession(session_id=uuid.uuid4().hex, username=username, created_at=now)
             self._sessions[session.session_id] = session
             self.store.audit(
                 {"ts": now, "event": "begin", "session_id": session.session_id, "username": username}
@@ -412,14 +375,10 @@ class AuthService:
 
             # the enrollment binding is authoritative for role and identity
             snapshot = replace(snapshot, device_id=device_id, role=role)
-            if role is DeviceRole.MOBILE:
-                if session.mobile_scan is not None:
-                    raise DuplicateRoleSubmission("mobile scan already submitted")
-                session.mobile_scan = snapshot
-            else:
-                if session.login_scan is not None:
-                    raise DuplicateRoleSubmission("login scan already submitted")
-                session.login_scan = snapshot
+            slot = f"{role.value}_scan"
+            if getattr(session, slot) is not None:
+                raise DuplicateRoleSubmission(f"{role.value} scan already submitted")
+            setattr(session, slot, snapshot)
 
             if session.mobile_scan is not None and session.login_scan is not None:
                 self.decide_session(session_id)
@@ -466,7 +425,6 @@ class AuthService:
 
     def _finalize(self, session: AuthSession, decision: AuthDecision) -> None:
         session.decision = decision
-        session.state = SessionState.DECIDED
         self.store.audit(
             {
                 "ts": decision.decided_at,

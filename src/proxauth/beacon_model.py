@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import io
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Callable
 
 import numpy as np
 

@@ -34,7 +34,6 @@ from .beacon_model import (
     parse_dataset_csv,
 )
 from .colocation_ml import (
-    DecisionTree,
     ForestParams,
     TreeParams,
     compute_metrics,
@@ -273,6 +272,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 def cmd_attempt(args: argparse.Namespace) -> int:
     env, loss, campaign = _simulation_configs(args.config)
     scenario = Scenario.authentic() if args.scenario == "near" else Scenario.unauthorized()
+    if args.locations < 1:
+        raise ValueError("--locations must be >= 1")
     location_index = args.seed % args.locations
     mobile_id = f"{args.username}:mobile"
     login_id = f"{args.username}:login"

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -380,6 +379,8 @@ def location_geometry(
         raise ConfigurationError(
             f"cannot spread {env.n_aps} APs over {n_locations} locations"
         )
+    if not 0 <= location_index < n_locations:
+        raise ConfigurationError(f"location_index must be in [0, {n_locations}), got {location_index}")
     rng = derived_rng(seed, _GEOMETRY_STREAM, location_index)
     indices = [i for i in range(env.n_aps) if i % n_locations == location_index]
     aps = place_access_points(env, rng, indices)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,48 @@ class TestOverlap:
         assert len(pairs) == 4
         ssids = [o.ssid for _, o in pairs]
         assert ssids.count("NetA") == 2 and ssids.count("NetB") == 2
+
+    def test_one_ssid_at_two_bssids(self):
+        mobile = snap("m", DeviceRole.MOBILE, [obs("NetA", -60, "aa:aa:aa:aa:aa:01"),
+                                               obs("NetA", -70, "aa:aa:aa:aa:aa:02")])
+        login = snap("l", DeviceRole.LOGIN, [obs("NetA", -65, "aa:aa:aa:aa:aa:01")])
+        by_bssid = overlap_observations(mobile, login)
+        assert [(r, o.bssid) for r, o in by_bssid] == [
+            (DeviceRole.MOBILE, "aa:aa:aa:aa:aa:01"),
+            (DeviceRole.LOGIN, "aa:aa:aa:aa:aa:01"),
+        ]
+        ssid_only = PolicyConfig(match_key=MatchKey.SSID_ONLY)
+        assert len(overlap_observations(mobile, login, ssid_only)) == 3
+
+    @pytest.mark.parametrize("match_key", list(MatchKey))
+    def test_matches_set_oracle_on_random_scans(self, match_key):
+        keys = ("bssid", "ssid") if match_key is MatchKey.BSSID_THEN_SSID else ("ssid",)
+        policy = PolicyConfig(match_key=match_key)
+        # 3 SSIDs over 4 BSSIDs or none: shared SSIDs at several BSSIDs, some BSSIDs missing
+        combos = [(s, b) for s in ("NetA", "NetB", "NetC")
+                  for b in (None, *(f"aa:aa:aa:aa:aa:0{i}" for i in range(4)))]
+        rng = np.random.default_rng(5)
+
+        def random_snap(role):
+            picks = rng.choice(len(combos), size=rng.integers(0, 7), replace=False)
+            return snap(role.value, role, [obs(combos[i][0], int(rng.integers(-90, -30)), combos[i][1])
+                                           for i in picks])
+
+        def oracle(mobile, login):
+            left = {DeviceRole.MOBILE: list(mobile.observations), DeviceRole.LOGIN: list(login.observations)}
+            kept = Counter()
+            for key in keys:
+                shared = set.intersection(*({getattr(o, key) for o in side} - {None}
+                                            for side in left.values()))
+                for role, side in left.items():
+                    kept.update((role, o) for o in side if getattr(o, key) in shared)
+                    left[role] = [o for o in side if getattr(o, key) not in shared]
+            return kept
+
+        for _ in range(500):
+            mobile, login = random_snap(DeviceRole.MOBILE), random_snap(DeviceRole.LOGIN)
+            pairs = overlap_observations(mobile, login, policy)
+            assert Counter(pairs) == oracle(mobile, login)
 
 
 def run_session(svc, mobile_obs, login_obs, mobile_ts=1_000_000, login_ts=1_000_100):

@@ -133,6 +133,13 @@ class TestCommands:
         assert main(["ingest", "--data", str(bad)]) == 1
         assert "beacon_model.RowParseError" in capsys.readouterr().err
 
+    def test_attempt_zero_locations_is_an_error(self, capsys):
+        # rejected before any connection is made, so no server is needed
+        code = main(["attempt", "--server", "127.0.0.1:9", "--username", "zoe",
+                     "--secret", "zoes-secret", "--scenario", "near", "--locations", "0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: --locations")
+
     def test_train_params_file(self, pipeline, tmp_path, capsys):
         _, csv, _, _ = pipeline
         params = tmp_path / "params.json"

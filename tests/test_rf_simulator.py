@@ -213,6 +213,13 @@ class TestGeometry:
         with pytest.raises(ConfigurationError):
             location_geometry(ENV, LOSS, CampaignConfig(), 1, 0, 11)
 
+    @pytest.mark.parametrize("index", [-1, 3, 42])
+    def test_out_of_range_location_index_rejected(self, index):
+        with pytest.raises(ConfigurationError, match="location_index"):
+            location_geometry(ENV, LOSS, CampaignConfig(), 1, index, 3)
+        with pytest.raises(ConfigurationError, match="location_index"):
+            scenario_session(ENV, LOSS, Scenario.authentic(), 1, 3, index, 5)
+
     def test_band_contrast_enforced(self):
         camp = CampaignConfig()
         loss = PathLossConfig(noise_sigma_dbm=0.0)
