@@ -9,9 +9,11 @@ Typical pipeline::
     proxauth attempt --server 127.0.0.1:4980 --username alice \
         --secret sesame-street --scenario near --env-seed 7
 
-``train`` holds out a stratified 20% of the data (keyed by its --seed) and
-fits on the rest; ``evaluate`` re-derives that split, defaulting to the
-seed recorded in the model file, so its report scores held-out rows.
+``train`` holds out a stratified 20% of the data (keyed by its --seed),
+fits on the rest and records that seed in the model file as ``train_seed``.
+``evaluate`` re-derives the same 20% split from the recorded seed (or from
+--seed, which a model file without ``train_seed`` requires), so its report
+scores only held-out rows.
 With ``--json`` a command prints its report as a single JSON document.
 """
 
@@ -23,9 +25,10 @@ import json
 import os
 import sys
 import time
+from enum import Enum
 from pathlib import Path
 
-from .auth_service import AuthService, MatchKey, PolicyConfig, UserStore
+from .auth_service import AuthService, PolicyConfig, UserStore
 from .beacon_model import (
     Label,
     build_feature_encoder,
@@ -39,7 +42,8 @@ from .colocation_ml import (
     compute_metrics,
     document_to_model,
     evaluate,
-    model_to_document,
+    load_model,
+    save_model,
     stratified_split,
     train_decision_tree,
     train_random_forest,
@@ -63,7 +67,11 @@ DATA_DIR_ENV = "PROXAUTH_DATA_DIR"
 
 
 def _make_config(cls, overrides: dict):
-    """Build a config dataclass from defaults plus a partial override dict."""
+    """Build a config dataclass from defaults plus a partial override dict.
+    A field whose default is a dataclass takes a nested override dict; one
+    whose default is an Enum or a tuple is converted to the default's type."""
+    if not isinstance(overrides, dict):
+        raise ValueError(f"{cls.__name__} overrides must be a JSON object, got {overrides!r:.80}")
     defaults = cls()
     valid = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(cls)}
     unknown = set(overrides) - set(valid)
@@ -71,8 +79,11 @@ def _make_config(cls, overrides: dict):
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     merged = dict(valid)
     for key, value in overrides.items():
-        if isinstance(valid[key], tuple):
-            value = tuple(value)
+        default = valid[key]
+        if dataclasses.is_dataclass(default):
+            value = _make_config(type(default), value)
+        elif isinstance(default, (Enum, tuple)):
+            value = type(default)(value)
         merged[key] = value
     return cls(**merged)
 
@@ -90,11 +101,7 @@ def _simulation_configs(config_path: str | None):
 
 
 def _policy_config(policy_path: str | None) -> PolicyConfig:
-    doc = _load_json_file(policy_path) if policy_path else {}
-    if "match_key" in doc:
-        doc = dict(doc)
-        doc["match_key"] = MatchKey(doc["match_key"])
-    return _make_config(PolicyConfig, doc)
+    return _make_config(PolicyConfig, _load_json_file(policy_path) if policy_path else {})
 
 
 def _parse_listen(value: str) -> tuple[str, int]:
@@ -182,20 +189,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         model = train_decision_tree(X, y, params, args.seed)
         summary = f"decision tree: depth={model.depth()} nodes={model.node_count()}"
     else:
-        forest_doc = dict(params_doc.get("forest", {}))
-        tree_doc = forest_doc.pop("tree_params", {})
-        forest_doc.setdefault("seed", args.seed)
-        params = dataclasses.replace(
-            _make_config(ForestParams, forest_doc),
-            tree_params=_make_config(TreeParams, tree_doc),
-        )
+        params = _make_config(ForestParams, {"seed": args.seed, **params_doc.get("forest", {})})
         model = train_random_forest(X, y, params)
         summary = f"random forest: trees={params.n_trees} features_per_split={params.features_per_split}"
     elapsed = time.perf_counter() - started
 
-    doc = model_to_document(model, encoder)
-    doc["train_seed"] = args.seed
-    Path(args.out).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+    save_model(args.out, model, encoder, train_seed=args.seed)
     _emit(
         [
             f"trained on {len(train_set)} rows ({len(test_set)} held out) in {elapsed:.2f}s",
@@ -204,7 +203,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         ],
         {
             "command": "train",
-            "model_kind": doc["kind"],
+            "model_kind": {"dt": "decision_tree", "rf": "random_forest"}[args.model],
             "train_rows": len(train_set),
             "held_out_rows": len(test_set),
             "seconds": round(elapsed, 3),
@@ -218,9 +217,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     doc = _load_json_file(args.model)
     model, encoder = document_to_model(doc)
-    seed = args.seed if args.seed is not None else int(doc.get("train_seed", 0))
+    seed = doc.get("train_seed") if args.seed is None else args.seed
+    if not isinstance(seed, int):
+        raise ValueError(f"{args.model} records no train_seed; give the split seed with --seed")
     dataset = parse_dataset_csv(Path(args.data).read_bytes())
-    train_set, test_set = stratified_split(dataset, args.split, seed)
+    train_set, test_set = stratified_split(dataset, _TRAIN_HOLDOUT_FRACTION, seed)
     X, y = encode_dataset(encoder, test_set)
     cm = evaluate(model, X, y)
     metrics = compute_metrics(cm)
@@ -238,7 +239,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "command": "evaluate",
             "model": args.model,
             "data": args.data,
-            "split": args.split,
+            "split": _TRAIN_HOLDOUT_FRACTION,
             "seed": seed,
             "counts": {"train": len(train_set), "test": len(test_set)},
             "confusion_matrix": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
@@ -250,7 +251,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def build_service(model_path: str, policy_path: str | None, data_dir: str | None = None) -> AuthService:
-    model, encoder = document_to_model(_load_json_file(model_path))
+    model, encoder = load_model(model_path)
     policy = _policy_config(policy_path)
     root = data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV, DEFAULT_DATA_DIR)
     return AuthService(UserStore(root), model, encoder, policy)
@@ -353,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("train", help="train a classifier on 80% of a dataset")
+    p = sub.add_parser("train", help="train a classifier on 80%% of a dataset")
     p.add_argument("--data", required=True)
     p.add_argument("--model", choices=("dt", "rf"), required=True)
     p.add_argument("--params", help="JSON file with tree/forest hyperparameter overrides")
@@ -362,12 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a model on the held-out 20%")
+    p = sub.add_parser("evaluate", help="score a model on the 20%% that train held out")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--split", type=float, default=0.2, help="test fraction (default 0.2)")
     p.add_argument("--seed", type=int, default=None,
-                   help="split seed (default: the seed recorded in the model file)")
+                   help="split seed (default: the train_seed recorded in the model file; "
+                        "required when the file records none)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_evaluate)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -110,8 +110,8 @@ class ForestParams:
     n_trees: int = 100
     bootstrap: bool = True
     features_per_split: int = 2  # floor(sqrt(4))
-    tree_params: TreeParams = field(default_factory=TreeParams)
     seed: int = 0
+    tree_params: TreeParams = field(default_factory=TreeParams)
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -524,8 +524,12 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 # -- model serialization ------------------------------------------------------
 #
 # A model file is a single JSON document: format marker, version, model kind,
-# the fitted encoder, the hyperparameters, and the full tree structures. The
-# document round-trips losslessly and re-serializes byte-identically.
+# the fitted encoder, the hyperparameters, the full tree structures and, when
+# the trainer records one, the ``train_seed`` of its held-out split. The
+# encoder and the hyperparameters are their dataclasses' fields in declaration
+# order, so reordering a field changes the file bytes. ``save_model`` writes
+# every model file. The document round-trips losslessly and re-serializes
+# byte-identically; a malformed document is a ValueError.
 
 
 def _node_to_doc(node: SplitNode | LeafNode) -> dict:
@@ -548,6 +552,8 @@ def _node_from_doc(doc: dict) -> SplitNode | LeafNode:
     if doc["type"] == "leaf":
         counts = doc["class_counts"]
         return LeafNode(label=Label(doc["label"]), class_counts=(int(counts[0]), int(counts[1])))
+    if doc["type"] != "split":
+        raise ValueError(f"unknown node type {doc['type']!r}")
     return SplitNode(
         feature_index=int(doc["feature_index"]),
         threshold=float(doc["threshold"]),
@@ -556,86 +562,69 @@ def _node_from_doc(doc: dict) -> SplitNode | LeafNode:
     )
 
 
-def _tree_params_doc(p: TreeParams) -> dict:
-    return {
-        "max_depth": p.max_depth,
-        "min_samples_split": p.min_samples_split,
-        "min_samples_leaf": p.min_samples_leaf,
-    }
-
-
-def _tree_params_from_doc(doc: dict) -> TreeParams:
-    return TreeParams(
-        max_depth=doc["max_depth"],
-        min_samples_split=int(doc["min_samples_split"]),
-        min_samples_leaf=int(doc["min_samples_leaf"]),
-    )
+def _from_doc(cls, doc: dict, **read):
+    """Build dataclass ``cls`` from a document holding exactly its fields;
+    ``read`` maps a field name to the function that converts its value."""
+    names = [f.name for f in fields(cls)]
+    if not isinstance(doc, dict) or doc.keys() != set(names):
+        raise ValueError(f"{cls.__name__} must be an object with keys {names}, got {doc!r:.200}")
+    return cls(**{k: read[k](v) if k in read else v for k, v in doc.items()})
 
 
 def model_to_document(
-    model: DecisionTree | RandomForest, encoder: FeatureEncoder
+    model: DecisionTree | RandomForest, encoder: FeatureEncoder, train_seed: int | None = None
 ) -> dict:
     doc = {
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
         "kind": "decision_tree" if isinstance(model, DecisionTree) else "random_forest",
-        "encoder": {
-            "ssid_vocabulary": dict(encoder.ssid_vocabulary),
-            "frequency_scale": list(encoder.frequency_scale),
-        },
+        "encoder": asdict(encoder),
+        "params": asdict(model.params),
     }
     if isinstance(model, DecisionTree):
-        doc["params"] = _tree_params_doc(model.params)
         doc["tree"] = _node_to_doc(model.root)
     else:
-        p = model.params
-        doc["params"] = {
-            "n_trees": p.n_trees,
-            "bootstrap": p.bootstrap,
-            "features_per_split": p.features_per_split,
-            "seed": p.seed,
-            "tree_params": _tree_params_doc(p.tree_params),
-        }
         doc["trees"] = [_node_to_doc(t.root) for t in model.trees]
+    if train_seed is not None:
+        doc["train_seed"] = train_seed
     return doc
 
 
 def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
-    if doc.get("format") != MODEL_FORMAT:
+    if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('version')!r}")
-    enc = doc["encoder"]
-    encoder = FeatureEncoder(
-        ssid_vocabulary={str(k): int(v) for k, v in enc["ssid_vocabulary"].items()},
-        frequency_scale=(float(enc["frequency_scale"][0]), float(enc["frequency_scale"][1])),
-    )
-    if doc["kind"] == "decision_tree":
-        model: DecisionTree | RandomForest = DecisionTree(
-            root=_node_from_doc(doc["tree"]),
-            params=_tree_params_from_doc(doc["params"]),
-        )
-    elif doc["kind"] == "random_forest":
-        p = doc["params"]
-        params = ForestParams(
-            n_trees=int(p["n_trees"]),
-            bootstrap=bool(p["bootstrap"]),
-            features_per_split=int(p["features_per_split"]),
-            tree_params=_tree_params_from_doc(p["tree_params"]),
-            seed=int(p["seed"]),
-        )
-        tp = params.tree_params
-        trees = tuple(DecisionTree(root=_node_from_doc(d), params=tp) for d in doc["trees"])
-        model = RandomForest(trees=trees, params=params)
-    else:
-        raise ValueError(f"unknown model kind {doc['kind']!r}")
+    try:
+        encoder = _from_doc(FeatureEncoder, doc["encoder"], frequency_scale=tuple)
+        if doc["kind"] == "decision_tree":
+            model: DecisionTree | RandomForest = DecisionTree(
+                root=_node_from_doc(doc["tree"]), params=_from_doc(TreeParams, doc["params"])
+            )
+        elif doc["kind"] == "random_forest":
+            params = _from_doc(
+                ForestParams, doc["params"], tree_params=lambda p: _from_doc(TreeParams, p)
+            )
+            trees = tuple(
+                DecisionTree(root=_node_from_doc(d), params=params.tree_params) for d in doc["trees"]
+            )
+            model = RandomForest(trees=trees, params=params)
+        else:
+            raise ValueError(f"unknown model kind {doc['kind']!r}")
+    except KeyError as exc:
+        raise ValueError(f"malformed {MODEL_FORMAT} document: missing key {exc}") from exc
+    except (AttributeError, IndexError, TypeError) as exc:
+        raise ValueError(f"malformed {MODEL_FORMAT} document: {exc}") from exc
     return model, encoder
 
 
 def save_model(
-    path: str | Path, model: DecisionTree | RandomForest, encoder: FeatureEncoder
+    path: str | Path,
+    model: DecisionTree | RandomForest,
+    encoder: FeatureEncoder,
+    train_seed: int | None = None,
 ) -> None:
-    doc = model_to_document(model, encoder)
+    doc = model_to_document(model, encoder, train_seed)
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
 

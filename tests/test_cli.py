@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import pytest
 
-from proxauth.auth_service import MatchKey
+from proxauth.auth_service import MatchKey, PolicyConfig
+from proxauth.beacon_model import build_feature_encoder, encode_dataset, parse_dataset_csv
 from proxauth.cli import (
     _make_config,
     _parse_listen,
@@ -11,8 +13,16 @@ from proxauth.cli import (
     build_service,
     main,
 )
-from proxauth.colocation_ml import ForestParams
-from proxauth.rf_simulator import EnvironmentConfig
+from proxauth.colocation_ml import (
+    ForestParams,
+    TreeParams,
+    load_model,
+    save_model,
+    stratified_split,
+    train_decision_tree,
+    train_random_forest,
+)
+from proxauth.rf_simulator import CampaignConfig, EnvironmentConfig, PathLossConfig
 from proxauth.wire import AuthWireServer
 
 
@@ -28,8 +38,22 @@ class TestParseArgs:
 
     def test_evaluate_defaults_split_to_one_fifth(self):
         args = build_parser().parse_args(["evaluate", "--model", "m.model", "--data", "d.csv"])
-        assert args.split == 0.2
         assert args.seed is None
+
+    def test_evaluate_rejects_split_flag(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(
+                ["evaluate", "--model", "m.model", "--data", "d.csv", "--split", "0.3"]
+            )
+        assert exc.value.code == 2
+        assert "--split" in capsys.readouterr().err
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "80% of a dataset" in out and "20% that train held out" in out
 
     def test_unknown_model_kind_names_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -60,6 +84,28 @@ class TestHelpers:
     def test_make_config_rejects_unknown_keys(self):
         with pytest.raises(ValueError):
             _make_config(EnvironmentConfig, {"bogus": 1})
+
+    def test_make_config_rejects_unknown_nested_keys(self):
+        with pytest.raises(ValueError, match="TreeParams"):
+            _make_config(ForestParams, {"n_trees": 3, "tree_params": {"bogus": 1}})
+
+    @pytest.mark.parametrize("overrides", [5, [], {"tree_params": 5}])
+    def test_make_config_rejects_non_objects(self, overrides):
+        with pytest.raises(ValueError, match="object"):
+            _make_config(ForestParams, overrides)
+
+    def test_make_config_builds_nested_dataclass(self):
+        params = _make_config(ForestParams, {"seed": 4, "tree_params": {"max_depth": 3}})
+        assert params == ForestParams(seed=4, tree_params=TreeParams(max_depth=3))
+
+    @pytest.mark.parametrize(
+        "cls", [EnvironmentConfig, PathLossConfig, CampaignConfig, PolicyConfig, TreeParams, ForestParams]
+    )
+    def test_make_config_inverts_asdict(self, cls):
+        doc = dataclasses.asdict(cls())
+        assert _make_config(cls, doc) == cls()
+        # as read back from a JSON file: lists for tuples, values for enums
+        assert _make_config(cls, json.loads(json.dumps(doc, default=lambda e: e.value))) == cls()
 
     def test_policy_match_key_parsing(self, tmp_path):
         path = tmp_path / "policy.json"
@@ -112,10 +158,49 @@ class TestCommands:
         assert main(["evaluate", "--model", str(dt), "--data", str(csv), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["seed"] == 5  # defaulted from the model file
+        assert doc["split"] == 0.2
+        _, held_out = stratified_split(parse_dataset_csv(csv.read_bytes()), 0.2, 5)
+        assert doc["counts"]["test"] == len(held_out)
         assert set(doc["metrics"]) == {"accuracy", "sensitivity", "specificity", "precision", "f1"}
         cm = doc["confusion_matrix"]
         assert cm["tp"] + cm["tn"] + cm["fp"] + cm["fn"] == doc["counts"]["test"]
         assert doc["metrics"]["accuracy"] >= 0.8
+
+    def test_evaluate_without_train_seed_needs_seed_flag(self, pipeline, tmp_path, capsys):
+        _, csv, rf, _ = pipeline
+        bare = tmp_path / "bare.model"
+        save_model(bare, *load_model(rf))
+        assert main(["evaluate", "--model", str(bare), "--data", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--seed" in err
+        assert main(["evaluate", "--model", str(bare), "--data", str(csv), "--seed", "5", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["seed"] == 5
+
+    @pytest.mark.parametrize("command", ["evaluate", "serve"])
+    def test_malformed_model_file_is_a_clean_error(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
+        bad = tmp_path / "bad.model"
+        bad.write_text(json.dumps(
+            {"format": "proxauth-colocation-model", "version": 1, "kind": "random_forest"}
+        ))
+        argv = [command, "--model", str(bad)]
+        argv += ["--data", "d.csv"] if command == "evaluate" else ["--listen", "127.0.0.1:0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("kind", ["rf", "dt"])
+    def test_train_writes_what_save_model_writes(self, pipeline, tmp_path, kind):
+        root, csv, _, _ = pipeline
+        train_set, _ = stratified_split(parse_dataset_csv(csv.read_bytes()), 0.2, 5)
+        encoder = build_feature_encoder(train_set)
+        X, y = encode_dataset(encoder, train_set)
+        if kind == "rf":
+            model = train_random_forest(X, y, ForestParams(seed=5))
+        else:
+            model = train_decision_tree(X, y, TreeParams(), 5)
+        expected = tmp_path / "expected.model"
+        save_model(expected, model, encoder, train_seed=5)
+        assert (root / f"{kind}.model").read_bytes() == expected.read_bytes()
 
     def test_evaluate_missing_file_errors(self, capsys):
         code = main(["evaluate", "--model", "/nonexistent/m.model", "--data", "d.csv"])

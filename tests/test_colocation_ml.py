@@ -28,6 +28,7 @@ from proxauth.colocation_ml import (
     model_to_document,
     predict,
     predict_batch,
+    save_model,
     stratified_split,
     train_decision_tree,
     train_random_forest,
@@ -626,3 +627,90 @@ class TestSerialization:
         doc["version"] = 999
         with pytest.raises(ValueError):
             document_to_model(doc)
+
+
+def _split_forest_doc() -> dict:
+    a, u = LeafNode(Label.AUTHENTIC, (0, 3)), LeafNode(Label.UNAUTHORIZED, (2, 1))
+    forest = RandomForest(
+        trees=(DecisionTree(SplitNode(3, -60.0, a, u), TreeParams()),), params=ForestParams(n_trees=1)
+    )
+    return model_to_document(forest, FeatureEncoder({"A": 1}, (2412000000.0, 5240000000.0)))
+
+
+_DROP = "<drop>"
+
+
+class TestMalformedDocuments:
+    """Every malformed model document is a ValueError, never a KeyError or
+    TypeError from deep inside the reader."""
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("encoder", _DROP),
+            ("kind", _DROP),
+            ("params", _DROP),
+            ("trees", _DROP),
+            ("params.seed", _DROP),
+            ("params.tree_params.min_samples_leaf", _DROP),
+            ("encoder.frequency_scale", _DROP),
+            ("trees.0.left", _DROP),
+            ("trees.0.right.label", _DROP),
+            ("params.bogus", 1),
+            ("params.tree_params.bogus", 1),
+            ("encoder.bogus", 1),
+            ("trees.0.type", "branch"),
+            ("trees.0.left.type", "branch"),
+            ("encoder", ["A", 1]),
+            ("encoder.ssid_vocabulary", None),
+            ("params.tree_params", 7),
+            ("trees", 7),
+            ("trees.0", "leaf"),
+            ("trees.0.left.class_counts", [1]),
+            ("kind", "bogus"),
+        ],
+    )
+    def test_edited_document_is_value_error(self, path, value):
+        doc = _split_forest_doc()
+        document_to_model(json.loads(json.dumps(doc)))  # the unedited document loads
+        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        target = doc
+        for key in parents:
+            target = target[key]
+        if value == _DROP:
+            del target[last]
+        else:
+            target[last] = value
+        with pytest.raises(ValueError):
+            document_to_model(doc)
+
+    @pytest.mark.parametrize("doc", [[], "proxauth-colocation-model", 1, None])
+    def test_non_object_document_is_value_error(self, doc):
+        with pytest.raises(ValueError):
+            document_to_model(doc)
+
+    def test_header_only_document_is_value_error(self):
+        with pytest.raises(ValueError, match="missing key 'encoder'"):
+            document_to_model({"format": "proxauth-colocation-model", "version": 1, "kind": "random_forest"})
+
+
+class TestDocumentLayout:
+    def test_params_keys_keep_v1_order(self):
+        doc = _split_forest_doc()
+        assert list(doc) == ["format", "version", "kind", "encoder", "params", "trees"]
+        assert list(doc["encoder"]) == ["ssid_vocabulary", "frequency_scale"]
+        assert list(doc["params"]) == [
+            "n_trees", "bootstrap", "features_per_split", "seed", "tree_params"
+        ]
+        assert list(doc["params"]["tree_params"]) == [
+            "max_depth", "min_samples_split", "min_samples_leaf"
+        ]
+
+    def test_train_seed_is_the_last_key_and_loads(self, tmp_path):
+        tree = leaf_tree(Label.AUTHENTIC)
+        encoder = FeatureEncoder({"A": 1}, (0.0, 1.0))
+        save_model(tmp_path / "m.model", tree, encoder, train_seed=5)
+        doc = json.loads((tmp_path / "m.model").read_text())
+        assert list(doc)[-1] == "train_seed" and doc["train_seed"] == 5
+        assert document_to_model(doc) == (tree, encoder)
+        assert "train_seed" not in model_to_document(tree, encoder)
