@@ -15,7 +15,7 @@ Modules:
     cli            the `proxauth` command line
 """
 
-from . import auth_service, beacon_model, cli, colocation_ml, errors, rf_simulator, wire
+from . import auth_service, beacon_model, colocation_ml, errors, rf_simulator, wire
 from .auth_service import (
     AuthDecision,
     AuthService,

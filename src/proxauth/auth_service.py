@@ -12,9 +12,15 @@ State and durability: user records live in a JSON file rewritten atomically
 by a single writer; decisions are appended to a JSON-lines audit log.
 Secrets are stored only as salted PBKDF2 hashes and never appear in scan
 records, the audit log, or decisions. Sessions are in-memory and
-short-lived. A service-wide lock serializes every state transition,
-classification included, so the service decides one session at a time;
-the model and encoder themselves are immutable.
+short-lived; a decided session keeps only its id, user, creation time and
+decision, not its scans.
+
+Concurrency: one service-wide lock is held only while shared state changes
+(a user added, a session created, a scan slot filled, a decision set) and
+around the audit and store writes that go with it. PBKDF2 hashing and
+verification and the classification of a session's scans run outside it,
+on immutable inputs: user records, the model, the encoder and the policy.
+When two threads decide one session, the first decision written wins.
 """
 
 from __future__ import annotations
@@ -182,8 +188,10 @@ class UserStore:
     With a root directory, users live in ``users.json`` (rewritten atomically
     on every enrollment) and audit entries append to ``audit.log`` as JSON
     lines. Without one, everything stays in memory (useful in tests). Reads
-    are lock-free on immutable records; writes are serialized by the caller
-    (AuthService holds its lock across mutations).
+    take no lock: records are immutable and never removed, so AuthService
+    looks users up and verifies secrets outside its lock. Writes are
+    serialized by the caller (AuthService holds its lock across each
+    ``add_user`` and ``audit``).
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -295,7 +303,7 @@ class AuthService:
         self.encoder = encoder
         self.policy = policy
         self._clock = clock or (lambda: time.time_ns() // 1_000_000)
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
         self._sessions: dict[str, AuthSession] = {}
 
     # -- enrollment ---------------------------------------------------------
@@ -305,6 +313,7 @@ class AuthService:
     ) -> UserRecord:
         if len(secret) < _MIN_SECRET_LENGTH:
             raise WeakSecret(f"secret must be at least {_MIN_SECRET_LENGTH} characters")
+        credential_hash = hash_secret(secret)
         with self._lock:
             if self.store.get_user(username) is not None:
                 raise DuplicateUser(f"user {username!r} already enrolled")
@@ -315,7 +324,7 @@ class AuthService:
                     raise DuplicateDeviceId(f"device {device_id!r} is already enrolled")
             record = UserRecord(
                 username=username,
-                credential_hash=hash_secret(secret),
+                credential_hash=credential_hash,
                 mobile_device_id=mobile_device_id,
                 login_device_id=login_device_id,
                 enrolled_at=self._clock(),
@@ -327,17 +336,18 @@ class AuthService:
     # -- session lifecycle ---------------------------------------------------
 
     def begin_session(self, username: str, secret: str) -> AuthSession:
+        record = self.store.get_user(username)
+        if record is None:
+            raise UnknownUser(f"no such user {username!r}")
+        secret_ok = verify_secret(secret, record.credential_hash)
         with self._lock:
-            record = self.store.get_user(username)
-            if record is None:
-                raise UnknownUser(f"no such user {username!r}")
             now = self._clock()
             session = AuthSession(session_id=uuid.uuid4().hex, username=username, created_at=now)
             self._sessions[session.session_id] = session
             self.store.audit(
                 {"ts": now, "event": "begin", "session_id": session.session_id, "username": username}
             )
-            if not verify_secret(secret, record.credential_hash):
+            if not secret_ok:
                 self._finalize(
                     session,
                     AuthDecision(
@@ -350,16 +360,17 @@ class AuthService:
             return session
 
     def get_session(self, session_id: str) -> AuthSession:
-        with self._lock:
-            session = self._sessions.get(session_id)
-            if session is None:
-                raise UnknownSession(f"no such session {session_id!r}")
-            return session
+        # sessions are only ever added, and one dict lookup is atomic
+        session = self._sessions.get(session_id)
+        if session is None:
+            raise UnknownSession(f"no such session {session_id!r}")
+        return session
 
     def submit_scan(
         self, session_id: str, device_id: str, snapshot: ScanSnapshot
     ) -> AuthSession:
-        """Store one device's scan; the second submission triggers the decision."""
+        """Store one device's scan; the submission that completes the pair
+        decides the session."""
         with self._lock:
             session = self.get_session(session_id)
             if session.state is SessionState.DECIDED:
@@ -379,16 +390,19 @@ class AuthService:
             if getattr(session, slot) is not None:
                 raise DuplicateRoleSubmission(f"{role.value} scan already submitted")
             setattr(session, slot, snapshot)
+            completed = session.mobile_scan is not None and session.login_scan is not None
 
-            if session.mobile_scan is not None and session.login_scan is not None:
-                self.decide_session(session_id)
-            return session
+        if completed:
+            self.decide_session(session_id)
+        return session
 
     def decide_session(self, session_id: str) -> AuthDecision:
         """Run the decision procedure; idempotent once a decision exists.
 
-        Raises :class:`MissingScan` when invoked before both scans arrived
-        (the session stays open).
+        Classification runs outside the lock; when two calls race, the
+        first decision written is kept and both return it. Raises
+        :class:`MissingScan` when invoked before both scans arrived (the
+        session stays open).
         """
         with self._lock:
             session = self.get_session(session_id)
@@ -396,10 +410,14 @@ class AuthService:
                 return session.decision
             if session.mobile_scan is None or session.login_scan is None:
                 raise MissingScan("both device scans are required before deciding")
+            # read under the lock: a racing _finalize clears them
+            mobile, login = session.mobile_scan, session.login_scan
 
-            decision = self._evaluate(session.mobile_scan, session.login_scan)
-            self._finalize(session, decision)
-            return decision
+        decision = self._evaluate(mobile, login)
+        with self._lock:
+            if session.decision is None:
+                self._finalize(session, decision)
+            return session.decision
 
     def _evaluate(self, mobile: ScanSnapshot, login: ScanSnapshot) -> AuthDecision:
         now = self._clock()
@@ -425,6 +443,7 @@ class AuthService:
 
     def _finalize(self, session: AuthSession, decision: AuthDecision) -> None:
         session.decision = decision
+        session.mobile_scan = session.login_scan = None  # a decided session needs no scans
         self.store.audit(
             {
                 "ts": decision.decided_at,

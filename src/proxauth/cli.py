@@ -69,7 +69,8 @@ DATA_DIR_ENV = "PROXAUTH_DATA_DIR"
 def _make_config(cls, overrides: dict):
     """Build a config dataclass from defaults plus a partial override dict.
     A field whose default is a dataclass takes a nested override dict; one
-    whose default is an Enum or a tuple is converted to the default's type."""
+    whose default is an Enum or a tuple is converted to the default's type.
+    A value of the wrong type is a ValueError naming the class."""
     if not isinstance(overrides, dict):
         raise ValueError(f"{cls.__name__} overrides must be a JSON object, got {overrides!r:.80}")
     defaults = cls()
@@ -78,14 +79,17 @@ def _make_config(cls, overrides: dict):
     if unknown:
         raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
     merged = dict(valid)
-    for key, value in overrides.items():
-        default = valid[key]
-        if dataclasses.is_dataclass(default):
-            value = _make_config(type(default), value)
-        elif isinstance(default, (Enum, tuple)):
-            value = type(default)(value)
-        merged[key] = value
-    return cls(**merged)
+    try:
+        for key, value in overrides.items():
+            default = valid[key]
+            if dataclasses.is_dataclass(default):
+                value = _make_config(type(default), value)
+            elif isinstance(default, (Enum, tuple)):
+                value = type(default)(value)
+            merged[key] = value
+        return cls(**merged)
+    except TypeError as exc:
+        raise ValueError(f"bad {cls.__name__} value: {exc}") from None
 
 
 def _load_json_file(path: str) -> dict:

@@ -1,8 +1,14 @@
+import json
+import sys
+import threading
+import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from proxauth import auth_service
 from proxauth.auth_service import (
     AuthService,
     DecisionOutcome,
@@ -34,6 +40,7 @@ from proxauth.errors import (
     UnknownUser,
     WeakSecret,
 )
+from proxauth.wire import AuthClient, AuthWireServer
 
 ENCODER = FeatureEncoder({"NetA": 1, "NetB": 2, "NetC": 3}, (2412000000.0, 5240000000.0))
 
@@ -393,3 +400,151 @@ class TestStore:
         lines = (tmp_path / "data" / "audit.log").read_text().splitlines()
         events = [__import__("json").loads(l)["event"] for l in lines]
         assert events == ["enroll", "begin", "decision"]
+
+
+def in_threads(*calls):
+    """Run each call on its own thread; return their results in order."""
+    with ThreadPoolExecutor(len(calls)) as pool:
+        futures = [pool.submit(call) for call in calls]
+        return [f.result(timeout=30) for f in futures]
+
+
+def meet_first(monkeypatch, name):
+    """Patch ``auth_service.<name>`` so two calls must be inside it at once
+    before either proceeds; a caller blocked elsewhere breaks the barrier."""
+    barrier = threading.Barrier(2, timeout=5)
+    real = getattr(auth_service, name)
+
+    def patched(*args, **kwargs):
+        barrier.wait()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(auth_service, name, patched)
+
+
+def decision_lines(root):
+    lines = (root / "audit.log").read_text().splitlines()
+    return [entry for entry in map(json.loads, lines) if entry["event"] == "decision"]
+
+
+class TestConcurrency:
+    def test_begin_sessions_verify_secrets_concurrently(self, monkeypatch):
+        svc = enrolled_service()
+        meet_first(monkeypatch, "verify_secret")
+        sessions = in_threads(
+            lambda: svc.begin_session("alice", "sesame-street"),
+            lambda: svc.begin_session("alice", "wrong-secret"),
+        )
+        assert sessions[0].state is SessionState.AWAITING_SCANS
+        assert sessions[1].decision.reason is DecisionReason.FIRST_FACTOR_FAILED
+
+    def test_enrollments_hash_secrets_concurrently(self, monkeypatch):
+        svc = service()
+        meet_first(monkeypatch, "hash_secret")
+        in_threads(
+            lambda: svc.enroll_user("bob", "bobs-secret", "bob-m", "bob-l"),
+            lambda: svc.enroll_user("carol", "carols-secret", "carol-m", "carol-l"),
+        )
+        assert verify_secret("bobs-secret", svc.store.get_user("bob").credential_hash)
+        assert verify_secret("carols-secret", svc.store.get_user("carol").credential_hash)
+
+    def test_racing_deciders_agree_and_audit_once(self, monkeypatch, tmp_path):
+        svc = enrolled_service(model=RSSI_GATE, store=UserStore(tmp_path))
+        session = svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(session.session_id, "alice-m", snap("alice-m", DeviceRole.MOBILE, [obs()]))
+        meet_first(monkeypatch, "overlap_observations")
+
+        def decide_once_paired():
+            for _ in range(5000):
+                if session.login_scan is not None:
+                    break
+                time.sleep(0.001)
+            return svc.decide_session(session.session_id)
+
+        # the login scan completes the pair, so its submitter decides while
+        # a direct caller classifies the same scans
+        results = in_threads(
+            lambda: svc.submit_scan(
+                session.session_id, "alice-l", snap("alice-l", DeviceRole.LOGIN, [obs()])
+            ).decision,
+            decide_once_paired,
+        )
+        assert results[0] is results[1] is session.decision
+        assert len(decision_lines(tmp_path)) == 1
+
+    def test_scans_from_two_threads_match_a_sequential_run(self, tmp_path):
+        rng = np.random.default_rng(3)
+
+        def random_scan(device_id, role, ts):
+            nets = rng.permutation(["NetA", "NetB", "NetC"])[: rng.integers(0, 4)]
+            return snap(device_id, role, [obs(str(n), int(rng.integers(-90, -40))) for n in nets], ts)
+
+        scans = [
+            (random_scan("alice-m", DeviceRole.MOBILE, 1_000_000),
+             random_scan("alice-l", DeviceRole.LOGIN, 1_000_000 + int(rng.choice([100, 20_000]))))
+            for _ in range(60)
+        ]
+
+        def decided(decision):
+            return (decision.outcome, decision.reason, decision.authentic_fraction)
+
+        sequential = enrolled_service(model=RSSI_GATE)
+        expected = [decided(run_session(sequential, m.observations, l.observations, m.timestamp,
+                                        l.timestamp).decision) for m, l in scans]
+
+        svc = enrolled_service(model=RSSI_GATE, store=UserStore(tmp_path))
+        sessions = [svc.begin_session("alice", "sesame-street") for _ in scans]
+        # two submitters and two direct deciders, more threads than cores
+        barrier = threading.Barrier(4, timeout=5)
+        returned = []
+
+        def submit_all(device_id, index):
+            for session, pair in zip(sessions, scans):
+                barrier.wait()  # all four threads act on each session at once
+                svc.submit_scan(session.session_id, device_id, pair[index])
+
+        def decide_all():
+            for session in sessions:
+                barrier.wait()
+                try:
+                    returned.append((session, svc.decide_session(session.session_id)))
+                except MissingScan:
+                    pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            in_threads(lambda: submit_all("alice-m", 0), lambda: submit_all("alice-l", 1),
+                       decide_all, decide_all)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [decided(s.decision) for s in sessions] == expected
+        assert len(set(expected)) > 2  # the scans reach several decision paths
+        assert all(decision is session.decision for session, decision in returned)
+        per_session = Counter(entry["session_id"] for entry in decision_lines(tmp_path))
+        assert per_session == Counter(s.session_id for s in sessions)
+        assert all(s.mobile_scan is None and s.login_scan is None for s in sessions)
+
+
+class TestDecidedSessionsReleaseScans:
+    @pytest.mark.parametrize(
+        "model, secret, outcome, reason",
+        [
+            (ALWAYS_AUTHENTIC, "sesame-street", "Grant", "ClassifierAuthentic"),
+            (ALWAYS_UNAUTHORIZED, "sesame-street", "Deny", "ClassifierUnauthorized"),
+            (ALWAYS_AUTHENTIC, "wrong-secret", "Deny", "FirstFactorFailed"),
+        ],
+    )
+    def test_decided_session_keeps_no_scans(self, model, secret, outcome, reason):
+        svc = enrolled_service(model=model)
+        session = svc.begin_session("alice", secret)
+        if session.decision is None:
+            svc.submit_scan(session.session_id, "alice-m", snap("alice-m", DeviceRole.MOBILE, [obs()]))
+            svc.submit_scan(session.session_id, "alice-l", snap("alice-l", DeviceRole.LOGIN, [obs()]))
+        assert session.state is SessionState.DECIDED
+        assert session.mobile_scan is None and session.login_scan is None
+        with AuthWireServer(svc, "127.0.0.1", 0) as server, AuthClient(*server.address) as client:
+            status = client.status(session.session_id)
+        assert status["ok"] and status["state"] == "Decided"
+        assert (status["outcome"], status["reason"]) == (outcome, reason)
+        assert status["authentic_fraction"] == session.decision.authentic_fraction

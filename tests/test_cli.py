@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -93,6 +97,19 @@ class TestHelpers:
     def test_make_config_rejects_non_objects(self, overrides):
         with pytest.raises(ValueError, match="object"):
             _make_config(ForestParams, overrides)
+
+    @pytest.mark.parametrize(
+        "cls, overrides, named",
+        [
+            (ForestParams, {"n_trees": "5"}, "ForestParams"),
+            (ForestParams, {"tree_params": {"max_depth": "3"}}, "TreeParams"),
+            (PolicyConfig, {"vote_threshold_tau": "high"}, "PolicyConfig"),
+            (EnvironmentConfig, {"frequency_set_hz": 5}, "EnvironmentConfig"),
+        ],
+    )
+    def test_make_config_wrong_type_names_class(self, cls, overrides, named):
+        with pytest.raises(ValueError, match=f"^bad {named} value: "):
+            _make_config(cls, overrides)
 
     def test_make_config_builds_nested_dataclass(self):
         params = _make_config(ForestParams, {"seed": 4, "tree_params": {"max_depth": 3}})
@@ -224,6 +241,35 @@ class TestCommands:
                      "--secret", "zoes-secret", "--scenario", "near", "--locations", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --locations")
+
+    def test_train_wrongly_typed_params_is_a_clean_error(self, pipeline, tmp_path, capsys):
+        _, csv, _, _ = pipeline
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"forest": {"n_trees": "5"}}))
+        code = main(["train", "--data", str(csv), "--model", "rf", "--params", str(params),
+                     "--seed", "2", "--out", str(tmp_path / "m.model")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad ForestParams value")
+
+    def test_serve_wrongly_typed_policy_is_a_clean_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, _, rf, _ = pipeline
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps({"vote_threshold_tau": "high"}))
+        code = main(["serve", "--model", str(rf), "--policy", str(policy), "--listen", "127.0.0.1:0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: bad PolicyConfig value")
+
+    def test_module_entry_point_runs_without_warnings(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "proxauth.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert "usage:" in result.stdout
 
     def test_train_params_file(self, pipeline, tmp_path, capsys):
         _, csv, _, _ = pipeline
