@@ -36,7 +36,7 @@ print(f"vocabulary: {len(encoder.ssid_vocabulary)} SSIDs, "
       f"frequency scale {encoder.frequency_scale[0] / 1e9:.3f}..{encoder.frequency_scale[1] / 1e9:.3f} GHz")
 
 for name, trainer in (
-    ("decision tree", lambda: train_decision_tree(X_train, y_train, TreeParams(), SEED)),
+    ("decision tree", lambda: train_decision_tree(X_train, y_train, TreeParams())),
     ("random forest", lambda: train_random_forest(X_train, y_train, ForestParams(seed=SEED))),
 ):
     started = time.perf_counter()

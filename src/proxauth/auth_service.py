@@ -222,7 +222,8 @@ class UserStore:
         # a record's __dict__ holds its fields in declaration order; asdict would copy each one
         doc = {"version": 1, "users": [vars(r) for r in self._users.values()]}
         tmp = self._users_path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+        # compact separators keep json on its C encoder; indent would not
+        tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
         os.replace(tmp, self._users_path)
 
     def add_user(self, record: UserRecord) -> None:

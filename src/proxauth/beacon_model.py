@@ -177,14 +177,7 @@ def _normalize_header_cell(cell: str) -> str:
     return cell.lower()
 
 
-_CANONICAL = {
-    "rpi": "RPI",
-    "ssid": "SSID",
-    "frequency": "Frequency (Hz)",
-    "rssi": "RSSI (dBm)",
-    "location": "Location",
-    "label": "Label",
-}
+_CANONICAL = tuple(_normalize_header_cell(c) for c in CSV_COLUMNS)
 
 
 def parse_dataset_csv(

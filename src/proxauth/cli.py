@@ -190,7 +190,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.model == "dt":
         params = _make_config(TreeParams, params_doc.get("tree", {}))
-        model = train_decision_tree(X, y, params, args.seed)
+        model = train_decision_tree(X, y, params)
         summary = f"decision tree: depth={model.depth()} nodes={model.node_count()}"
     else:
         params = _make_config(ForestParams, {"seed": args.seed, **params_doc.get("forest", {})})

@@ -232,13 +232,7 @@ class MetricsReport:
     f1: float | None
 
     def as_dict(self) -> dict[str, float | None]:
-        return {
-            "accuracy": self.accuracy,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "precision": self.precision,
-            "f1": self.f1,
-        }
+        return asdict(self)
 
 
 def stratified_split(
@@ -403,10 +397,9 @@ def train_decision_tree(
     X: np.ndarray,
     y: np.ndarray,
     params: TreeParams = TreeParams(),
-    seed: int = 0,
 ) -> DecisionTree:
-    """Greedy CART over all four features. ``seed`` is accepted for interface
-    symmetry with the forest; plain tree induction is fully deterministic."""
+    """Greedy CART over all four features; plain tree induction is fully
+    deterministic, so it takes no seed."""
     if len(y) == 0:
         raise EmptyTrainingSet("cannot train a tree on zero samples")
     X = np.asarray(X, dtype=np.float64)

@@ -11,11 +11,12 @@ synthetic location has a home spot where the legitimate device pair works,
 and a separate intruder zone where unauthorized pairs operate. Sessions
 jitter around those spots while the pair separation varies per scenario,
 and every (zone, device, AP) combination carries a persistent shadowing
-offset standing in for walls and multipath. This spot-based structure is
-what makes single observations (SSID + RSSI) informative about the label;
-device pairs dropped uniformly at random would produce statistically
-indistinguishable classes, so every session is drawn at a location's
-geometry: there is no uniform placement mode.
+offset standing in for walls and multipath. Every per-zone fact is indexed by
+zone: zone 0 is the home spot of authentic pairs, zone 1 the intruder zone.
+This spot-based structure is what makes single observations (SSID + RSSI)
+informative about the label; device pairs dropped uniformly at random would
+produce statistically indistinguishable classes, so every session is drawn at
+a location's geometry: there is no uniform placement mode.
 
 Everything is a pure function of (configs, seed).
 """
@@ -176,12 +177,12 @@ class Scenario:
     def unauthorized() -> "Scenario":
         return Scenario(Label.UNAUTHORIZED, (UNAUTHORIZED_MIN_SEPARATION_M, UNAUTHORIZED_MAX_SEPARATION_M))
 
-    @property
-    def is_authentic(self) -> bool:
-        return self.label is Label.AUTHENTIC
-
     def draw_separation(self, rng: np.random.Generator) -> float:
         return float(rng.uniform(*self.separation_range_m))
+
+
+# the campaign's scenario in each zone: authentic pairs at home, intruders apart
+_SCENARIOS = (Scenario.authentic(), Scenario.unauthorized())
 
 
 @dataclass(frozen=True)
@@ -199,16 +200,16 @@ class AccessPoint:
 
 @dataclass(frozen=True)
 class LocationGeometry:
-    """Frozen per-location randomness: AP placement, the home and intruder
-    spots, campaign movement bearings, and the persistent shadow offsets
-    indexed [zone(0=authentic,1=unauthorized), role(0=mobile,1=login), ap]."""
+    """Frozen per-location randomness: AP placement plus every per-zone fact,
+    indexed by zone (0 = the home spot of authentic pairs, 1 = the intruder
+    zone). ``spots`` and ``bearings`` hold each zone's spot and campaign
+    movement bearing; ``shadows`` holds the persistent shadow offsets indexed
+    [zone, role(0=mobile,1=login), ap]."""
 
     tag: str
     aps: tuple[AccessPoint, ...]
-    home: np.ndarray
-    intruder_anchor: np.ndarray
-    bearing_authentic: np.ndarray
-    bearing_unauthorized: np.ndarray
+    spots: tuple[np.ndarray, np.ndarray]
+    bearings: tuple[np.ndarray, np.ndarray]
     shadows: np.ndarray
 
 
@@ -302,7 +303,7 @@ def _enforce_band_gaps(
     campaign: CampaignConfig,
     aps: Sequence[AccessPoint],
     spots: tuple[np.ndarray, np.ndarray],
-    bearings: Sequence[np.ndarray],
+    bearings: tuple[np.ndarray, np.ndarray],
     shadows: np.ndarray,
 ) -> None:
     """Shift the intruder zone's shadow offsets so each (device, AP) signal
@@ -311,23 +312,19 @@ def _enforce_band_gaps(
     Position geometry alone leaves some AP/zone combinations nearly
     indistinguishable; a guaranteed contrast models the reality that two
     separate spots see each AP through different obstructions."""
-    sep_auth = Scenario.authentic().separation_range_m
-    sep_unauth = Scenario.unauthorized().separation_range_m
     gap = campaign.min_band_gap_dbm
     for role_idx in (0, 1):
         for k, ap in enumerate(aps):
-            a_lo, a_hi = _det_rssi_interval(
-                loss, ap, spots[0], bearings[0],
-                _role_t_range(role_idx, sep_auth), campaign.anchor_jitter_m,
+            (a_lo, a_hi), (u_lo, u_hi) = (
+                np.add(
+                    _det_rssi_interval(
+                        loss, ap, spots[z], bearings[z],
+                        _role_t_range(role_idx, _SCENARIOS[z].separation_range_m), campaign.anchor_jitter_m,
+                    ),
+                    shadows[z, role_idx, k],
+                )
+                for z in (0, 1)
             )
-            u_lo, u_hi = _det_rssi_interval(
-                loss, ap, spots[1], bearings[1],
-                _role_t_range(role_idx, sep_unauth), campaign.anchor_jitter_m,
-            )
-            a_lo += shadows[0, role_idx, k]
-            a_hi += shadows[0, role_idx, k]
-            u_lo += shadows[1, role_idx, k]
-            u_hi += shadows[1, role_idx, k]
             above = u_lo - a_hi  # separation when the intruder band sits higher
             below = a_lo - u_hi
             if max(above, below) >= gap:
@@ -404,19 +401,12 @@ def location_geometry(
     if intruder is None:
         raise ConfigurationError("could not place an intruder zone that sees any AP")
 
+    spots = (home, intruder)
     angles = rng.uniform(0.0, 2.0 * math.pi, size=2)
-    bearings = [np.array([math.cos(a), math.sin(a)]) for a in angles]
+    bearings = tuple(np.array([math.cos(a), math.sin(a)]) for a in angles)
     shadows = rng.normal(0.0, campaign.shadow_sigma_dbm, size=(2, 2, len(aps)))
-    _enforce_band_gaps(loss, campaign, aps, (home, intruder), bearings, shadows)
-    return LocationGeometry(
-        tag=f"loc-{location_index}",
-        aps=aps,
-        home=home,
-        intruder_anchor=intruder,
-        bearing_authentic=bearings[0],
-        bearing_unauthorized=bearings[1],
-        shadows=shadows,
-    )
+    _enforce_band_gaps(loss, campaign, aps, spots, bearings, shadows)
+    return LocationGeometry(f"loc-{location_index}", aps, spots, bearings, shadows)
 
 
 def generate_session(
@@ -440,10 +430,9 @@ def generate_session(
     :class:`NoVisibleAp` when either device sees no AP.
     """
     separation = scenario.draw_separation(rng)
-    zone = 0 if scenario.is_authentic else 1
-    spot = (geometry.home, geometry.intruder_anchor)[zone]
-    bearing = (geometry.bearing_authentic, geometry.bearing_unauthorized)[zone]
-    anchor = spot + rng.uniform(-campaign.anchor_jitter_m, campaign.anchor_jitter_m, size=2)
+    zone = 0 if scenario.label is Label.AUTHENTIC else 1
+    bearing = geometry.bearings[zone]
+    anchor = geometry.spots[zone] + rng.uniform(-campaign.anchor_jitter_m, campaign.anchor_jitter_m, size=2)
     positions = (anchor - 0.5 * separation * bearing, anchor + 0.5 * separation * bearing)
 
     visible = [
@@ -507,11 +496,11 @@ def _campaign_sessions(
 ) -> Iterator[tuple[LocationGeometry, ScanSnapshot, ScanSnapshot, Label]]:
     """Yield (geometry, mobile, login, label) for ``per_location[j]`` sessions
     of each class at location j of ``len(per_location)``; each (location,
-    class) pair draws from its own rng on ``stream``."""
+    zone) pair draws from its own rng on ``stream``."""
     for j, count in enumerate(per_location):
         geo = location_geometry(env, loss, campaign, seed, j, len(per_location))
-        for class_idx, scenario in enumerate((Scenario.authentic(), Scenario.unauthorized())):
-            rng = derived_rng(seed, stream, j, class_idx)
+        for zone, scenario in enumerate(_SCENARIOS):
+            rng = derived_rng(seed, stream, j, zone)
             for _ in range(count):
                 yield (geo, *_session_with_retries(env, loss, scenario, rng, geo, campaign))
 

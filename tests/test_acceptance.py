@@ -133,7 +133,7 @@ def test_criterion_2_simulated_metric_band():
             Xte, yte = encode_dataset(encoder, test_set)
 
             models = (
-                train_decision_tree(Xtr, ytr, TreeParams(), seed),
+                train_decision_tree(Xtr, ytr, TreeParams()),
                 train_random_forest(Xtr, ytr, ForestParams(seed=seed)),
             )
             for model in models:

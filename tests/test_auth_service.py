@@ -375,6 +375,15 @@ class TestStore:
         assert record.login_device_id == "c-l"
         assert reopened.username_for_device("c-m") == "carol"
 
+    def test_pretty_printed_users_json_still_loads(self, tmp_path):
+        store = UserStore(tmp_path / "data")
+        AuthService(store, ALWAYS_AUTHENTIC, ENCODER).enroll_user("carol", "carols-secret", "c-m", "c-l")
+        path = tmp_path / "data" / "users.json"
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+
+        assert UserStore(tmp_path / "data").get_user("carol") == store.get_user("carol")
+
     def test_no_secret_material_on_disk(self, tmp_path):
         store = UserStore(tmp_path / "data")
         svc = AuthService(store, ALWAYS_AUTHENTIC, ENCODER)

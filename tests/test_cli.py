@@ -214,7 +214,7 @@ class TestCommands:
         if kind == "rf":
             model = train_random_forest(X, y, ForestParams(seed=5))
         else:
-            model = train_decision_tree(X, y, TreeParams(), 5)
+            model = train_decision_tree(X, y, TreeParams())
         expected = tmp_path / "expected.model"
         save_model(expected, model, encoder, train_seed=5)
         assert (root / f"{kind}.model").read_bytes() == expected.read_bytes()

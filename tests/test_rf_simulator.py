@@ -15,6 +15,8 @@ from proxauth.rf_simulator import (
     LocationGeometry,
     PathLossConfig,
     Scenario,
+    _det_rssi_interval,
+    _role_t_range,
     generate_dataset,
     generate_session,
     location_geometry,
@@ -39,10 +41,8 @@ def center_geometry(n_aps=1, area=30.0, shadow=0.0):
     return LocationGeometry(
         tag="loc-test",
         aps=aps,
-        home=np.array([area / 2, area / 2]),
-        intruder_anchor=np.array([area / 2 + 6.0, area / 2]),
-        bearing_authentic=np.array([1.0, 0.0]),
-        bearing_unauthorized=np.array([0.0, 1.0]),
+        spots=(np.array([area / 2, area / 2]), np.array([area / 2 + 6.0, area / 2])),
+        bearings=(np.array([1.0, 0.0]), np.array([0.0, 1.0])),
         shadows=np.full((2, 2, n_aps), shadow),
     )
 
@@ -159,10 +159,8 @@ class TestGenerateSession:
         far = LocationGeometry(
             tag=geo.tag,
             aps=geo.aps,
-            home=np.array([0.0, 0.0]),
-            intruder_anchor=geo.intruder_anchor,
-            bearing_authentic=geo.bearing_authentic,
-            bearing_unauthorized=geo.bearing_unauthorized,
+            spots=(np.array([0.0, 0.0]), geo.spots[1]),
+            bearings=geo.bearings,
             shadows=geo.shadows,
         )
         with pytest.raises(NoVisibleAp):
@@ -175,6 +173,21 @@ class TestGenerateSession:
         )
         assert mobile.timestamp == 123456
         assert 123456 <= login.timestamp <= 124456
+
+    def test_zone_follows_class(self):
+        # zone 0 (the home spot, on top of the AP) hosts authentic pairs and
+        # zone 1 (6 m away) hosts unauthorized ones, so without noise or
+        # shadowing every authentic reading is the stronger
+        rng = derived_rng(17)
+        readings = {}
+        for scenario in (Scenario.authentic(), Scenario.unauthorized()):
+            readings[scenario.label] = [
+                o.rssi
+                for _ in range(50)
+                for snapshot in generate_session(ENV, QUIET, scenario, rng, center_geometry())[:2]
+                for o in snapshot.observations
+            ]
+        assert min(readings[Label.AUTHENTIC]) > max(readings[Label.UNAUTHORIZED])
 
     def test_device_ids(self):
         rng = derived_rng(16)
@@ -198,7 +211,7 @@ class TestGeometry:
         camp = CampaignConfig()
         a = location_geometry(ENV, LOSS, camp, 5, 0, 3)
         b = location_geometry(ENV, LOSS, camp, 5, 0, 3)
-        assert np.array_equal(a.home, b.home)
+        assert np.array_equal(a.spots[0], b.spots[0])
         assert np.array_equal(a.shadows, b.shadows)
         assert a.aps == b.aps
 
@@ -206,7 +219,7 @@ class TestGeometry:
         camp = CampaignConfig()
         for seed in range(8):
             geo = location_geometry(ENV, LOSS, camp, seed, 0, 2)
-            offset = math.hypot(*(geo.intruder_anchor - geo.home))
+            offset = math.hypot(*(geo.spots[1] - geo.spots[0]))
             assert camp.intruder_offset_m[0] <= offset <= camp.intruder_offset_m[1]
 
     def test_too_many_locations_rejected(self):
@@ -229,18 +242,42 @@ class TestGeometry:
                 for k, ap in enumerate(geo.aps):
                     home_rssi = (
                         loss.p0_dbm
-                        - 25.0 * math.log10(max(math.hypot(*(geo.home - ap.pos)), 1e-3))
+                        - 25.0 * math.log10(max(math.hypot(*(geo.spots[0] - ap.pos)), 1e-3))
                         + geo.shadows[0, role_idx, k]
                     )
                     intruder_rssi = (
                         loss.p0_dbm
-                        - 25.0 * math.log10(max(math.hypot(*(geo.intruder_anchor - ap.pos)), 1e-3))
+                        - 25.0 * math.log10(max(math.hypot(*(geo.spots[1] - ap.pos)), 1e-3))
                         + geo.shadows[1, role_idx, k]
                     )
                     # zone centers differ by at least the configured contrast
                     # (the guard works on whole position envelopes, which
                     # include the zone spots themselves)
                     assert abs(home_rssi - intruder_rssi) > 0.0
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_band_gap_holds_between_shadowed_intervals(self, seed):
+        # the noise-free interval each zone's devices sweep, plus that zone's
+        # shadow offset, keeps min_band_gap_dbm apart from the other zone's
+        camp = CampaignConfig()
+        scenarios = (Scenario.authentic(), Scenario.unauthorized())
+        for n_locations in (1, 2, 3):
+            for j in range(n_locations):
+                geo = location_geometry(ENV, LOSS, camp, seed, j, n_locations)
+                for role_idx in (0, 1):
+                    for k, ap in enumerate(geo.aps):
+                        (a_lo, a_hi), (u_lo, u_hi) = (
+                            np.add(
+                                _det_rssi_interval(
+                                    LOSS, ap, geo.spots[z], geo.bearings[z],
+                                    _role_t_range(role_idx, scenarios[z].separation_range_m),
+                                    camp.anchor_jitter_m,
+                                ),
+                                geo.shadows[z, role_idx, k],
+                            )
+                            for z in (0, 1)
+                        )
+                        assert max(u_lo - a_hi, a_lo - u_hi) >= camp.min_band_gap_dbm - 1e-9
 
     def test_place_access_points_identities(self):
         rng = derived_rng(30)
