@@ -41,6 +41,7 @@ from .beacon_model import (
     build_feature_encoder,
     encode_dataset,
     encode_observation,
+    encode_observations,
     parse_dataset_csv,
     write_dataset_csv,
 )

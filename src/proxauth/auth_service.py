@@ -8,12 +8,13 @@ both devices saw. The attempt is granted only when the authentic fraction of
 those per-observation predictions clears the vote threshold; every other
 path denies.
 
-State and durability: user records live in a JSON file rewritten atomically
-by a single writer; decisions are appended to a JSON-lines audit log.
-Secrets are stored only as salted PBKDF2 hashes and never appear in scan
-records, the audit log, or decisions. Sessions are in-memory and
-short-lived; a decided session keeps only its id, user, creation time and
-decision, not its scans.
+State and durability: an enrollment appends one JSON line to a user log,
+which opening the store folds into a JSON snapshot of every record, so it
+costs the same however many users exist; decisions are appended to a
+JSON-lines audit log. Secrets are stored only as salted PBKDF2 hashes and
+never appear in scan records, the audit log, or decisions. Sessions are
+in-memory and short-lived; a decided session keeps only its id, user,
+creation time and decision, not its scans.
 
 Concurrency: one service-wide lock is held only while shared state changes
 (a user added, a session created, a scan slot filled, a decision set) and
@@ -38,15 +39,16 @@ from enum import Enum
 from pathlib import Path
 from typing import Callable
 
+# encode_observation and predict are unused here but stay: perfbench/spans.py wraps them by name
 from .beacon_model import (
     BeaconObservation,
     DeviceRole,
     FeatureEncoder,
-    Label,
     ScanSnapshot,
     encode_observation,
+    encode_observations,
 )
-from .colocation_ml import DecisionTree, RandomForest, predict
+from .colocation_ml import DecisionTree, RandomForest, predict, predict_batch
 from .errors import (
     DuplicateDeviceId,
     DuplicateRoleSubmission,
@@ -185,13 +187,15 @@ def verify_secret(secret: str, stored: str) -> bool:
 class UserStore:
     """Durable user records plus an append-only audit log.
 
-    With a root directory, users live in ``users.json`` (rewritten atomically
-    on every enrollment) and audit entries append to ``audit.log`` as JSON
-    lines. Without one, everything stays in memory (useful in tests). Reads
-    take no lock: records are immutable and never removed, so AuthService
-    looks users up and verifies secrets outside its lock. Writes are
-    serialized by the caller (AuthService holds its lock across each
-    ``add_user`` and ``audit``).
+    With a root directory, ``add_user`` appends one JSON line to
+    ``users.log``. Opening the store loads the v1 snapshot ``users.json``,
+    replays the log in order (a torn last line is dropped; a record loaded
+    twice is indexed once), rewrites the snapshot atomically and empties the
+    log. Audit entries append to ``audit.log``. Without a root, everything
+    stays in memory (useful in tests). Reads take no lock: records are
+    immutable and never removed, so AuthService looks users up and verifies
+    secrets outside its lock. Writes are serialized by the caller
+    (AuthService holds its lock across each ``add_user`` and ``audit``).
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -200,35 +204,37 @@ class UserStore:
         self._devices: dict[str, str] = {}  # device_id -> username
         if self.root is not None:
             self._users_path = self.root / "users.json"
+            self._log_path = self.root / "users.log"
             self._audit_path = self.root / "audit.log"
             self.root.mkdir(parents=True, exist_ok=True)
-            self._load()
+            self._compact()
 
-    def _load(self) -> None:
-        if not self._users_path.exists():
-            return
-        doc = json.loads(self._users_path.read_text(encoding="utf-8"))
-        for u in doc.get("users", []):
+    def _compact(self) -> None:
+        docs = []
+        if self._users_path.exists():
+            docs += json.loads(self._users_path.read_text(encoding="utf-8")).get("users", [])
+        log = self._log_path.read_bytes() if self._log_path.exists() else b""
+        # bytes after the last newline are a torn append; a bad whole line raises ValueError
+        docs += [json.loads(line) for line in log[: log.rfind(b"\n") + 1].splitlines()]
+        for u in docs:
             self._index(UserRecord(**{**u, "enrolled_at": int(u["enrolled_at"])}))
-
-    def _index(self, record: UserRecord) -> None:
-        self._users[record.username] = record
-        self._devices[record.mobile_device_id] = record.username
-        self._devices[record.login_device_id] = record.username
-
-    def _flush(self) -> None:
-        if self.root is None:
-            return
         # a record's __dict__ holds its fields in declaration order; asdict would copy each one
         doc = {"version": 1, "users": [vars(r) for r in self._users.values()]}
         tmp = self._users_path.with_suffix(".json.tmp")
         # compact separators keep json on its C encoder; indent would not
         tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
         os.replace(tmp, self._users_path)
+        self._log_path.write_bytes(b"")  # after the snapshot: a crash between replays a logged record
+
+    def _index(self, record: UserRecord) -> None:
+        self._users[record.username] = record
+        self._devices[record.mobile_device_id] = record.username
+        self._devices[record.login_device_id] = record.username
 
     def add_user(self, record: UserRecord) -> None:
+        if self.root is not None:
+            _append_json_line(self._log_path, vars(record))
         self._index(record)
-        self._flush()
 
     def get_user(self, username: str) -> UserRecord | None:
         return self._users.get(username)
@@ -237,10 +243,13 @@ class UserStore:
         return self._devices.get(device_id)
 
     def audit(self, entry: dict) -> None:
-        if self.root is None:
-            return
-        with self._audit_path.open("a", encoding="utf-8") as f:
-            f.write(json.dumps(entry, separators=(",", ":")) + "\n")
+        if self.root is not None:
+            _append_json_line(self._audit_path, entry)
+
+
+def _append_json_line(path: Path, doc: dict) -> None:
+    with path.open("a", encoding="utf-8") as f:
+        f.write(json.dumps(doc, separators=(",", ":")) + "\n")
 
 
 def overlap_observations(
@@ -428,11 +437,7 @@ class AuthService:
         if len(pairs) < 2 * self.policy.min_overlap_aps:
             return AuthDecision(DecisionOutcome.DENY, DecisionReason.NO_OVERLAP, None, now)
 
-        authentic = 0
-        for role, obs in pairs:
-            x = encode_observation(self.encoder, role, obs)
-            if predict(self.model, x) is Label.AUTHENTIC:
-                authentic += 1
+        authentic = int(predict_batch(self.model, encode_observations(self.encoder, pairs)).sum())
         fraction = authentic / len(pairs)
         if fraction >= self.policy.vote_threshold_tau:
             return AuthDecision(

@@ -20,7 +20,7 @@ import io
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Callable
+from typing import BinaryIO, Callable, Sequence
 
 import numpy as np
 
@@ -42,6 +42,7 @@ __all__ = [
     "dataset_to_csv_bytes",
     "build_feature_encoder",
     "encode_observation",
+    "encode_observations",
     "encode_dataset",
     "default_role_of_rpi",
 ]
@@ -321,31 +322,33 @@ def build_feature_encoder(dataset: Dataset) -> FeatureEncoder:
     return FeatureEncoder(ssid_vocabulary=vocab, frequency_scale=(freq_min, freq_max))
 
 
-def encode_observation(
-    encoder: FeatureEncoder, role: DeviceRole, obs: BeaconObservation
+def encode_observations(
+    encoder: FeatureEncoder, pairs: Sequence[tuple[DeviceRole, BeaconObservation]]
 ) -> np.ndarray:
-    """Encode one observation as ``[role_code, ssid_index, freq_norm, rssi]``.
+    """Encode ``(role, observation)`` pairs as an ``(n, 4)`` float64 array of
+    ``[role_code, ssid_index, freq_norm, rssi]`` rows.
 
     Total and deterministic: unknown SSIDs map to index 0 and frequencies
     outside the training range clamp into [0, 1].
     """
-    lo, hi = encoder.frequency_scale
-    if hi == lo:
-        freq_norm = 0.5
-    else:
-        freq_norm = min(max((obs.frequency - lo) / (hi - lo), 0.0), 1.0)
-    return np.array(
-        [role.code, encoder.ssid_vocabulary.get(obs.ssid, 0), freq_norm, obs.rssi],
+    vocab = encoder.ssid_vocabulary
+    X = np.array(
+        [(role.code, vocab.get(obs.ssid, 0), obs.frequency, obs.rssi) for role, obs in pairs],
         dtype=np.float64,
-    )
+    ).reshape(-1, FEATURE_VECTOR_LENGTH)
+    lo, hi = encoder.frequency_scale
+    X[:, 2] = 0.5 if hi == lo else np.clip((X[:, 2] - lo) / (hi - lo), 0.0, 1.0)
+    return X
+
+
+def encode_observation(encoder: FeatureEncoder, role: DeviceRole, obs: BeaconObservation) -> np.ndarray:
+    """Encode one observation: the one row of :func:`encode_observations`."""
+    return encode_observations(encoder, [(role, obs)])[0]
 
 
 def encode_dataset(encoder: FeatureEncoder, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Encode every sample; returns (X, y) with y holding 1 for Authentic, 0 otherwise."""
-    n = len(dataset)
-    X = np.empty((n, FEATURE_VECTOR_LENGTH), dtype=np.float64)
-    y = np.empty(n, dtype=np.int8)
-    for i, s in enumerate(dataset.samples):
-        X[i] = encode_observation(encoder, s.role, s.observation)
-        y[i] = 1 if s.label is Label.AUTHENTIC else 0
+    samples = dataset.samples
+    X = encode_observations(encoder, [(s.role, s.observation) for s in samples])
+    y = np.fromiter((s.label is Label.AUTHENTIC for s in samples), dtype=np.int8, count=len(samples))
     return X, y

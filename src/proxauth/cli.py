@@ -110,8 +110,8 @@ def _policy_config(policy_path: str | None) -> PolicyConfig:
 
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not port.isdigit():
-        raise ValueError(f"listen address must be HOST:PORT, got {value!r}")
+    if not host or not port.isdigit() or int(port) > 65535:
+        raise ValueError(f"address must be HOST:PORT with PORT in 0-65535, got {value!r}")
     return host, int(port)
 
 

@@ -4,6 +4,7 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from proxauth.auth_service import (
     MatchKey,
     PolicyConfig,
     SessionState,
+    UserRecord,
     UserStore,
     hash_secret,
     overlap_observations,
@@ -27,8 +29,17 @@ from proxauth.beacon_model import (
     FeatureEncoder,
     Label,
     ScanSnapshot,
+    encode_observation,
 )
-from proxauth.colocation_ml import DecisionTree, LeafNode, SplitNode, TreeParams
+from proxauth.colocation_ml import (
+    DecisionTree,
+    ForestParams,
+    LeafNode,
+    SplitNode,
+    TreeParams,
+    predict,
+    train_random_forest,
+)
 from proxauth.errors import (
     DuplicateDeviceId,
     DuplicateRoleSubmission,
@@ -363,6 +374,80 @@ class TestDecision:
         assert results[0] == results[1]
 
 
+STORE_RECORDS = (
+    UserRecord("carol", "pbkdf2-sha256$20000$00$c0", "c-m", "c-l", 777),
+    UserRecord("dave", "pbkdf2-sha256$20000$01$d0", "d-m", "d-l", 778),
+)
+# what the store wrote after every enrollment when it rewrote users.json each time
+STORE_SNAPSHOT = (
+    '{"version":1,"users":['
+    '{"username":"carol","credential_hash":"pbkdf2-sha256$20000$00$c0",'
+    '"mobile_device_id":"c-m","login_device_id":"c-l","enrolled_at":777},'
+    '{"username":"dave","credential_hash":"pbkdf2-sha256$20000$01$d0",'
+    '"mobile_device_id":"d-m","login_device_id":"d-l","enrolled_at":778}]}\n'
+)
+
+
+def reference_decision(model, encoder, policy, mobile, login):
+    """The per-row encode and predict loop that batched classification
+    replaced, kept as the reference: (outcome, reason, authentic fraction)."""
+    if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
+        return DecisionOutcome.DENY, DecisionReason.STALE_SCANS, None
+    pairs = overlap_observations(mobile, login, policy)
+    if len(pairs) < 2 * policy.min_overlap_aps:
+        return DecisionOutcome.DENY, DecisionReason.NO_OVERLAP, None
+    authentic = 0
+    for role, o in pairs:
+        if predict(model, encode_observation(encoder, role, o)) is Label.AUTHENTIC:
+            authentic += 1
+    fraction = authentic / len(pairs)
+    if fraction >= policy.vote_threshold_tau:
+        return DecisionOutcome.GRANT, DecisionReason.CLASSIFIER_AUTHENTIC, fraction
+    return DecisionOutcome.DENY, DecisionReason.CLASSIFIER_UNAUTHORIZED, fraction
+
+
+def random_snapshot(rng, role):
+    """0-8 observations over three known SSIDs and two unknown ones, with
+    BSSIDs from a small pool so both matching passes see hits."""
+    chosen = {}
+    for _ in range(int(rng.integers(0, 9))):
+        ssid = f"Net{'ABCDE'[int(rng.integers(5))]}"
+        bssid = None if rng.random() < 0.4 else f"aa:bb:cc:dd:ee:0{int(rng.integers(4))}"
+        freq = int(rng.choice([2412000000, 2437000000, 5240000000, 5800000000]))
+        chosen[(ssid, bssid)] = obs(ssid, int(rng.integers(-95, -20)), bssid, freq)
+    return snap(f"{role.value}-dev", role, chosen.values())
+
+
+class TestBatchedDecision:
+    def test_matches_per_row_reference(self):
+        rng = np.random.default_rng(2024)
+        X = np.column_stack(
+            [rng.integers(0, 2, 400), rng.integers(0, 4, 400), rng.random(400), rng.integers(-95, -20, 400)]
+        ).astype(np.float64)
+        y = ((X[:, 3] > -60) ^ (rng.random(400) < 0.15)).astype(np.int8)
+        forest = train_random_forest(X, y, ForestParams(n_trees=9, seed=3))
+        collapsed = FeatureEncoder(ENCODER.ssid_vocabulary, (2437000000.0, 2437000000.0))
+        reasons = Counter()
+        for i in range(400):
+            encoder = (ENCODER, collapsed)[i % 2]
+            policy = PolicyConfig(
+                vote_threshold_tau=float(rng.choice([0.3, 0.5, 0.6, 1.0])),
+                min_overlap_aps=int(rng.integers(1, 3)),
+                match_key=(MatchKey.BSSID_THEN_SSID, MatchKey.SSID_ONLY)[(i // 2) % 2],
+            )
+            mobile = random_snapshot(rng, DeviceRole.MOBILE)
+            login = random_snapshot(rng, DeviceRole.LOGIN)
+            if rng.random() < 0.05:
+                login = replace(login, timestamp=login.timestamp + 20_000)
+            svc = AuthService(UserStore(), forest, encoder, policy, clock=lambda: 777)
+            decision = svc._evaluate(mobile, login)
+            got = (decision.outcome, decision.reason, decision.authentic_fraction)
+            assert got == reference_decision(forest, encoder, policy, mobile, login)
+            reasons[decision.reason] += 1
+        classified = reasons[DecisionReason.CLASSIFIER_AUTHENTIC] + reasons[DecisionReason.CLASSIFIER_UNAUTHORIZED]
+        assert classified >= 200 and min(reasons.values()) > 0 and len(reasons) == 4, reasons
+
+
 class TestStore:
     def test_persistence_round_trip(self, tmp_path):
         store = UserStore(tmp_path / "data")
@@ -376,13 +461,65 @@ class TestStore:
         assert reopened.username_for_device("c-m") == "carol"
 
     def test_pretty_printed_users_json_still_loads(self, tmp_path):
-        store = UserStore(tmp_path / "data")
-        AuthService(store, ALWAYS_AUTHENTIC, ENCODER).enroll_user("carol", "carols-secret", "c-m", "c-l")
-        path = tmp_path / "data" / "users.json"
-        doc = json.loads(path.read_text())
-        path.write_text(json.dumps(doc, indent=2) + "\n")
+        root = tmp_path / "data"
+        root.mkdir()
+        carol, dave = STORE_RECORDS
+        (root / "users.json").write_text(json.dumps({"version": 1, "users": [vars(carol)]}, indent=2) + "\n")
+        (root / "users.log").write_text(json.dumps(vars(dave)) + "\n")
 
-        assert UserStore(tmp_path / "data").get_user("carol") == store.get_user("carol")
+        store = UserStore(root)
+        assert [store.get_user("carol"), store.get_user("dave")] == [carol, dave]
+        assert store.username_for_device("d-l") == "dave"
+        assert (root / "users.json").read_text() == STORE_SNAPSHOT
+
+    def test_reopen_folds_the_log_into_the_snapshot(self, tmp_path):
+        root = tmp_path / "data"
+        store = UserStore(root)
+        for record in STORE_RECORDS:
+            store.add_user(record)
+        assert (root / "users.log").read_text().splitlines() == [
+            json.dumps(vars(r), separators=(",", ":")) for r in STORE_RECORDS
+        ]
+
+        reopened = UserStore(root)
+        assert (root / "users.log").read_bytes() == b""
+        assert (root / "users.json").read_text() == STORE_SNAPSHOT
+        assert [reopened.get_user(r.username) for r in STORE_RECORDS] == list(STORE_RECORDS)
+        UserStore(root)  # a second reopen leaves the snapshot as it was
+        assert (root / "users.json").read_text() == STORE_SNAPSHOT
+
+    def test_torn_last_log_line_is_dropped(self, tmp_path):
+        root = tmp_path / "data"
+        UserStore(root).add_user(STORE_RECORDS[0])
+        with (root / "users.log").open("a") as f:
+            f.write(json.dumps(vars(STORE_RECORDS[1]))[:40])  # a crash mid-append
+
+        store = UserStore(root)
+        assert store.get_user("carol") == STORE_RECORDS[0]
+        assert store.get_user("dave") is None
+        assert (root / "users.log").read_bytes() == b""
+
+    def test_malformed_whole_log_line_raises(self, tmp_path):
+        root = tmp_path / "data"
+        UserStore(root).add_user(STORE_RECORDS[0])
+        with (root / "users.log").open("a") as f:
+            f.write('{"username": "dave", \n')
+        with pytest.raises(ValueError):
+            UserStore(root)
+
+    def test_record_in_snapshot_and_log_loads_once(self, tmp_path):
+        # a crash after the snapshot was written but before the log was emptied
+        root = tmp_path / "data"
+        store = UserStore(root)
+        for record in STORE_RECORDS:
+            store.add_user(record)
+        log = (root / "users.log").read_bytes()
+        UserStore(root)
+        (root / "users.log").write_bytes(log)
+
+        reopened = UserStore(root)
+        assert (root / "users.json").read_text() == STORE_SNAPSHOT
+        assert reopened.username_for_device("c-m") == "carol"
 
     def test_no_secret_material_on_disk(self, tmp_path):
         store = UserStore(tmp_path / "data")
@@ -393,8 +530,11 @@ class TestStore:
         svc.submit_scan(session.session_id, "c-l", snap("c-l", DeviceRole.LOGIN, [obs()]))
 
         on_disk = (tmp_path / "data" / "users.json").read_text()
+        log = (tmp_path / "data" / "users.log").read_text()
         audit = (tmp_path / "data" / "audit.log").read_text()
+        assert "carol" in log
         assert "carols-secret" not in on_disk
+        assert "carols-secret" not in log
         assert "carols-secret" not in audit
         assert verify_secret("carols-secret", store.get_user("carol").credential_hash)
 

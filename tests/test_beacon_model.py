@@ -13,8 +13,11 @@ from proxauth.beacon_model import (
     ScanSnapshot,
     build_feature_encoder,
     dataset_to_csv_bytes,
+    FeatureEncoder,
     default_role_of_rpi,
+    encode_dataset,
     encode_observation,
+    encode_observations,
     parse_dataset_csv,
     write_dataset_csv,
 )
@@ -212,6 +215,15 @@ class TestDataset:
         assert not Dataset(samples, Provenance.REAL_CSV).is_balanced()
 
 
+def reference_row(encoder, role, obs):
+    """The per-row encoder that encode_observations replaced, kept as the reference."""
+    lo, hi = encoder.frequency_scale
+    freq_norm = 0.5 if hi == lo else min(max((obs.frequency - lo) / (hi - lo), 0.0), 1.0)
+    return np.array(
+        [role.code, encoder.ssid_vocabulary.get(obs.ssid, 0), freq_norm, obs.rssi], dtype=np.float64
+    )
+
+
 class TestFeatureEncoder:
     def test_vocabulary_first_appearance_order(self):
         ds = Dataset(
@@ -291,3 +303,32 @@ class TestFeatureEncoder:
             assert v1.shape == (4,)
             assert np.all(np.isfinite(v1))
             assert np.array_equal(v1, v2)
+
+    @pytest.mark.parametrize("scale", [(2412000000.0, 5240000000.0), (2437000000.0, 2437000000.0)])
+    def test_batch_matches_per_row_reference(self, scale):
+        rng = np.random.default_rng(11)
+        enc = FeatureEncoder({"A": 1, "B": 2, "C": 3}, scale)
+        samples = tuple(
+            sample(
+                ssid=str(rng.choice(["A", "B", "C", "Unseen"])),
+                freq=int(rng.integers(1, 9_999_999_999)),
+                rssi=int(rng.integers(-100, 1)),
+                role=(DeviceRole.MOBILE, DeviceRole.LOGIN)[int(rng.integers(2))],
+                label=(Label.AUTHENTIC, Label.UNAUTHORIZED)[int(rng.integers(2))],
+            )
+            for _ in range(500)
+        )
+        pairs = [(s.role, s.observation) for s in samples]
+        reference = np.stack([reference_row(enc, role, o) for role, o in pairs])
+
+        X = encode_observations(enc, pairs)
+        assert X.dtype == np.float64 and X.shape == (500, 4)
+        assert X.tobytes() == reference.tobytes()
+        assert np.stack([encode_observation(enc, role, o) for role, o in pairs]).tobytes() == reference.tobytes()
+        X_ds, y = encode_dataset(enc, Dataset(samples, Provenance.SIMULATED))
+        assert X_ds.tobytes() == reference.tobytes()
+        assert y.dtype == np.int8 and y.tolist() == [int(s.label is Label.AUTHENTIC) for s in samples]
+        assert (X[:, 1] == 0).any()  # unknown SSIDs were drawn
+        if scale[0] != scale[1]:
+            assert (X[:, 2] == 0.0).any() and (X[:, 2] == 1.0).any()  # both clamps were hit
+        assert encode_observations(enc, []).shape == (0, 4)

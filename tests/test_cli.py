@@ -77,8 +77,11 @@ class TestParseArgs:
 class TestHelpers:
     def test_parse_listen(self):
         assert _parse_listen("127.0.0.1:4980") == ("127.0.0.1", 4980)
-        with pytest.raises(ValueError):
-            _parse_listen("nope")
+        assert _parse_listen("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert _parse_listen("127.0.0.1:65535") == ("127.0.0.1", 65535)
+        for bad in ("nope", "127.0.0.1:65536", "127.0.0.1:70000", "127.0.0.1:-1", ":80"):
+            with pytest.raises(ValueError):
+                _parse_listen(bad)
 
     def test_make_config_overrides(self):
         env = _make_config(EnvironmentConfig, {"n_aps": 4, "frequency_set_hz": [2412000000]})
@@ -241,6 +244,20 @@ class TestCommands:
                      "--secret", "zoes-secret", "--scenario", "near", "--locations", "0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: --locations")
+
+    def test_attempt_out_of_range_port_is_an_error(self, capsys):
+        # 70000 must not wrap to port 4464
+        code = main(["attempt", "--server", "127.0.0.1:70000", "--username", "zoe",
+                     "--secret", "zoes-secret", "--scenario", "near"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
+
+    def test_serve_out_of_range_port_is_an_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, _, rf, _ = pipeline
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
+        code = main(["serve", "--model", str(rf), "--listen", "127.0.0.1:70000"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
 
     def test_train_wrongly_typed_params_is_a_clean_error(self, pipeline, tmp_path, capsys):
         _, csv, _, _ = pipeline
