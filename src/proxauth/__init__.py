@@ -27,6 +27,7 @@ from .auth_service import (
     SessionState,
     UserRecord,
     UserStore,
+    decide,
     overlap_observations,
 )
 from .beacon_model import (

@@ -3,10 +3,11 @@
 A user enrolls a username, a first-factor secret, and the ids of their two
 devices. An authentication attempt begins with the first factor; the session
 then waits for a beacon scan from each device, and as soon as both are in,
-the co-location classifier runs over the observations of every access point
-both devices saw. The attempt is granted only when the authentic fraction of
-those per-observation predictions clears the vote threshold; every other
-path denies.
+:func:`decide` runs the co-location classifier over the observations of
+every access point both devices saw. A decision's outcome follows from its
+reason: only CLASSIFIER_AUTHENTIC, an authentic fraction of those
+per-observation predictions at or above the vote threshold, grants; every
+other reason denies.
 
 State and durability: an enrollment appends one JSON line to a user log,
 which opening the store folds into a JSON snapshot of every record, so it
@@ -48,7 +49,7 @@ from .beacon_model import (
     encode_observation,
     encode_observations,
 )
-from .colocation_ml import DecisionTree, RandomForest, predict, predict_batch
+from .colocation_ml import DecisionTree, RandomForest, _from_doc, predict, predict_batch
 from .errors import (
     DuplicateDeviceId,
     DuplicateRoleSubmission,
@@ -72,6 +73,7 @@ __all__ = [
     "AuthSession",
     "UserStore",
     "AuthService",
+    "decide",
     "hash_secret",
     "verify_secret",
     "overlap_observations",
@@ -138,17 +140,26 @@ class DecisionReason(Enum):
 
 @dataclass(frozen=True)
 class AuthDecision:
-    outcome: DecisionOutcome
+    """A session's decision; the outcome is derived, never stored, so only
+    a CLASSIFIER_AUTHENTIC reason can grant."""
+
     reason: DecisionReason
     authentic_fraction: float | None
     decided_at: int
 
     def __post_init__(self):
-        if self.outcome is DecisionOutcome.GRANT:
-            if self.reason is not DecisionReason.CLASSIFIER_AUTHENTIC:
-                raise ValueError("a grant must come from the classifier")
-            if self.authentic_fraction is None:
-                raise ValueError("a grant must carry its authentic fraction")
+        if self.reason is DecisionReason.CLASSIFIER_AUTHENTIC and self.authentic_fraction is None:
+            raise ValueError("a grant must carry its authentic fraction")
+
+    @property
+    def outcome(self) -> DecisionOutcome:
+        granted = self.reason is DecisionReason.CLASSIFIER_AUTHENTIC
+        return DecisionOutcome.GRANT if granted else DecisionOutcome.DENY
+
+    def as_dict(self) -> dict:
+        """The outcome, reason and fraction as the audit log and the wire show them."""
+        return {"outcome": self.outcome.value, "reason": self.reason.value,
+                "authentic_fraction": self.authentic_fraction}
 
 
 @dataclass
@@ -217,7 +228,7 @@ class UserStore:
         # bytes after the last newline are a torn append; a bad whole line raises ValueError
         docs += [json.loads(line) for line in log[: log.rfind(b"\n") + 1].splitlines()]
         for u in docs:
-            self._index(UserRecord(**{**u, "enrolled_at": int(u["enrolled_at"])}))
+            self._index(_from_doc(UserRecord, u, enrolled_at=int))
         # a record's __dict__ holds its fields in declaration order; asdict would copy each one
         doc = {"version": 1, "users": [vars(r) for r in self._users.values()]}
         tmp = self._users_path.with_suffix(".json.tmp")
@@ -293,11 +304,29 @@ def overlap_observations(
     return pairs
 
 
-class AuthService:
-    """Session state machine around an immutable trained model.
+def decide(
+    model: DecisionTree | RandomForest, encoder: FeatureEncoder, policy: PolicyConfig,
+    mobile: ScanSnapshot, login: ScanSnapshot, now: int,
+) -> AuthDecision:
+    """The co-location rule, decided at ``now``: scans further apart than the
+    pairing window are stale, fewer than ``min_overlap_aps`` shared APs is no
+    overlap, and otherwise the model classifies every overlap observation in
+    one batch and the authentic fraction grants when it reaches tau."""
+    if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
+        return AuthDecision(DecisionReason.STALE_SCANS, None, now)
+    pairs = overlap_observations(mobile, login, policy)
+    if len(pairs) < 2 * policy.min_overlap_aps:
+        return AuthDecision(DecisionReason.NO_OVERLAP, None, now)
+    fraction = int(predict_batch(model, encode_observations(encoder, pairs)).sum()) / len(pairs)
+    if fraction >= policy.vote_threshold_tau:
+        return AuthDecision(DecisionReason.CLASSIFIER_AUTHENTIC, fraction, now)
+    return AuthDecision(DecisionReason.CLASSIFIER_UNAUTHORIZED, fraction, now)
 
-    Every decision path that is not an affirmative classifier grant denies;
-    a session's decision never changes once set.
+
+class AuthService:
+    """Session state machine around an immutable trained model; every
+    decision comes from :func:`decide` or the first-factor check, and a
+    session's decision never changes once set.
     """
 
     def __init__(
@@ -358,15 +387,7 @@ class AuthService:
                 {"ts": now, "event": "begin", "session_id": session.session_id, "username": username}
             )
             if not secret_ok:
-                self._finalize(
-                    session,
-                    AuthDecision(
-                        outcome=DecisionOutcome.DENY,
-                        reason=DecisionReason.FIRST_FACTOR_FAILED,
-                        authentic_fraction=None,
-                        decided_at=now,
-                    ),
-                )
+                self._finalize(session, AuthDecision(DecisionReason.FIRST_FACTOR_FAILED, None, now))
             return session
 
     def get_session(self, session_id: str) -> AuthSession:
@@ -423,41 +444,16 @@ class AuthService:
             # read under the lock: a racing _finalize clears them
             mobile, login = session.mobile_scan, session.login_scan
 
-        decision = self._evaluate(mobile, login)
+        decision = decide(self.model, self.encoder, self.policy, mobile, login, self._clock())
         with self._lock:
             if session.decision is None:
                 self._finalize(session, decision)
             return session.decision
 
-    def _evaluate(self, mobile: ScanSnapshot, login: ScanSnapshot) -> AuthDecision:
-        now = self._clock()
-        if abs(mobile.timestamp - login.timestamp) > self.policy.pairing_window_ms:
-            return AuthDecision(DecisionOutcome.DENY, DecisionReason.STALE_SCANS, None, now)
-        pairs = overlap_observations(mobile, login, self.policy)
-        if len(pairs) < 2 * self.policy.min_overlap_aps:
-            return AuthDecision(DecisionOutcome.DENY, DecisionReason.NO_OVERLAP, None, now)
-
-        authentic = int(predict_batch(self.model, encode_observations(self.encoder, pairs)).sum())
-        fraction = authentic / len(pairs)
-        if fraction >= self.policy.vote_threshold_tau:
-            return AuthDecision(
-                DecisionOutcome.GRANT, DecisionReason.CLASSIFIER_AUTHENTIC, fraction, now
-            )
-        return AuthDecision(
-            DecisionOutcome.DENY, DecisionReason.CLASSIFIER_UNAUTHORIZED, fraction, now
-        )
-
     def _finalize(self, session: AuthSession, decision: AuthDecision) -> None:
         session.decision = decision
         session.mobile_scan = session.login_scan = None  # a decided session needs no scans
         self.store.audit(
-            {
-                "ts": decision.decided_at,
-                "event": "decision",
-                "session_id": session.session_id,
-                "username": session.username,
-                "outcome": decision.outcome.value,
-                "reason": decision.reason.value,
-                "authentic_fraction": decision.authentic_fraction,
-            }
+            {"ts": decision.decided_at, "event": "decision", "session_id": session.session_id,
+             "username": session.username, **decision.as_dict()}
         )

@@ -266,12 +266,21 @@ def cmd_serve(args: argparse.Namespace) -> int:
     service = build_service(args.model, args.policy)
     server = AuthWireServer(service, host, port)
     actual_host, actual_port = server.address
-    print(f"serving on {actual_host}:{actual_port} (store: {service.store.root})")
+    # flushed: on a pipe this line is the only way to learn a :0 port
+    print(f"serving on {actual_host}:{actual_port} (store: {service.store.root})", flush=True)
     try:
         server.serve_forever()
     except KeyboardInterrupt:
         server.shutdown()
     return 0
+
+
+def _reply(step: str, response: dict, tolerated: str | None = None) -> dict:
+    """A server response that succeeded or failed with the ``tolerated`` code;
+    any other failure is a ValueError naming the step, the code and the message."""
+    if not response.get("ok") and response.get("error") != tolerated:
+        raise ValueError(f"{step} failed: {response.get('error')}: {response.get('message')}")
+    return response
 
 
 def cmd_attempt(args: argparse.Namespace) -> int:
@@ -297,25 +306,11 @@ def cmd_attempt(args: argparse.Namespace) -> int:
 
     host, port = _parse_listen(args.server)
     with AuthClient(host, port) as client:
-        enrolled = client.enroll(args.username, args.secret, mobile_id, login_id)
-        if not enrolled.get("ok") and enrolled.get("error") != "DuplicateUser":
-            print(f"error: enroll failed: {enrolled.get('error')}: {enrolled.get('message')}", file=sys.stderr)
-            return 1
-        begun = client.begin(args.username, args.secret)
-        if not begun.get("ok"):
-            print(f"error: begin failed: {begun.get('error')}: {begun.get('message')}", file=sys.stderr)
-            return 1
-        final = begun
-        if begun.get("state") == "AwaitingScans":
-            response = client.submit_scan(begun["session_id"], mobile_id, mobile)
-            if not response.get("ok"):
-                print(f"error: submit failed: {response.get('error')}", file=sys.stderr)
-                return 1
-            response = client.submit_scan(begun["session_id"], login_id, login)
-            if not response.get("ok"):
-                print(f"error: submit failed: {response.get('error')}", file=sys.stderr)
-                return 1
-            final = response
+        _reply("enroll", client.enroll(args.username, args.secret, mobile_id, login_id), "DuplicateUser")
+        final = _reply("begin", client.begin(args.username, args.secret))
+        if final.get("state") == "AwaitingScans":
+            _reply("submit", client.submit_scan(final["session_id"], mobile_id, mobile))
+            final = _reply("submit", client.submit_scan(final["session_id"], login_id, login))
 
     fraction = final.get("authentic_fraction")
     _emit(

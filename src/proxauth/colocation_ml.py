@@ -148,6 +148,7 @@ class _Layout(NamedTuple):
     authentic: np.ndarray
     roots: np.ndarray
     depth: int  # the longest root-to-leaf path
+    width: int  # the fewest columns a row needs: one past the highest split feature
 
 
 def _compile(roots: Sequence[SplitNode | LeafNode]) -> _Layout:
@@ -166,7 +167,8 @@ def _compile(roots: Sequence[SplitNode | LeafNode]) -> _Layout:
         for column, value in zip(columns, row):
             column.append(value)
     *columns, depth = (np.frombuffer(c, bool if c.typecode == "b" else c.typecode) for c in columns)
-    return _Layout(*columns, np.flatnonzero(depth == 0).astype(np.int32), int(depth.max(initial=0)))
+    roots = np.flatnonzero(depth == 0).astype(np.int32)
+    return _Layout(*columns, roots, int(depth.max(initial=0)), int(columns[0].max(initial=-1)) + 1)
 
 
 @dataclass(frozen=True)
@@ -444,7 +446,10 @@ def train_random_forest(
 def _vote(layout: _Layout, X: np.ndarray) -> np.ndarray:
     """The one tree descent: all (tree, row) positions step down a level at a
     time (flat ``take`` indexing keeps one login's few rows cheap); each row
-    then takes its trees' majority, an even vote Unauthorized."""
+    then takes its trees' majority, an even vote Unauthorized. A row narrower
+    than ``width`` would read its neighbour's cells, so it raises instead."""
+    if X.ndim != 2 or X.shape[1] < layout.width:
+        raise ValueError(f"X must be 2-D with at least {layout.width} columns, got shape {X.shape}")
     n_trees, (n_rows, width) = len(layout.roots), X.shape
     row_start = np.tile(np.arange(n_rows) * width, n_trees)
     pos = np.repeat(layout.roots, n_rows)

@@ -66,14 +66,16 @@ def snapshot_from_doc(doc: dict) -> ScanSnapshot:
 
 def _session_doc(session: AuthSession) -> dict:
     doc = {"session_id": session.session_id, "state": session.state.value}
-    if session.decision is not None:
-        doc["outcome"] = session.decision.outcome.value
-        doc["reason"] = session.decision.reason.value
-        doc["authentic_fraction"] = session.decision.authentic_fraction
-    return doc
+    return doc if session.decision is None else {**doc, **session.decision.as_dict()}
+
+
+_STRING_FIELDS = ("username", "secret", "mobile_device_id", "login_device_id", "session_id", "device_id")
 
 
 def _dispatch(service: AuthService, request: dict) -> dict:
+    for key in _STRING_FIELDS:
+        if not isinstance(request.get(key, ""), str):
+            raise TypeError(f"{key} must be a string, got {type(request[key]).__name__}")
     op = request.get("op")
     if op == "enroll":
         record = service.enroll_user(

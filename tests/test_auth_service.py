@@ -11,6 +11,7 @@ import pytest
 
 from proxauth import auth_service
 from proxauth.auth_service import (
+    AuthDecision,
     AuthService,
     DecisionOutcome,
     DecisionReason,
@@ -19,6 +20,7 @@ from proxauth.auth_service import (
     SessionState,
     UserRecord,
     UserStore,
+    decide,
     hash_secret,
     overlap_observations,
     verify_secret,
@@ -439,13 +441,45 @@ class TestBatchedDecision:
             login = random_snapshot(rng, DeviceRole.LOGIN)
             if rng.random() < 0.05:
                 login = replace(login, timestamp=login.timestamp + 20_000)
-            svc = AuthService(UserStore(), forest, encoder, policy, clock=lambda: 777)
-            decision = svc._evaluate(mobile, login)
+            decision = decide(forest, encoder, policy, mobile, login, 777)
+            assert decision.decided_at == 777
             got = (decision.outcome, decision.reason, decision.authentic_fraction)
             assert got == reference_decision(forest, encoder, policy, mobile, login)
             reasons[decision.reason] += 1
         classified = reasons[DecisionReason.CLASSIFIER_AUTHENTIC] + reasons[DecisionReason.CLASSIFIER_UNAUTHORIZED]
         assert classified >= 200 and min(reasons.values()) > 0 and len(reasons) == 4, reasons
+
+
+class TestAuthDecision:
+    @pytest.mark.parametrize("reason", list(DecisionReason))
+    def test_outcome_follows_from_the_reason(self, reason):
+        decision = AuthDecision(reason, 0.75, 777)
+        granted = reason is DecisionReason.CLASSIFIER_AUTHENTIC
+        assert decision.outcome is (DecisionOutcome.GRANT if granted else DecisionOutcome.DENY)
+        assert decision.as_dict() == {
+            "outcome": decision.outcome.value, "reason": reason.value, "authentic_fraction": 0.75
+        }
+        assert list(decision.as_dict()) == ["outcome", "reason", "authentic_fraction"]
+
+    def test_classifier_grant_needs_its_fraction(self):
+        with pytest.raises(ValueError):
+            AuthDecision(DecisionReason.CLASSIFIER_AUTHENTIC, None, 777)
+        assert AuthDecision(DecisionReason.NO_OVERLAP, None, 777).outcome is DecisionOutcome.DENY
+
+    def test_service_decides_through_decide(self, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return AuthDecision(DecisionReason.NO_OVERLAP, None, args[-1])
+
+        monkeypatch.setattr(auth_service, "decide", spy)
+        svc = enrolled_service(clock=lambda: 4242)
+        session = run_session(svc, [obs()], [obs()])
+        assert session.decision == AuthDecision(DecisionReason.NO_OVERLAP, None, 4242)
+        [(model, encoder, policy, mobile, login, now)] = calls
+        assert (model, encoder, policy, now) == (svc.model, svc.encoder, svc.policy, 4242)
+        assert (mobile.device_id, login.device_id) == ("alice-m", "alice-l")
 
 
 class TestStore:
@@ -505,6 +539,21 @@ class TestStore:
         with (root / "users.log").open("a") as f:
             f.write('{"username": "dave", \n')
         with pytest.raises(ValueError):
+            UserStore(root)
+
+    @pytest.mark.parametrize("where", ["users.json", "users.log"])
+    @pytest.mark.parametrize("change", ["unknown key", "missing key"])
+    def test_record_without_exactly_its_fields_raises(self, tmp_path, where, change):
+        root = tmp_path / "data"
+        root.mkdir()
+        doc = dict(vars(STORE_RECORDS[0]))
+        if change == "unknown key":
+            doc["role"] = "admin"
+        else:
+            del doc["login_device_id"]
+        text = json.dumps({"version": 1, "users": [doc]}) if where == "users.json" else json.dumps(doc)
+        (root / where).write_text(text + "\n")
+        with pytest.raises(ValueError, match="UserRecord must be an object with keys"):
             UserStore(root)
 
     def test_record_in_snapshot_and_log_loads_once(self, tmp_path):

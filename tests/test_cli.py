@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import os
+import re
+import select
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -259,6 +262,21 @@ class TestCommands:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
 
+    @pytest.mark.parametrize("where", ["users.json", "users.log"])
+    def test_serve_with_a_malformed_user_record_is_a_clean_error(
+        self, pipeline, tmp_path, capsys, monkeypatch, where
+    ):
+        _, _, rf, _ = pipeline
+        store = tmp_path / "store"
+        store.mkdir()
+        record = {"username": "x", "credential_hash": "h", "mobile_device_id": "m", "role": "admin"}
+        text = json.dumps({"version": 1, "users": [record]}) if where == "users.json" else json.dumps(record)
+        (store / where).write_text(text + "\n")
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
+        code = main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: UserRecord must be an object with keys")
+
     def test_train_wrongly_typed_params_is_a_clean_error(self, pipeline, tmp_path, capsys):
         _, csv, _, _ = pipeline
         params = tmp_path / "params.json"
@@ -327,3 +345,51 @@ class TestAttemptRoundTrip:
             far = json.loads(capsys.readouterr().out)
             assert far["outcome"] == "Deny"
             assert far["reason"] == "ClassifierUnauthorized"
+
+    def test_attempt_reports_the_servers_message(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, _, rf, _ = pipeline
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
+        service = build_service(str(rf), None)
+        service.enroll_user("yan", "yans-secret", "yan-phone", "yan-laptop")
+        with AuthWireServer(service, "127.0.0.1", 0) as server:
+            host, port = server.address
+            code = main([
+                "attempt", "--server", f"{host}:{port}", "--username", "yan",
+                "--secret", "yans-secret", "--scenario", "near", "--env-seed", "5",
+            ])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: submit failed: ForeignDevice: device 'yan:mobile' is not enrolled to 'yan'\n"
+        )
+
+    def test_serve_banner_reaches_a_pipe_and_sigint_stops_it(self, pipeline, tmp_path, capsys):
+        _, _, rf, _ = pipeline
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env["PROXAUTH_DATA_DIR"] = str(tmp_path / "store")
+        proc = subprocess.Popen(
+            [sys.executable, "-X", "dev", "-m", "proxauth.cli", "serve", "--model", str(rf),
+             "--listen", "127.0.0.1:0"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            assert select.select([proc.stdout], [], [], 10)[0], "no banner within 10 s"
+            banner = re.match(r"serving on (\S+):(\d+) \(store: ", proc.stdout.readline())
+            assert banner, "unexpected banner"
+            code = main([
+                "attempt", "--server", f"{banner[1]}:{banner[2]}", "--username", "zoe",
+                "--secret", "zoes-secret", "--scenario", "near", "--seed", "3", "--env-seed", "5",
+                "--json",
+            ])
+            assert code == 0
+            assert json.loads(capsys.readouterr().out)["outcome"] == "Grant"
+            proc.send_signal(signal.SIGINT)
+            assert proc.wait(timeout=10) == 0
+            assert proc.stderr.read() == ""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()

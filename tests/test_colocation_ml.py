@@ -502,6 +502,21 @@ class TestCompiledDescent:
             assert out.dtype == np.int8
             assert out.shape == (0,)
 
+    def test_rows_narrower_than_the_features_raise(self):
+        a, u = LeafNode(Label.AUTHENTIC, (0, 1)), LeafNode(Label.UNAUTHORIZED, (1, 0))
+        tree = DecisionTree(SplitNode(0, 0.5, SplitNode(3, -60.0, a, u), u), TreeParams())
+        forest = RandomForest(trees=(tree, tree, tree), params=ForestParams(n_trees=3))
+        for model in (tree, forest):
+            assert predict_batch(model, [[0, 0, -99, -99], [1, 0, 0, 0]]).tolist() == [1, 0]
+            assert predict_batch(model, np.empty((0, 5))).shape == (0,)
+            for X in ([[0, 0, -99], [1, 0, 0]], np.empty((0, 3)), np.zeros(4), np.zeros((1, 1, 4))):
+                with pytest.raises(ValueError, match="at least 4 columns"):
+                    predict_batch(model, X)
+            with pytest.raises(ValueError, match="at least 4 columns"):
+                predict(model, [0, 0, -99])
+        # a leaf reads no feature, so any width is enough
+        assert predict_batch(leaf_tree(Label.AUTHENTIC), np.zeros((2, 0))).tolist() == [1, 1]
+
     def test_layout_outside_equality_hash_and_repr(self):
         a = hand_built_trees()[3]
         b = DecisionTree(a.root, a.params)

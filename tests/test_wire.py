@@ -13,7 +13,13 @@ from proxauth.beacon_model import (
     ScanSnapshot,
 )
 from proxauth.colocation_ml import DecisionTree, LeafNode, TreeParams
-from proxauth.wire import AuthClient, AuthWireServer, snapshot_from_doc, snapshot_to_doc
+from proxauth.wire import (
+    AuthClient,
+    AuthWireServer,
+    handle_request_line,
+    snapshot_from_doc,
+    snapshot_to_doc,
+)
 
 ENCODER = FeatureEncoder({"NetA": 1}, (2412000000.0, 5240000000.0))
 GRANT_ALL = DecisionTree(LeafNode(Label.AUTHENTIC, (0, 1)), TreeParams())
@@ -154,3 +160,42 @@ class TestWireProtocol:
         for t in threads:
             t.join(timeout=10)
         assert errors == []
+
+
+ENROLL = {
+    "op": "enroll", "username": "gil", "secret": "gils-secret",
+    "mobile_device_id": "g-m", "login_device_id": "g-l",
+}
+SUBMIT = {
+    "op": "submit_scan", "session_id": "s", "device_id": "g-m",
+    "snapshot": snapshot_to_doc(make_snapshot("g-m")),
+}
+
+
+class TestIdentityFields:
+    @pytest.mark.parametrize(
+        "request_doc, key",
+        [
+            ({**ENROLL, "username": 123}, "username"),
+            ({**ENROLL, "secret": list("12345678")}, "secret"),
+            ({**ENROLL, "mobile_device_id": 5}, "mobile_device_id"),
+            ({**ENROLL, "login_device_id": None}, "login_device_id"),
+            ({"op": "begin", "username": "gil", "secret": list("12345678")}, "secret"),
+            ({"op": "status", "session_id": 7}, "session_id"),
+            ({**SUBMIT, "device_id": ["g-m"]}, "device_id"),
+            ({**SUBMIT, "session_id": 1.5}, "session_id"),
+        ],
+    )
+    def test_non_string_identity_field_is_bad_request(self, tmp_path, request_doc, key):
+        service = AuthService(UserStore(tmp_path / "data"), GRANT_ALL, ENCODER)
+        service.enroll_user("gil", "gils-secret", "g-m0", "g-l0")
+        response = handle_request_line(service, json.dumps(request_doc))
+        assert response["ok"] is False
+        assert response["error"] == "BadRequest"
+        assert key in response["message"]
+        assert len((tmp_path / "data" / "users.log").read_text().splitlines()) == 1
+
+    def test_string_fields_still_enroll(self, tmp_path):
+        service = AuthService(UserStore(tmp_path / "data"), GRANT_ALL, ENCODER)
+        response = handle_request_line(service, json.dumps(ENROLL))
+        assert response["ok"] is True and response["username"] == "gil"
