@@ -49,7 +49,7 @@ from .beacon_model import (
     encode_observation,
     encode_observations,
 )
-from .colocation_ml import DecisionTree, RandomForest, _from_doc, predict, predict_batch
+from .colocation_ml import DecisionTree, RandomForest, predict, predict_batch
 from .errors import (
     DuplicateDeviceId,
     DuplicateRoleSubmission,
@@ -61,6 +61,7 @@ from .errors import (
     UnknownUser,
     WeakSecret,
 )
+from .jsondoc import decode
 
 __all__ = [
     "MatchKey",
@@ -117,6 +118,18 @@ class UserRecord:
     def __post_init__(self):
         if self.mobile_device_id == self.login_device_id:
             raise ValueError("device ids must be distinct")
+
+
+@dataclass(frozen=True)
+class StoreSnapshot:
+    """The ``users.json`` envelope."""
+
+    version: int
+    users: tuple[UserRecord, ...]
+
+    def __post_init__(self):
+        if self.version != 1:
+            raise ValueError(f"unsupported users.json version {self.version}")
 
 
 class SessionState(Enum):
@@ -202,8 +215,10 @@ class UserStore:
     ``users.log``. Opening the store loads the v1 snapshot ``users.json``,
     replays the log in order (a torn last line is dropped; a record loaded
     twice is indexed once), rewrites the snapshot atomically and empties the
-    log. Audit entries append to ``audit.log``. Without a root, everything
-    stays in memory (useful in tests). Reads take no lock: records are
+    log. A snapshot envelope or record that does not hold exactly its
+    type's fields, each of its annotated type, is a ValueError. Audit
+    entries append to ``audit.log``. Without a root, everything stays in
+    memory (useful in tests). Reads take no lock: records are
     immutable and never removed, so AuthService looks users up and verifies
     secrets outside its lock. Writes are serialized by the caller
     (AuthService holds its lock across each ``add_user`` and ``audit``).
@@ -221,14 +236,16 @@ class UserStore:
             self._compact()
 
     def _compact(self) -> None:
-        docs = []
+        records = []
         if self._users_path.exists():
-            docs += json.loads(self._users_path.read_text(encoding="utf-8")).get("users", [])
+            snapshot = json.loads(self._users_path.read_text(encoding="utf-8"))
+            records += decode(StoreSnapshot, snapshot, exact=True).users
         log = self._log_path.read_bytes() if self._log_path.exists() else b""
         # bytes after the last newline are a torn append; a bad whole line raises ValueError
-        docs += [json.loads(line) for line in log[: log.rfind(b"\n") + 1].splitlines()]
-        for u in docs:
-            self._index(_from_doc(UserRecord, u, enrolled_at=int))
+        lines = log[: log.rfind(b"\n") + 1].splitlines()
+        records += [decode(UserRecord, json.loads(line), exact=True) for line in lines]
+        for record in records:
+            self._index(record)
         # a record's __dict__ holds its fields in declaration order; asdict would copy each one
         doc = {"version": 1, "users": [vars(r) for r in self._users.values()]}
         tmp = self._users_path.with_suffix(".json.tmp")

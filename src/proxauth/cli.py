@@ -20,12 +20,11 @@ With ``--json`` a command prints its report as a single JSON document.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
 import time
-from enum import Enum
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .auth_service import AuthService, PolicyConfig, UserStore
@@ -49,6 +48,7 @@ from .colocation_ml import (
     train_random_forest,
 )
 from .errors import ProxauthError
+from .jsondoc import decode
 from .rf_simulator import (
     CampaignConfig,
     EnvironmentConfig,
@@ -66,30 +66,20 @@ DEFAULT_DATA_DIR = "proxauth_data"
 DATA_DIR_ENV = "PROXAUTH_DATA_DIR"
 
 
-def _make_config(cls, overrides: dict):
-    """Build a config dataclass from defaults plus a partial override dict.
-    A field whose default is a dataclass takes a nested override dict; one
-    whose default is an Enum or a tuple is converted to the default's type.
-    A value of the wrong type is a ValueError naming the class."""
-    if not isinstance(overrides, dict):
-        raise ValueError(f"{cls.__name__} overrides must be a JSON object, got {overrides!r:.80}")
-    defaults = cls()
-    valid = {f.name: getattr(defaults, f.name) for f in dataclasses.fields(cls)}
-    unknown = set(overrides) - set(valid)
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    merged = dict(valid)
-    try:
-        for key, value in overrides.items():
-            default = valid[key]
-            if dataclasses.is_dataclass(default):
-                value = _make_config(type(default), value)
-            elif isinstance(default, (Enum, tuple)):
-                value = type(default)(value)
-            merged[key] = value
-        return cls(**merged)
-    except TypeError as exc:
-        raise ValueError(f"bad {cls.__name__} value: {exc}") from None
+# The sections of a --config and of a --params file; a section left out keeps its defaults.
+
+
+@dataclass(frozen=True)
+class SimulationFile:
+    environment: EnvironmentConfig = EnvironmentConfig()
+    path_loss: PathLossConfig = PathLossConfig()
+    campaign: CampaignConfig = CampaignConfig()
+
+
+@dataclass(frozen=True)
+class ParamsFile:
+    tree: TreeParams = TreeParams()
+    forest: ForestParams = ForestParams()
 
 
 def _load_json_file(path: str) -> dict:
@@ -97,15 +87,12 @@ def _load_json_file(path: str) -> dict:
 
 
 def _simulation_configs(config_path: str | None):
-    doc = _load_json_file(config_path) if config_path else {}
-    env = _make_config(EnvironmentConfig, doc.get("environment", {}))
-    loss = _make_config(PathLossConfig, doc.get("path_loss", {}))
-    campaign = _make_config(CampaignConfig, doc.get("campaign", {}))
-    return env, loss, campaign
+    config = decode(SimulationFile, _load_json_file(config_path) if config_path else {})
+    return config.environment, config.path_loss, config.campaign
 
 
 def _policy_config(policy_path: str | None) -> PolicyConfig:
-    return _make_config(PolicyConfig, _load_json_file(policy_path) if policy_path else {})
+    return decode(PolicyConfig, _load_json_file(policy_path) if policy_path else {})
 
 
 def _parse_listen(value: str) -> tuple[str, int]:
@@ -187,13 +174,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     X, y = encode_dataset(encoder, train_set)
 
     params_doc = _load_json_file(args.params) if args.params else {}
+    params_file = decode(ParamsFile, params_doc)
     started = time.perf_counter()
     if args.model == "dt":
-        params = _make_config(TreeParams, params_doc.get("tree", {}))
-        model = train_decision_tree(X, y, params)
+        model = train_decision_tree(X, y, params_file.tree)
         summary = f"decision tree: depth={model.depth()} nodes={model.node_count()}"
     else:
-        params = _make_config(ForestParams, {"seed": args.seed, **params_doc.get("forest", {})})
+        params = params_file.forest
+        if "seed" not in params_doc.get("forest", {}):  # --seed unless the file sets one
+            params = replace(params, seed=args.seed)
         model = train_random_forest(X, y, params)
         summary = f"random forest: trees={params.n_trees} features_per_split={params.features_per_split}"
     elapsed = time.perf_counter() - started
@@ -222,8 +211,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     doc = _load_json_file(args.model)
     model, encoder = document_to_model(doc)
     seed = doc.get("train_seed") if args.seed is None else args.seed
-    if not isinstance(seed, int):
-        raise ValueError(f"{args.model} records no train_seed; give the split seed with --seed")
+    if type(seed) is not int:
+        raise ValueError(f"{args.model} records no integer train_seed; give the split seed with --seed")
     dataset = parse_dataset_csv(Path(args.data).read_bytes())
     train_set, test_set = stratified_split(dataset, _TRAIN_HOLDOUT_FRACTION, seed)
     X, y = encode_dataset(encoder, test_set)

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from array import array
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -44,6 +44,7 @@ from .errors import (
     EmptyTestSet,
     EmptyTrainingSet,
 )
+from .jsondoc import decode
 
 __all__ = [
     "TreeParams",
@@ -461,9 +462,11 @@ def _vote(layout: _Layout, X: np.ndarray) -> np.ndarray:
 
 
 def predict(model: DecisionTree | RandomForest, x: np.ndarray) -> Label:
-    """Classify one feature vector. Forests take an unweighted majority vote;
-    an even vote predicts Unauthorized."""
-    row = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    """Classify one feature vector, a 1-D row or a one-row 2-D array. Forests
+    take an unweighted majority vote; an even vote predicts Unauthorized."""
+    row = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if row.ndim != 2 or len(row) != 1:
+        raise ValueError(f"predict takes one row; use predict_batch for shape {np.shape(x)}")
     return Label.AUTHENTIC if _vote(model._layout, row)[0] else Label.UNAUTHORIZED
 
 
@@ -560,15 +563,6 @@ def _node_from_doc(doc: dict) -> SplitNode | LeafNode:
     )
 
 
-def _from_doc(cls, doc: dict, **read):
-    """Build dataclass ``cls`` from a document holding exactly its fields;
-    ``read`` maps a field name to the function that converts its value."""
-    names = [f.name for f in fields(cls)]
-    if not isinstance(doc, dict) or doc.keys() != set(names):
-        raise ValueError(f"{cls.__name__} must be an object with keys {names}, got {doc!r:.200}")
-    return cls(**{k: read[k](v) if k in read else v for k, v in doc.items()})
-
-
 def model_to_document(
     model: DecisionTree | RandomForest, encoder: FeatureEncoder, train_seed: int | None = None
 ) -> dict:
@@ -594,15 +588,13 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
     if doc.get("version") != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('version')!r}")
     try:
-        encoder = _from_doc(FeatureEncoder, doc["encoder"], frequency_scale=tuple)
+        encoder = decode(FeatureEncoder, doc["encoder"], exact=True)
         if doc["kind"] == "decision_tree":
             model: DecisionTree | RandomForest = DecisionTree(
-                root=_node_from_doc(doc["tree"]), params=_from_doc(TreeParams, doc["params"])
+                root=_node_from_doc(doc["tree"]), params=decode(TreeParams, doc["params"], exact=True)
             )
         elif doc["kind"] == "random_forest":
-            params = _from_doc(
-                ForestParams, doc["params"], tree_params=lambda p: _from_doc(TreeParams, p)
-            )
+            params = decode(ForestParams, doc["params"], exact=True)
             trees = tuple(
                 DecisionTree(root=_node_from_doc(d), params=params.tree_params) for d in doc["trees"]
             )

@@ -1,0 +1,115 @@
+"""One strict reader from JSON values to dataclasses.
+
+:func:`decode` reads each field of a dataclass by its annotation: ``int``
+takes an int, never a bool or a float; ``float`` also takes an int, kept as
+written so that a document read and written back keeps its bytes; ``str``
+and ``bool`` take exactly that type; ``X | None`` also takes null; an
+``Enum`` is read from its value, a tuple from an array, and ``dict[str, X]``
+and a nested dataclass from an object. With ``exact=True`` every field must
+be present, as in the files proxauth writes (model files, the user store);
+otherwise a field that has a default may be left out, as in config files and
+wire requests. Unknown keys are always rejected, and every failure is a
+ValueError naming the class and the field. Annotations are resolved once per
+class and mode, since the wire decodes every scan.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+import types
+import typing
+from enum import Enum
+
+__all__ = ["decode"]
+
+_SCALARS = {int: (int,), float: (float, int), str: (str,), bool: (bool,)}
+
+
+def decode(cls, doc, *, exact: bool = False):
+    """Dataclass ``cls`` read from ``doc``, a value as ``json.loads`` returns it."""
+    return _reader(cls, exact)(doc)
+
+
+class _Mismatch(Exception):
+    """``args`` are what a field's value must be and the value found."""
+
+
+@functools.cache
+def _reader(cls, exact: bool):
+    """The reader of dataclass ``cls`` in one mode, built on first use."""
+    hints, fields = typing.get_type_hints(cls), dataclasses.fields(cls)
+    names = [f.name for f in fields]
+    readers = {f.name: _compile(hints[f.name], exact) for f in fields}
+    missing = dataclasses.MISSING
+    required = {f.name for f in fields if exact or f.default is missing and f.default_factory is missing}
+    shape = f"{cls.__name__} must be an object with keys {names}, got"
+
+    def read(doc):
+        if type(doc) is not dict:
+            raise ValueError(f"{shape} {doc!r:.80}")
+        if not required <= doc.keys() <= readers.keys():
+            found = (("unknown", sorted(doc.keys() - readers.keys())), ("missing", sorted(required - doc.keys())))
+            raise ValueError(f"{shape} " + ", ".join(f"{word} {keys}" for word, keys in found if keys))
+        kwargs = {}
+        for key, value in doc.items():
+            try:
+                kwargs[key] = readers[key](value)
+            except _Mismatch as m:
+                expected, got = m.args
+                raise ValueError(f"bad {cls.__name__} value: {key} must be {expected}, got {got!r:.80}") from None
+        try:
+            return cls(**kwargs)
+        except (TypeError, ValueError) as exc:  # the class's own checks
+            raise ValueError(f"bad {cls.__name__} value: {exc}") from None
+
+    return read
+
+
+def _compile(t, exact: bool):
+    """The reader of one annotation."""
+    origin, args = typing.get_origin(t), typing.get_args(t)
+    if t in _SCALARS:
+        kinds = _SCALARS[t]
+
+        def read(v):
+            if type(v) in kinds:
+                return v
+            raise _Mismatch(t.__name__, v)
+    elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = _compile(next(a for a in args if a is not type(None)), exact)
+
+        def read(v):
+            return None if v is None else inner(v)
+    elif isinstance(t, type) and issubclass(t, Enum):
+        def read(v):
+            try:
+                return t(v)
+            except ValueError:
+                raise _Mismatch(f"one of {[m.value for m in t]}", v) from None
+    elif origin is tuple and args[-1] is Ellipsis:
+        item = _compile(args[0], exact)
+
+        def read(v):
+            if type(v) not in (list, tuple):
+                raise _Mismatch("an array", v)
+            return tuple(map(item, v))
+    elif origin is tuple:
+        items = [_compile(a, exact) for a in args]
+
+        def read(v):
+            if type(v) not in (list, tuple) or len(v) != len(items):
+                raise _Mismatch(f"an array of {len(items)}", v)
+            return tuple(r(x) for r, x in zip(items, v))
+    elif origin is dict and args[0] is str:
+        item = _compile(args[1], exact)
+
+        def read(v):
+            if type(v) is not dict:
+                raise _Mismatch("an object", v)
+            return {k: item(x) for k, x in v.items()}
+    elif dataclasses.is_dataclass(t):
+        read = _reader(t, exact)
+    else:
+        raise TypeError(f"jsondoc cannot read a {t!r}")
+    return read

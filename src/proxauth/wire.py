@@ -3,9 +3,11 @@
 Each request and each response is one compact JSON document on its own line.
 Requests carry an ``op`` of ``enroll``, ``begin``, ``submit_scan``, or
 ``status``; responses always carry ``ok`` plus either result fields or an
-``error`` code taken from the service's exception names. Snapshot documents
-mirror :class:`proxauth.beacon_model.ScanSnapshot` field names, with RSSI in
-integer dBm and timestamps in integer milliseconds.
+``error`` code taken from the service's exception names. Each op's fields
+are read by :func:`proxauth.jsondoc.decode` into that op's request type, so
+a missing, unknown or wrongly typed field is a ``BadRequest``. Snapshot
+documents mirror :class:`proxauth.beacon_model.ScanSnapshot` field names,
+with RSSI in integer dBm and timestamps in integer milliseconds.
 """
 
 from __future__ import annotations
@@ -14,10 +16,12 @@ import json
 import socket
 import socketserver
 import threading
+from dataclasses import dataclass
 
 from .auth_service import AuthService, AuthSession
-from .beacon_model import BeaconObservation, DeviceRole, ScanSnapshot
+from .beacon_model import ScanSnapshot
 from .errors import ProxauthError
+from .jsondoc import decode
 
 __all__ = [
     "snapshot_to_doc",
@@ -46,22 +50,7 @@ def snapshot_to_doc(snapshot: ScanSnapshot) -> dict:
 
 
 def snapshot_from_doc(doc: dict) -> ScanSnapshot:
-    observations = tuple(
-        BeaconObservation(
-            ssid=o["ssid"],
-            frequency=int(o["frequency"]),
-            rssi=int(o["rssi"]),
-            bssid=o.get("bssid"),
-        )
-        for o in doc["observations"]
-    )
-    return ScanSnapshot(
-        device_id=doc["device_id"],
-        role=DeviceRole(doc.get("role", "mobile")),
-        timestamp=int(doc["timestamp"]),
-        observations=observations,
-        location_tag=doc.get("location_tag"),
-    )
+    return decode(ScanSnapshot, doc)
 
 
 def _session_doc(session: AuthSession) -> dict:
@@ -69,36 +58,49 @@ def _session_doc(session: AuthSession) -> dict:
     return doc if session.decision is None else {**doc, **session.decision.as_dict()}
 
 
-_STRING_FIELDS = ("username", "secret", "mobile_device_id", "login_device_id", "session_id", "device_id")
+# One request type per op, named after the service method's parameters.
+
+
+@dataclass(frozen=True)
+class EnrollRequest:
+    username: str
+    secret: str
+    mobile_device_id: str
+    login_device_id: str
+
+
+@dataclass(frozen=True)
+class BeginRequest:
+    username: str
+    secret: str
+
+
+@dataclass(frozen=True)
+class SubmitScanRequest:
+    session_id: str
+    device_id: str
+    snapshot: ScanSnapshot
+
+
+@dataclass(frozen=True)
+class StatusRequest:
+    session_id: str
 
 
 def _dispatch(service: AuthService, request: dict) -> dict:
-    for key in _STRING_FIELDS:
-        if not isinstance(request.get(key, ""), str):
-            raise TypeError(f"{key} must be a string, got {type(request[key]).__name__}")
-    op = request.get("op")
+    op = request.pop("op", None)
     if op == "enroll":
-        record = service.enroll_user(
-            username=request["username"],
-            secret=request["secret"],
-            mobile_device_id=request["mobile_device_id"],
-            login_device_id=request["login_device_id"],
-        )
+        record = service.enroll_user(**vars(decode(EnrollRequest, request)))
         return {"ok": True, "username": record.username, "enrolled_at": record.enrolled_at}
     if op == "begin":
-        session = service.begin_session(request["username"], request["secret"])
-        return {"ok": True, **_session_doc(session)}
-    if op == "submit_scan":
-        session = service.submit_scan(
-            session_id=request["session_id"],
-            device_id=request["device_id"],
-            snapshot=snapshot_from_doc(request["snapshot"]),
-        )
-        return {"ok": True, **_session_doc(session)}
-    if op == "status":
-        session = service.get_session(request["session_id"])
-        return {"ok": True, **_session_doc(session)}
-    return {"ok": False, "error": "UnknownOp", "message": f"unknown op {op!r}"}
+        session = service.begin_session(**vars(decode(BeginRequest, request)))
+    elif op == "submit_scan":
+        session = service.submit_scan(**vars(decode(SubmitScanRequest, request)))
+    elif op == "status":
+        session = service.get_session(**vars(decode(StatusRequest, request)))
+    else:
+        return {"ok": False, "error": "UnknownOp", "message": f"unknown op {op!r}"}
+    return {"ok": True, **_session_doc(session)}
 
 
 def handle_request_line(service: AuthService, line: str) -> dict:

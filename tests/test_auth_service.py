@@ -556,6 +556,31 @@ class TestStore:
         with pytest.raises(ValueError, match="UserRecord must be an object with keys"):
             UserStore(root)
 
+    @pytest.mark.parametrize("where", ["users.json", "users.log"])
+    @pytest.mark.parametrize(
+        "key, value", [("username", 7), ("enrolled_at", 1.9), ("enrolled_at", None), ("enrolled_at", True)]
+    )
+    def test_record_with_a_wrongly_typed_field_raises(self, tmp_path, where, key, value):
+        root = tmp_path / "data"
+        root.mkdir()
+        doc = {**vars(STORE_RECORDS[0]), key: value}
+        text = json.dumps({"version": 1, "users": [doc]}) if where == "users.json" else json.dumps(doc)
+        (root / where).write_text(text + "\n")
+        with pytest.raises(ValueError, match=f"^bad UserRecord value: {key} must be"):
+            UserStore(root)
+
+    @pytest.mark.parametrize(
+        "snapshot",
+        [[], {"version": 2, "users": []}, {"users": []}, {"version": 1, "users": {}},
+         {"version": True, "users": []}, {"version": 1, "users": [], "extra": 0}],
+    )
+    def test_snapshot_must_be_a_version_1_envelope(self, tmp_path, snapshot):
+        root = tmp_path / "data"
+        root.mkdir()
+        (root / "users.json").write_text(json.dumps(snapshot) + "\n")
+        with pytest.raises(ValueError, match="StoreSnapshot"):
+            UserStore(root)
+
     def test_record_in_snapshot_and_log_loads_once(self, tmp_path):
         # a crash after the snapshot was written but before the log was emptied
         root = tmp_path / "data"

@@ -10,10 +10,17 @@ from pathlib import Path
 
 import pytest
 
-from proxauth.auth_service import MatchKey, PolicyConfig
-from proxauth.beacon_model import build_feature_encoder, encode_dataset, parse_dataset_csv
+from proxauth.auth_service import MatchKey, PolicyConfig, UserRecord
+from proxauth.beacon_model import (
+    BeaconObservation,
+    DeviceRole,
+    FeatureEncoder,
+    ScanSnapshot,
+    build_feature_encoder,
+    encode_dataset,
+    parse_dataset_csv,
+)
 from proxauth.cli import (
-    _make_config,
     _parse_listen,
     _policy_config,
     build_parser,
@@ -29,6 +36,7 @@ from proxauth.colocation_ml import (
     train_decision_tree,
     train_random_forest,
 )
+from proxauth.jsondoc import decode as _make_config
 from proxauth.rf_simulator import CampaignConfig, EnvironmentConfig, PathLossConfig
 from proxauth.wire import AuthWireServer
 
@@ -77,6 +85,18 @@ class TestParseArgs:
         assert "--seed" in capsys.readouterr().err
 
 
+# values of the dataclasses without a default for every field
+_SAMPLES = {
+    FeatureEncoder: FeatureEncoder({"A": 1, "B": 2}, (2412000000.0, 5240000000)),
+    UserRecord: UserRecord("zoe", "pbkdf2-sha256$20000$00$c0", "z-m", "z-l", 1_700_000_000_000),
+    ScanSnapshot: ScanSnapshot(
+        "z-m", DeviceRole.LOGIN, 1_700_000_000_000,
+        (BeaconObservation("A", 2412000000, -60, "aa:bb:cc:dd:ee:ff"), BeaconObservation("B", 5240000000, -71)),
+        location_tag="desk",
+    ),
+}
+
+
 class TestHelpers:
     def test_parse_listen(self):
         assert _parse_listen("127.0.0.1:4980") == ("127.0.0.1", 4980)
@@ -111,6 +131,9 @@ class TestHelpers:
             (ForestParams, {"tree_params": {"max_depth": "3"}}, "TreeParams"),
             (PolicyConfig, {"vote_threshold_tau": "high"}, "PolicyConfig"),
             (EnvironmentConfig, {"frequency_set_hz": 5}, "EnvironmentConfig"),
+            (PolicyConfig, {"vote_threshold_tau": True, "pairing_window_ms": 1.5}, "PolicyConfig"),
+            (TreeParams, {"max_depth": 2.5}, "TreeParams"),
+            (ForestParams, {"bootstrap": 0}, "ForestParams"),
         ],
     )
     def test_make_config_wrong_type_names_class(self, cls, overrides, named):
@@ -122,13 +145,17 @@ class TestHelpers:
         assert params == ForestParams(seed=4, tree_params=TreeParams(max_depth=3))
 
     @pytest.mark.parametrize(
-        "cls", [EnvironmentConfig, PathLossConfig, CampaignConfig, PolicyConfig, TreeParams, ForestParams]
+        "cls", [EnvironmentConfig, PathLossConfig, CampaignConfig, PolicyConfig, TreeParams, ForestParams,
+                FeatureEncoder, UserRecord, ScanSnapshot]
     )
     def test_make_config_inverts_asdict(self, cls):
-        doc = dataclasses.asdict(cls())
-        assert _make_config(cls, doc) == cls()
+        value = _SAMPLES[cls] if cls in _SAMPLES else cls()
+        doc = dataclasses.asdict(value)
+        assert _make_config(cls, doc) == value
         # as read back from a JSON file: lists for tuples, values for enums
-        assert _make_config(cls, json.loads(json.dumps(doc, default=lambda e: e.value))) == cls()
+        assert _make_config(cls, json.loads(json.dumps(doc, default=lambda e: e.value))) == value
+        # with every key present, the exact mode reads the same value
+        assert _make_config(cls, json.loads(json.dumps(doc, default=lambda e: e.value)), exact=True) == value
 
     def test_policy_match_key_parsing(self, tmp_path):
         path = tmp_path / "policy.json"
@@ -317,6 +344,67 @@ class TestCommands:
         assert doc["params"]["n_trees"] == 5
         assert doc["params"]["tree_params"]["max_depth"] == 4
         assert doc["params"]["seed"] == 2
+
+    def test_params_file_seed_overrides_the_seed_flag(self, pipeline, tmp_path):
+        _, csv, _, _ = pipeline
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"forest": {"n_trees": 2, "seed": 9}}))
+        out = tmp_path / "small.model"
+        assert main(["train", "--data", str(csv), "--model", "rf", "--params", str(params),
+                     "--seed", "2", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["params"]["seed"], doc["train_seed"]) == (9, 2)
+
+    @pytest.mark.parametrize("command", ["simulate", "attempt"])
+    @pytest.mark.parametrize("content", [{"enviroment": {"n_aps": 4}}, [], {"environment": []}])
+    def test_config_file_takes_only_its_sections(self, tmp_path, capsys, command, content):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        argv = ["--config", str(config), "--seed", "1"]
+        if command == "simulate":
+            argv = ["simulate", "--rows", "50", "--out", str(tmp_path / "s.csv"), *argv]
+        else:
+            argv = ["attempt", "--server", "127.0.0.1:9", "--username", "u", "--secret", "s" * 8,
+                    "--scenario", "near", *argv]
+        assert main(argv) == 1
+        assert re.match(r"error: (SimulationFile|EnvironmentConfig) must be an object with keys",
+                        capsys.readouterr().err)
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("content", [{"forrest": {"n_trees": 2}}, [], {"tree": 3}])
+    def test_params_file_takes_only_its_sections(self, pipeline, tmp_path, capsys, content):
+        _, csv, _, _ = pipeline
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(content))
+        assert main(["train", "--data", str(csv), "--model", "dt", "--params", str(params),
+                     "--seed", "2", "--out", str(tmp_path / "m.model")]) == 1
+        assert re.match(r"error: (ParamsFile|TreeParams) must be an object with keys", capsys.readouterr().err)
+        assert not (tmp_path / "m.model").exists()
+
+    def test_evaluate_rejects_a_bool_train_seed(self, pipeline, tmp_path, capsys):
+        _, csv, rf, _ = pipeline
+        doc = json.loads(rf.read_text())
+        doc["train_seed"] = True
+        edited = tmp_path / "edited.model"
+        edited.write_text(json.dumps(doc))
+        assert main(["evaluate", "--model", str(edited), "--data", str(csv)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train_seed" in err
+
+    @pytest.mark.parametrize(
+        "content", [[], {"version": 2, "users": []}, {"users": []}, {"version": 1, "users": {}}]
+    )
+    def test_serve_with_a_malformed_store_envelope_is_a_clean_error(
+        self, pipeline, tmp_path, capsys, monkeypatch, content
+    ):
+        _, _, rf, _ = pipeline
+        store = tmp_path / "store"
+        store.mkdir()
+        (store / "users.json").write_text(json.dumps(content) + "\n")
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
+        monkeypatch.setattr(AuthWireServer, "serve_forever", lambda self: None)  # if the store loaded
+        assert main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"]) == 1
+        assert re.match(r"error: (bad )?StoreSnapshot", capsys.readouterr().err)
 
 
 class TestAttemptRoundTrip:

@@ -517,6 +517,16 @@ class TestCompiledDescent:
         # a leaf reads no feature, so any width is enough
         assert predict_batch(leaf_tree(Label.AUTHENTIC), np.zeros((2, 0))).tolist() == [1, 1]
 
+    def test_predict_takes_exactly_one_row(self):
+        a, u = LeafNode(Label.AUTHENTIC, (0, 1)), LeafNode(Label.UNAUTHORIZED, (1, 0))
+        tree = DecisionTree(SplitNode(3, -60.0, a, u), TreeParams())
+        assert predict_batch(tree, [[0, 0, 0, 0], [0, 0, 0, -99]]).tolist() == [0, 1]
+        assert predict(tree, [0, 0, 0, -99]) is Label.AUTHENTIC
+        assert predict(tree, np.array([[0, 0, 0, -99]])) is Label.AUTHENTIC
+        for X in ([[0, 0, 0, 0], [0, 0, 0, -99]], np.empty((0, 4)), np.zeros((1, 1, 4))):
+            with pytest.raises(ValueError, match="one row"):
+                predict(tree, X)
+
     def test_layout_outside_equality_hash_and_repr(self):
         a = hand_built_trees()[3]
         b = DecisionTree(a.root, a.params)

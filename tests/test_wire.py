@@ -63,6 +63,67 @@ class TestSnapshotCodec:
         assert again.observations[0].bssid is None
 
 
+_DROP = object()
+
+
+def _edited(path: str, value):
+    """A submitted snapshot document with the value at a dotted path set,
+    or removed when ``value`` is _DROP."""
+    doc = snapshot_to_doc(make_snapshot())
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value is _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
+
+
+class TestTypedSnapshot:
+    @pytest.mark.parametrize(
+        "path, value, named",
+        [
+            ("observations.0.ssid", 5, "ssid"),
+            ("timestamp", 1000.9, "timestamp"),
+            ("timestamp", True, "timestamp"),
+            ("timestamp", "1000", "timestamp"),
+            ("observations.0.rssi", "-50", "rssi"),
+            ("observations.0.rssi", -50.0, "rssi"),
+            ("observations.0.frequency", 2437000000.0, "frequency"),
+            ("observations.0.bssid", 7, "bssid"),
+            ("device_id", None, "device_id"),
+            ("location_tag", 3, "location_tag"),
+            ("role", "admin", "role"),
+            ("role", _DROP, "role"),
+            ("observations", _DROP, "observations"),
+            ("observations", {"ssid": "NetA"}, "observations"),
+            ("extra", 1, "extra"),
+            ("observations.0.channel", 6, "channel"),
+        ],
+    )
+    def test_wrongly_typed_or_unknown_field_is_refused(self, path, value, named):
+        doc = _edited(path, value)
+        with pytest.raises(ValueError, match=named):
+            snapshot_from_doc(doc)
+        service = AuthService(UserStore(), GRANT_ALL, ENCODER)
+        service.enroll_user("gil", "gils-secret", "g-m", "g-l")
+        sid = service.begin_session("gil", "gils-secret").session_id
+        request = {"op": "submit_scan", "session_id": sid, "device_id": "g-m", "snapshot": doc}
+        response = handle_request_line(service, json.dumps(request))
+        assert response["ok"] is False and response["error"] == "BadRequest"
+        assert named in response["message"]
+        assert service.get_session(sid).mobile_scan is None
+
+    def test_optional_fields_may_be_left_out(self):
+        doc = _edited("location_tag", _DROP)
+        del doc["observations"][0]["bssid"]
+        assert snapshot_from_doc(doc) == ScanSnapshot(
+            "d1", DeviceRole.MOBILE, 1000, (BeaconObservation("NetA", 2437000000, -60),)
+        )
+
+
 class TestWireProtocol:
     def test_full_round_trip(self, server):
         with client_for(server) as client:
@@ -184,6 +245,8 @@ class TestIdentityFields:
             ({"op": "status", "session_id": 7}, "session_id"),
             ({**SUBMIT, "device_id": ["g-m"]}, "device_id"),
             ({**SUBMIT, "session_id": 1.5}, "session_id"),
+            ({**ENROLL, "admin": True}, "admin"),
+            ({"op": "status", "session_id": "s", "username": "gil"}, "username"),
         ],
     )
     def test_non_string_identity_field_is_bad_request(self, tmp_path, request_doc, key):
