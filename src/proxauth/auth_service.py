@@ -216,7 +216,8 @@ class UserStore:
     replays the log in order (a torn last line is dropped; a record loaded
     twice is indexed once), rewrites the snapshot atomically and empties the
     log. A snapshot envelope or record that does not hold exactly its
-    type's fields, each of its annotated type, is a ValueError. Audit
+    type's fields, each of its annotated type, is a ValueError. A record
+    sharing a username or device id with another one is refused. Audit
     entries append to ``audit.log``. Without a root, everything stays in
     memory (useful in tests). Reads take no lock: records are
     immutable and never removed, so AuthService looks users up and verifies
@@ -254,15 +255,24 @@ class UserStore:
         os.replace(tmp, self._users_path)
         self._log_path.write_bytes(b"")  # after the snapshot: a crash between replays a logged record
 
-    def _index(self, record: UserRecord) -> None:
+    def _index(self, record: UserRecord, append: bool = False) -> None:
+        """The one uniqueness rule; ``append`` logs a new record once it passes."""
+        held = self._users.get(record.username)
+        if held == record:
+            return  # a replayed log line
+        if held is not None:
+            raise DuplicateUser(f"user {record.username!r} already enrolled")
+        for device_id in (record.mobile_device_id, record.login_device_id):
+            if device_id in self._devices:
+                raise DuplicateDeviceId(f"device {device_id!r} is already enrolled")
+        if append and self.root is not None:
+            _append_json_line(self._log_path, vars(record))
         self._users[record.username] = record
         self._devices[record.mobile_device_id] = record.username
         self._devices[record.login_device_id] = record.username
 
     def add_user(self, record: UserRecord) -> None:
-        if self.root is not None:
-            _append_json_line(self._log_path, vars(record))
-        self._index(record)
+        self._index(record, append=True)
 
     def get_user(self, username: str) -> UserRecord | None:
         return self._users.get(username)
@@ -369,15 +379,10 @@ class AuthService:
     ) -> UserRecord:
         if len(secret) < _MIN_SECRET_LENGTH:
             raise WeakSecret(f"secret must be at least {_MIN_SECRET_LENGTH} characters")
+        if mobile_device_id == login_device_id:
+            raise DuplicateDeviceId("mobile and login device ids must differ")
         credential_hash = hash_secret(secret)
-        with self._lock:
-            if self.store.get_user(username) is not None:
-                raise DuplicateUser(f"user {username!r} already enrolled")
-            if mobile_device_id == login_device_id:
-                raise DuplicateDeviceId("mobile and login device ids must differ")
-            for device_id in (mobile_device_id, login_device_id):
-                if self.store.username_for_device(device_id) is not None:
-                    raise DuplicateDeviceId(f"device {device_id!r} is already enrolled")
+        with self._lock:  # add_user refuses a taken username or device
             record = UserRecord(
                 username=username,
                 credential_hash=credential_hash,

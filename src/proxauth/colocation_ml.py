@@ -9,9 +9,10 @@ Conventions
 * Samples are numeric feature matrices ``X`` of shape (n, 4) as produced by
   :func:`proxauth.beacon_model.encode_dataset`, with integer labels ``y``
   (1 = Authentic, the positive class; 0 = Unauthorized).
-* Trees are built and stored as ``SplitNode``/``LeafNode``, routing ``feature <=
-  threshold`` to the left child, and compiled once into flat node arrays that
-  one vectorized descent reads for every prediction.
+* A tree is its preorder node table (:class:`DecisionTree`), routing ``feature
+  <= threshold`` to the left child. Training and the model-file reader both
+  write it; it is compiled once into flat node arrays that one vectorized
+  descent reads for every prediction.
 * All tie-breaks fail toward Unauthorized: leaf majorities and forest votes
   that end even predict Unauthorized.
 * Randomness comes from numpy's PCG64 generator seeded through
@@ -23,7 +24,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -49,8 +49,6 @@ from .jsondoc import decode
 __all__ = [
     "TreeParams",
     "ForestParams",
-    "SplitNode",
-    "LeafNode",
     "DecisionTree",
     "RandomForest",
     "SplitCandidate",
@@ -123,20 +121,6 @@ class ForestParams:
             )
 
 
-@dataclass(frozen=True)
-class LeafNode:
-    label: Label
-    class_counts: tuple[int, int]  # (unauthorized, authentic)
-
-
-@dataclass(frozen=True)
-class SplitNode:
-    feature_index: int
-    threshold: float
-    left: "SplitNode | LeafNode"   # samples with feature <= threshold
-    right: "SplitNode | LeafNode"  # samples with feature > threshold
-
-
 class _Layout(NamedTuple):
     """Preorder parallel node arrays of one or more trees, the layout of
     scikit-learn's ``Tree``; tree t starts at node ``roots[t]``. ``feature``
@@ -152,40 +136,29 @@ class _Layout(NamedTuple):
     width: int  # the fewest columns a row needs: one past the highest split feature
 
 
-def _compile(roots: Sequence[SplitNode | LeafNode]) -> _Layout:
-    columns = [array(t) for t in "idiibi"]  # feature, threshold, left, right, authentic, depth
-    stack = [(root, -1, 0) for root in reversed(roots)]  # (node, parent of a right child, depth)
-    while stack:
-        node, parent, d = stack.pop()
-        i = len(columns[0])
-        if parent >= 0:
-            columns[3][parent] = i
-        if isinstance(node, SplitNode):
-            row = (node.feature_index, node.threshold, i + 1, -1, False, d)
-            stack += [(node.right, i, d + 1), (node.left, -1, d + 1)]
-        else:
-            row = (-1, 0.0, i, i, node.label is Label.AUTHENTIC, d)
-        for column, value in zip(columns, row):
-            column.append(value)
-    *columns, depth = (np.frombuffer(c, bool if c.typecode == "b" else c.typecode) for c in columns)
-    roots = np.flatnonzero(depth == 0).astype(np.int32)
-    return _Layout(*columns, roots, int(depth.max(initial=0)), int(columns[0].max(initial=-1)) + 1)
-
-
 @dataclass(frozen=True)
 class DecisionTree:
-    root: SplitNode | LeafNode
+    """A tree as its preorder node table. Node i is a split on ``feature[i]``
+    at ``threshold[i]`` with its left child at i + 1 and its right child at
+    ``right[i]``, or a leaf (feature and right -1) whose ``counts[i]`` are its
+    (unauthorized, authentic) samples and which predicts their majority, a tie
+    Unauthorized. A split's counts are (0, 0): as in the v1 file it has none."""
+
+    feature: tuple[int, ...]
+    threshold: tuple[float, ...]
+    right: tuple[int, ...]
+    counts: tuple[tuple[int, int], ...]
     params: TreeParams
 
     @cached_property
     def _layout(self) -> _Layout:  # compiled on first use; not a dataclass field
-        return _compile((self.root,))
+        return _compile((self,))
 
     def depth(self) -> int:
         return self._layout.depth
 
     def node_count(self) -> int:
-        return len(self._layout.feature)
+        return len(self.feature)
 
 
 @dataclass(frozen=True)
@@ -195,7 +168,25 @@ class RandomForest:
 
     @cached_property
     def _layout(self) -> _Layout:
-        return _compile([t.root for t in self.trees])
+        return _compile(self.trees)
+
+
+def _compile(trees: Sequence[DecisionTree]) -> _Layout:
+    """The trees' tables end to end; the depth is found a level at a time."""
+    sizes = np.array([len(t.feature) for t in trees], np.int32)
+    starts = np.cumsum(sizes, dtype=np.int32) - sizes
+    columns = [np.vstack((t.feature, t.threshold, t.right, np.transpose(t.counts))) for t in trees]
+    feature, threshold, right, unauthorized, authentic = np.concatenate([np.empty((5, 0)), *columns], axis=1)
+    feature = feature.astype(np.int32)
+    index = np.arange(len(feature), dtype=np.int32)
+    is_leaf = feature < 0
+    left = index + ~is_leaf
+    right = np.where(is_leaf, index, right.astype(np.int32) + np.repeat(starts, sizes))
+    depth, level = 0, starts
+    while (splits := level[~is_leaf[level]]).size:
+        depth, level = depth + 1, np.concatenate((splits + 1, right[splits]))
+    width = int(feature.max(initial=-1)) + 1
+    return _Layout(feature, threshold, left, right, authentic > unauthorized, starts, depth, width)
 
 
 @dataclass(frozen=True)
@@ -357,43 +348,58 @@ def best_split(
     return SplitCandidate(feature_index=best[1], threshold=best[2], weighted_impurity=best[0])
 
 
-def _majority_label(neg: int, pos: int) -> Label:
-    # ties fail closed to Unauthorized
-    return Label.AUTHENTIC if pos > neg else Label.UNAUTHORIZED
+def _grow(expand: Callable, root, params: TreeParams) -> DecisionTree:
+    """The one writer of a node table, for training and the v1 reader: rows
+    in preorder, as ``expand(node)`` gives a leaf's (unauthorized, authentic)
+    counts or a split's (feature, threshold, left child, right child)."""
+    rows: list[list] = []
+
+    def visit(node) -> None:
+        i = len(rows)
+        grown = expand(node)
+        if len(grown) == 2:
+            rows.append([-1, 0.0, -1, grown])
+            return
+        feature, threshold, left, right = grown
+        rows.append([feature, threshold, -1, (0, 0)])
+        visit(left)
+        rows[i][2] = len(rows)
+        visit(right)
+
+    visit(root)
+    return DecisionTree(*map(tuple, zip(*rows)), params)
 
 
 def _build_tree(
     X: np.ndarray,
     y: np.ndarray,
     params: TreeParams,
-    depth: int,
     choose_features: Callable[[], Sequence[int]],
-) -> SplitNode | LeafNode:
-    n = len(y)
-    pos = int(y.sum())
-    neg = n - pos
+) -> DecisionTree:
+    def expand(node: tuple[np.ndarray, np.ndarray, int]):
+        X, y, depth = node
+        n = len(y)
+        pos = int(y.sum())
+        neg = n - pos
+        if pos == 0 or neg == 0:
+            return neg, pos
+        if n < params.min_samples_split:
+            return neg, pos
+        if params.max_depth is not None and depth >= params.max_depth:
+            return neg, pos
 
-    def leaf() -> LeafNode:
-        return LeafNode(label=_majority_label(neg, pos), class_counts=(neg, pos))
+        # Deadlock-breaker: without require_improvement, a mixed node whose every
+        # split ties the parent impurity still takes the best tie split, which
+        # separates deeper down, so consistent data always trains to purity.
+        cand = best_split(X, y, choose_features(), params.min_samples_leaf, require_improvement=False)
+        if cand is None:
+            return neg, pos
 
-    if pos == 0 or neg == 0:
-        return leaf()
-    if n < params.min_samples_split:
-        return leaf()
-    if params.max_depth is not None and depth >= params.max_depth:
-        return leaf()
+        mask = X[:, cand.feature_index] <= cand.threshold
+        left, right = (X[mask], y[mask], depth + 1), (X[~mask], y[~mask], depth + 1)
+        return cand.feature_index, cand.threshold, left, right
 
-    # Deadlock-breaker: without require_improvement, a mixed node whose every
-    # split ties the parent impurity still takes the best tie split, which
-    # separates deeper down, so consistent data always trains to purity.
-    cand = best_split(X, y, choose_features(), params.min_samples_leaf, require_improvement=False)
-    if cand is None:
-        return leaf()
-
-    mask = X[:, cand.feature_index] <= cand.threshold
-    left = _build_tree(X[mask], y[mask], params, depth + 1, choose_features)
-    right = _build_tree(X[~mask], y[~mask], params, depth + 1, choose_features)
-    return SplitNode(cand.feature_index, cand.threshold, left, right)
+    return _grow(expand, (X, y, 0), params)
 
 
 def train_decision_tree(
@@ -408,8 +414,7 @@ def train_decision_tree(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     all_features = tuple(range(X.shape[1]))
-    root = _build_tree(X, y, params, 0, lambda: all_features)
-    return DecisionTree(root=root, params=params)
+    return _build_tree(X, y, params, lambda: all_features)
 
 
 def train_random_forest(
@@ -439,8 +444,7 @@ def train_random_forest(
         def choose() -> Sequence[int]:
             return np.sort(rng.choice(n_features, size=params.features_per_split, replace=False))
 
-        root = _build_tree(Xi, yi, params.tree_params, 0, choose)
-        trees.append(DecisionTree(root=root, params=params.tree_params))
+        trees.append(_build_tree(Xi, yi, params.tree_params, choose))
     return RandomForest(trees=tuple(trees), params=params)
 
 
@@ -533,34 +537,46 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 # byte-identically; a malformed document is a ValueError.
 
 
-def _node_to_doc(node: SplitNode | LeafNode) -> dict:
-    if isinstance(node, LeafNode):
-        return {
-            "type": "leaf",
-            "label": node.label.value,
-            "class_counts": list(node.class_counts),
-        }
+def _leaf_doc(unauthorized: int, authentic: int) -> dict:
+    label = Label.AUTHENTIC if authentic > unauthorized else Label.UNAUTHORIZED  # a tie fails closed
     return {
-        "type": "split",
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _node_to_doc(node.left),
-        "right": _node_to_doc(node.right),
+        "type": "leaf",
+        "label": label.value,
+        "class_counts": [unauthorized, authentic],
     }
 
 
-def _node_from_doc(doc: dict) -> SplitNode | LeafNode:
-    if doc["type"] == "leaf":
-        counts = doc["class_counts"]
-        return LeafNode(label=Label(doc["label"]), class_counts=(int(counts[0]), int(counts[1])))
-    if doc["type"] != "split":
-        raise ValueError(f"unknown node type {doc['type']!r}")
-    return SplitNode(
-        feature_index=int(doc["feature_index"]),
-        threshold=float(doc["threshold"]),
-        left=_node_from_doc(doc["left"]),
-        right=_node_from_doc(doc["right"]),
-    )
+def _node_to_doc(tree: DecisionTree, i: int = 0) -> dict:
+    if tree.feature[i] < 0:
+        return _leaf_doc(*tree.counts[i])
+    return {
+        "type": "split",
+        "feature_index": tree.feature[i],
+        "threshold": tree.threshold[i],
+        "left": _node_to_doc(tree, i + 1),
+        "right": _node_to_doc(tree, tree.right[i]),
+    }
+
+
+_SPLIT_KEYS = {"type", "feature_index", "threshold", "left", "right"}
+
+
+def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
+    """The one tree reader, a v1 node document straight into the table: a split
+    has exactly its keys, an int ``feature_index`` >= 0 and an int or float
+    ``threshold``; a leaf is what ``_leaf_doc`` writes for two ints >= 0."""
+
+    def expand(node):
+        if type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split":
+            feature, threshold = node["feature_index"], node["threshold"]
+            if type(feature) is int and feature >= 0 and type(threshold) in (int, float):
+                return feature, threshold, node["left"], node["right"]
+        elif type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2:
+            if all(type(c) is int and c >= 0 for c in counts) and node == _leaf_doc(*counts):
+                return tuple(counts)
+        raise ValueError(f"bad tree node {node!r:.80}: not a split or leaf as the v1 format writes it")
+
+    return _grow(expand, doc, params)
 
 
 def model_to_document(
@@ -574,9 +590,9 @@ def model_to_document(
         "params": asdict(model.params),
     }
     if isinstance(model, DecisionTree):
-        doc["tree"] = _node_to_doc(model.root)
+        doc["tree"] = _node_to_doc(model)
     else:
-        doc["trees"] = [_node_to_doc(t.root) for t in model.trees]
+        doc["trees"] = [_node_to_doc(t) for t in model.trees]
     if train_seed is not None:
         doc["train_seed"] = train_seed
     return doc
@@ -590,14 +606,10 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
     try:
         encoder = decode(FeatureEncoder, doc["encoder"], exact=True)
         if doc["kind"] == "decision_tree":
-            model: DecisionTree | RandomForest = DecisionTree(
-                root=_node_from_doc(doc["tree"]), params=decode(TreeParams, doc["params"], exact=True)
-            )
+            model = _tree_from_doc(doc["tree"], decode(TreeParams, doc["params"], exact=True))
         elif doc["kind"] == "random_forest":
             params = decode(ForestParams, doc["params"], exact=True)
-            trees = tuple(
-                DecisionTree(root=_node_from_doc(d), params=params.tree_params) for d in doc["trees"]
-            )
+            trees = tuple(_tree_from_doc(d, params.tree_params) for d in doc["trees"])
             model = RandomForest(trees=trees, params=params)
         else:
             raise ValueError(f"unknown model kind {doc['kind']!r}")

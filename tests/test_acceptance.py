@@ -31,11 +31,9 @@ from proxauth.beacon_model import (
 )
 from proxauth.colocation_ml import (
     ConfusionMatrix,
-    DecisionTree,
     ForestParams,
-    LeafNode,
-    SplitNode,
     TreeParams,
+    _tree_from_doc,
     best_split,
     compute_metrics,
     derived_rng,
@@ -193,12 +191,14 @@ def random_consistent_data(rng, n_max=200):
     return X, y
 
 
-def check_tree_invariants(node, X, y):
-    if isinstance(node, LeafNode):
+def check_tree_invariants(tree, X, y, i=0):
+    """Split invariants at node ``i`` of the preorder table and below it."""
+    f, t = tree.feature[i], tree.threshold[i]
+    if f < 0:
         return
-    mask = X[:, node.feature_index] <= node.threshold
-    assert np.all(X[mask, node.feature_index] <= node.threshold)
-    assert np.all(X[~mask, node.feature_index] > node.threshold)
+    mask = X[:, f] <= t
+    assert np.all(X[mask, f] <= t)
+    assert np.all(X[~mask, f] > t)
     parent = gini_impurity((int(np.sum(y == 0)), int(np.sum(y == 1))))
     nl, nr = int(mask.sum()), int((~mask).sum())
     gl = gini_impurity((int(np.sum(y[mask] == 0)), int(np.sum(y[mask] == 1))))
@@ -208,8 +208,8 @@ def check_tree_invariants(node, X, y):
         assert weighted < parent
     else:
         assert weighted <= parent + 1e-12  # deadlock-break tie split
-    check_tree_invariants(node.left, X[mask], y[mask])
-    check_tree_invariants(node.right, X[~mask], y[~mask])
+    check_tree_invariants(tree, X[mask], y[mask], i + 1)
+    check_tree_invariants(tree, X[~mask], y[~mask], tree.right[i])
 
 
 def test_criterion_4_classifier_properties():
@@ -227,7 +227,7 @@ def test_criterion_4_classifier_properties():
         for _ in range(10):
             X, y = random_consistent_data(rng)
             tree = train_decision_tree(X, y, TreeParams(max_depth=None))
-            check_tree_invariants(tree.root, X, y)
+            check_tree_invariants(tree, X, y)
 
         # degenerate forest == single tree on 1000 probes
         X, y = random_consistent_data(rng, n_max=200)
@@ -386,10 +386,10 @@ DECLARED_REASONS = {
 def test_criterion_7_fail_closed_state_machine():
     with criterion(7, "fail-closed exhaustiveness"):
         encoder = FeatureEncoder({"NetA": 1, "NetB": 2}, (2412000000.0, 5240000000.0))
-        gate = DecisionTree(
-            SplitNode(3, -70.0,
-                      LeafNode(Label.UNAUTHORIZED, (1, 0)),
-                      LeafNode(Label.AUTHENTIC, (0, 1))),
+        gate = _tree_from_doc(
+            {"type": "split", "feature_index": 3, "threshold": -70.0,
+             "left": {"type": "leaf", "label": "unauthorized", "class_counts": [1, 0]},
+             "right": {"type": "leaf", "label": "authentic", "class_counts": [0, 1]}},
             TreeParams(),
         )
         policy = PolicyConfig()

@@ -34,11 +34,9 @@ from proxauth.beacon_model import (
     encode_observation,
 )
 from proxauth.colocation_ml import (
-    DecisionTree,
     ForestParams,
-    LeafNode,
-    SplitNode,
     TreeParams,
+    _tree_from_doc,
     predict,
     train_random_forest,
 )
@@ -57,11 +55,16 @@ from proxauth.wire import AuthClient, AuthWireServer
 
 ENCODER = FeatureEncoder({"NetA": 1, "NetB": 2, "NetC": 3}, (2412000000.0, 5240000000.0))
 
-ALWAYS_AUTHENTIC = DecisionTree(LeafNode(Label.AUTHENTIC, (0, 1)), TreeParams())
-ALWAYS_UNAUTHORIZED = DecisionTree(LeafNode(Label.UNAUTHORIZED, (1, 0)), TreeParams())
+def leaf(label, counts):
+    return {"type": "leaf", "label": label.value, "class_counts": list(counts)}
+
+
+ALWAYS_AUTHENTIC = _tree_from_doc(leaf(Label.AUTHENTIC, (0, 1)), TreeParams())
+ALWAYS_UNAUTHORIZED = _tree_from_doc(leaf(Label.UNAUTHORIZED, (1, 0)), TreeParams())
 # authentic iff rssi > -70 (feature 3)
-RSSI_GATE = DecisionTree(
-    SplitNode(3, -70.0, LeafNode(Label.UNAUTHORIZED, (5, 0)), LeafNode(Label.AUTHENTIC, (0, 5))),
+RSSI_GATE = _tree_from_doc(
+    {"type": "split", "feature_index": 3, "threshold": -70.0,
+     "left": leaf(Label.UNAUTHORIZED, (5, 0)), "right": leaf(Label.AUTHENTIC, (0, 5))},
     TreeParams(),
 )
 
@@ -388,6 +391,13 @@ STORE_SNAPSHOT = (
     '{"username":"dave","credential_hash":"pbkdf2-sha256$20000$01$d0",'
     '"mobile_device_id":"d-m","login_device_id":"d-l","enrolled_at":778}]}\n'
 )
+ANN = UserRecord("ann", "pbkdf2-sha256$20000$02$a0", "m1", "l1", 779)
+# records that share a username or a device id with ANN, and what refuses them
+CONFLICTS_WITH_ANN = {
+    "bob on ann's mobile": (UserRecord("bob", "pbkdf2-sha256$20000$03$b0", "m1", "l2", 780), DuplicateDeviceId),
+    "bob on ann's login": (UserRecord("bob", "pbkdf2-sha256$20000$03$b0", "m2", "l1", 780), DuplicateDeviceId),
+    "a second ann": (UserRecord("ann", "pbkdf2-sha256$20000$04$a1", "m3", "l3", 781), DuplicateUser),
+}
 
 
 def reference_decision(model, encoder, policy, mobile, login):
@@ -580,6 +590,60 @@ class TestStore:
         (root / "users.json").write_text(json.dumps(snapshot) + "\n")
         with pytest.raises(ValueError, match="StoreSnapshot"):
             UserStore(root)
+
+    def test_records_held_by_different_users_are_refused(self, tmp_path):
+        # ann (m1/l1), bob (m1/l2) and a second ann (m3/l3): bob's mobile is ann's
+        root = tmp_path / "data"
+        root.mkdir()
+        records = [ANN, CONFLICTS_WITH_ANN["bob on ann's mobile"][0], CONFLICTS_WITH_ANN["a second ann"][0]]
+        text = json.dumps({"version": 1, "users": [vars(r) for r in records]}) + "\n"
+        (root / "users.json").write_text(text)
+        with pytest.raises(DuplicateDeviceId, match="'m1'"):
+            UserStore(root)
+        assert (root / "users.json").read_text() == text  # not rewritten
+
+    @pytest.mark.parametrize("where", ["users.json", "users.log", "users.json then users.log"])
+    @pytest.mark.parametrize("conflict", list(CONFLICTS_WITH_ANN))
+    def test_loaded_record_conflicting_with_another_raises(self, tmp_path, where, conflict):
+        root = tmp_path / "data"
+        root.mkdir()
+        other, error = CONFLICTS_WITH_ANN[conflict]
+        if where == "users.json":
+            (root / where).write_text(json.dumps({"version": 1, "users": [vars(ANN), vars(other)]}) + "\n")
+        elif where == "users.log":
+            (root / where).write_text(json.dumps(vars(ANN)) + "\n" + json.dumps(vars(other)) + "\n")
+        else:
+            (root / "users.json").write_text(json.dumps({"version": 1, "users": [vars(ANN)]}) + "\n")
+            (root / "users.log").write_text(json.dumps(vars(other)) + "\n")
+        with pytest.raises(error):
+            UserStore(root)
+
+    @pytest.mark.parametrize("persistent", [True, False])
+    @pytest.mark.parametrize("conflict", list(CONFLICTS_WITH_ANN))
+    def test_add_user_refuses_a_conflict_before_appending(self, tmp_path, persistent, conflict):
+        root = tmp_path / "data"
+        store = UserStore(root if persistent else None)
+        store.add_user(ANN)
+        other, error = CONFLICTS_WITH_ANN[conflict]
+        with pytest.raises(error):
+            store.add_user(other)
+        assert store.get_user("ann") == ANN and store.get_user("bob") is None
+        assert [store.username_for_device(d) for d in ("m1", "l1", "m2", "l2", "m3", "l3")] == [
+            "ann", "ann", None, None, None, None
+        ]
+        if persistent:
+            assert (root / "users.log").read_text() == json.dumps(vars(ANN), separators=(",", ":")) + "\n"
+
+    def test_identical_record_in_snapshot_and_log_loads(self, tmp_path):
+        root = tmp_path / "data"
+        root.mkdir()
+        (root / "users.json").write_text(json.dumps({"version": 1, "users": [vars(ANN)]}) + "\n")
+        (root / "users.log").write_text(json.dumps(vars(ANN)) + "\n")
+        store = UserStore(root)
+        store.add_user(ANN)  # an identical record is held already, so it is not logged again
+        assert (root / "users.log").read_bytes() == b""
+        assert json.loads((root / "users.json").read_text())["users"] == [vars(ANN)]
+        assert store.username_for_device("l1") == "ann"
 
     def test_record_in_snapshot_and_log_loads_once(self, tmp_path):
         # a crash after the snapshot was written but before the log was emptied

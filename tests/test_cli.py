@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -8,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from proxauth.auth_service import MatchKey, PolicyConfig, UserRecord
@@ -178,7 +180,23 @@ def pipeline(tmp_path_factory):
     return root, csv, rf, dt
 
 
+# sha256 of what the pipeline fixture writes, taken with numpy 2.4.6 and Python 3.11.7
+PIPELINE_SHA256 = {
+    "scans.csv": "048ce0144447d2e6c2f5a16971d8e895b8c1f4126212ac56c9f1590f1408c227",
+    "scans.csv.meta.json": "aeaed3a65740a7f7fb5474f02312582a1e5a561a95223597dc3a7be98f5a33d6",
+    "rf.model": "d513142c63ffe054107369b64fa0fbf9afdfd9bd8186777c40331b7ed017d6b5",
+    "dt.model": "0d66f0872a8195fd6d6673d916ef9dde0f825864be596607d90eb56c76fb93ad",
+}
+
+
 class TestCommands:
+    @pytest.mark.parametrize("name", list(PIPELINE_SHA256))
+    def test_seed_5_pipeline_writes_pinned_bytes(self, pipeline, name):
+        got = hashlib.sha256((pipeline[0] / name).read_bytes()).hexdigest()
+        assert got == PIPELINE_SHA256[name], (
+            f"{name} bytes changed under numpy {np.__version__}; the digest was pinned with numpy 2.4.6"
+        )
+
     def test_simulate_writes_csv_and_sidecar(self, pipeline, capsys):
         root, csv, _, _ = pipeline
         meta = json.loads((root / "scans.csv.meta.json").read_text())
@@ -405,6 +423,21 @@ class TestCommands:
         monkeypatch.setattr(AuthWireServer, "serve_forever", lambda self: None)  # if the store loaded
         assert main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"]) == 1
         assert re.match(r"error: (bad )?StoreSnapshot", capsys.readouterr().err)
+
+
+    def test_serve_with_conflicting_user_records_is_a_clean_error(self, pipeline, tmp_path, capsys, monkeypatch):
+        _, _, rf, _ = pipeline
+        store = tmp_path / "store"
+        store.mkdir()
+        users = [("ann", "m1", "l1"), ("bob", "m1", "l2"), ("ann", "m3", "l3")]
+        records = [UserRecord(name, f"h-{i}", mobile, login, i) for i, (name, mobile, login) in enumerate(users)]
+        text = json.dumps({"version": 1, "users": [vars(r) for r in records]}) + "\n"
+        (store / "users.json").write_text(text)
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
+        monkeypatch.setattr(AuthWireServer, "serve_forever", lambda self: None)  # if the store loaded
+        assert main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"]) == 1
+        assert capsys.readouterr().err == "error: auth_service.DuplicateDeviceId: device 'm1' is already enrolled\n"
+        assert (store / "users.json").read_text() == text
 
 
 class TestAttemptRoundTrip:

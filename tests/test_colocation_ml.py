@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -14,12 +15,10 @@ from proxauth.beacon_model import (
 )
 from proxauth.colocation_ml import (
     ConfusionMatrix,
-    DecisionTree,
     ForestParams,
-    LeafNode,
     RandomForest,
-    SplitNode,
     TreeParams,
+    _tree_from_doc,
     best_split,
     compute_metrics,
     document_to_model,
@@ -40,6 +39,24 @@ from proxauth.errors import (
     EmptyTestSet,
     EmptyTrainingSet,
 )
+
+
+def leaf(label, counts):
+    return {"type": "leaf", "label": label.value, "class_counts": list(counts)}
+
+
+def split(feature, threshold, left, right):
+    return {"type": "split", "feature_index": feature, "threshold": threshold, "left": left, "right": right}
+
+
+def tree_of(node):
+    """A hand-made tree: a v1 node document read by the model-file reader."""
+    return _tree_from_doc(node, TreeParams())
+
+
+def node_doc(tree):
+    """The tree's v1 node document, as its model file holds it."""
+    return model_to_document(tree, FeatureEncoder({"A": 1}, (0.0, 1.0)))["tree"]
 
 
 def make_dataset(n_auth, n_unauth):
@@ -240,13 +257,14 @@ class TestBestSplit:
                 assert ours.threshold == pytest.approx(oracle[2], abs=1e-12)
 
 
-def walk_with_data(node, X, y, out):
-    """Collect (node, X, y) triples for every node, routing data as the tree does."""
-    out.append((node, X, y))
-    if isinstance(node, SplitNode):
-        mask = X[:, node.feature_index] <= node.threshold
-        walk_with_data(node.left, X[mask], y[mask], out)
-        walk_with_data(node.right, X[~mask], y[~mask], out)
+def walk_with_data(tree, X, y, out, i=0):
+    """Collect (node index, X, y) triples for every node of the table, routing
+    data as the tree does: left to i + 1, right to ``tree.right[i]``."""
+    out.append((i, X, y))
+    if tree.feature[i] >= 0:
+        mask = X[:, tree.feature[i]] <= tree.threshold[i]
+        walk_with_data(tree, X[mask], y[mask], out, i + 1)
+        walk_with_data(tree, X[~mask], y[~mask], out, tree.right[i])
 
 
 class TestDecisionTree:
@@ -254,8 +272,8 @@ class TestDecisionTree:
         X = np.array([[0, 1, 0.5, -50]], float)
         y = np.array([1], np.int8)
         tree = train_decision_tree(X, y)
-        assert isinstance(tree.root, LeafNode)
-        assert tree.root.label is Label.AUTHENTIC
+        assert tree.feature == (-1,)
+        assert node_doc(tree) == leaf(Label.AUTHENTIC, (0, 1))
 
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
@@ -272,9 +290,10 @@ class TestDecisionTree:
         X = np.tile([0.0, 1.0, 0.5, -60.0], (4, 1))
         y = np.array([1, 1, 0, 0], np.int8)
         tree = train_decision_tree(X, y)
-        assert isinstance(tree.root, LeafNode)
-        assert tree.root.label is Label.UNAUTHORIZED
-        assert tree.root.class_counts == (2, 2)
+        assert tree.feature == (-1,)
+        assert tree.counts == ((2, 2),)
+        assert node_doc(tree) == leaf(Label.UNAUTHORIZED, (2, 2))
+        assert predict(tree, X[0]) is Label.UNAUTHORIZED
 
     def test_max_depth_bound(self):
         rng = np.random.default_rng(11)
@@ -289,14 +308,18 @@ class TestDecisionTree:
             X, y = random_consistent_data(rng, n_max=150)
             tree = train_decision_tree(X, y, TreeParams(max_depth=None))
             nodes = []
-            walk_with_data(tree.root, X, y, nodes)
-            for node, Xn, yn in nodes:
-                if isinstance(node, LeafNode):
-                    assert sum(node.class_counts) >= 1
+            walk_with_data(tree, X, y, nodes)
+            assert len(nodes) == tree.node_count()
+            for i, Xn, yn in nodes:
+                f, t = tree.feature[i], tree.threshold[i]
+                if f < 0:
+                    assert sum(tree.counts[i]) >= 1
+                    assert tree.counts[i] == (int(np.sum(yn == 0)), int(np.sum(yn == 1)))
                     continue
-                mask = Xn[:, node.feature_index] <= node.threshold
-                assert np.all(Xn[mask, node.feature_index] <= node.threshold)
-                assert np.all(Xn[~mask, node.feature_index] > node.threshold)
+                assert tree.counts[i] == (0, 0)  # a split carries no counts
+                mask = Xn[:, f] <= t
+                assert np.all(Xn[mask, f] <= t)
+                assert np.all(Xn[~mask, f] > t)
                 parent = gini_impurity((int(np.sum(yn == 0)), int(np.sum(yn == 1))))
                 nl, nr = int(mask.sum()), int((~mask).sum())
                 gl = gini_impurity((int(np.sum(yn[mask] == 0)), int(np.sum(yn[mask] == 1))))
@@ -306,7 +329,7 @@ class TestDecisionTree:
                 if improving is not None:
                     # normal path: the accepted split strictly reduces impurity
                     assert weighted < parent
-                    assert (node.feature_index, node.threshold) == (
+                    assert (f, t) == (
                         improving.feature_index,
                         improving.threshold,
                     )
@@ -319,10 +342,10 @@ class TestDecisionTree:
         X, y = random_consistent_data(rng, n_max=120)
         tree = train_decision_tree(X, y, TreeParams(max_depth=None, min_samples_leaf=5))
         nodes = []
-        walk_with_data(tree.root, X, y, nodes)
-        for node, Xn, yn in nodes:
-            if isinstance(node, LeafNode):
-                assert sum(node.class_counts) >= 5
+        walk_with_data(tree, X, y, nodes)
+        for i, Xn, yn in nodes:
+            if tree.feature[i] < 0:
+                assert sum(tree.counts[i]) >= 5
 
 
 class TestRandomForest:
@@ -378,7 +401,7 @@ class TestRandomForest:
 
 def leaf_tree(label):
     counts = (0, 1) if label is Label.AUTHENTIC else (1, 0)
-    return DecisionTree(LeafNode(label, counts), TreeParams())
+    return tree_of(leaf(label, counts))
 
 
 class TestPredict:
@@ -411,41 +434,40 @@ class TestPredict:
 
 
 def reference_leaf(node, x):
-    """Reference node walk: follow ``x[feature] <= threshold`` to the left."""
-    while isinstance(node, SplitNode):
-        node = node.left if x[node.feature_index] <= node.threshold else node.right
+    """Reference walk of a nested v1 node document: follow ``x[feature] <=
+    threshold`` to the left."""
+    while node["type"] == "split":
+        node = node["left"] if x[node["feature_index"]] <= node["threshold"] else node["right"]
     return node
 
 
 def reference_predict(model, X):
     """Per-row walk of every tree, then an unweighted majority with ties to 0."""
-    trees = model.trees if isinstance(model, RandomForest) else (model,)
+    docs = [node_doc(t) for t in (model.trees if isinstance(model, RandomForest) else (model,))]
     out = []
     for x in X:
-        votes = sum(reference_leaf(t.root, x).label is Label.AUTHENTIC for t in trees)
-        out.append(1 if 2 * votes > len(trees) else 0)
+        votes = sum(reference_leaf(d, x)["label"] == Label.AUTHENTIC.value for d in docs)
+        out.append(1 if 2 * votes > len(docs) else 0)
     return np.array(out, dtype=np.int8)
 
 
 def reference_shape(node):
-    """(node count, depth) by recursion over the node objects."""
-    if isinstance(node, LeafNode):
+    """(node count, depth) by recursion over a nested v1 node document."""
+    if node["type"] == "leaf":
         return 1, 0
-    nl, dl = reference_shape(node.left)
-    nr, dr = reference_shape(node.right)
+    nl, dl = reference_shape(node["left"])
+    nr, dr = reference_shape(node["right"])
     return 1 + nl + nr, 1 + max(dl, dr)
 
 
 def hand_built_trees():
-    a = LeafNode(Label.AUTHENTIC, (0, 3))
-    u = LeafNode(Label.UNAUTHORIZED, (2, 1))
+    a = leaf(Label.AUTHENTIC, (0, 3))
+    u = leaf(Label.UNAUTHORIZED, (2, 1))
     return (
-        DecisionTree(a, TreeParams()),
-        DecisionTree(SplitNode(3, -60.0, a, u), TreeParams()),
-        DecisionTree(SplitNode(1, 2.5, SplitNode(3, -70.0, u, a), u), TreeParams()),
-        DecisionTree(
-            SplitNode(0, 0.5, u, SplitNode(2, 0.5, SplitNode(3, -55.0, a, u), a)), TreeParams()
-        ),
+        tree_of(a),
+        tree_of(split(3, -60.0, a, u)),
+        tree_of(split(1, 2.5, split(3, -70.0, u, a), u)),
+        tree_of(split(0, 0.5, u, split(2, 0.5, split(3, -55.0, a, u), a))),
     )
 
 
@@ -492,7 +514,7 @@ class TestCompiledDescent:
         X, y = random_consistent_data(rng, n_max=200)
         trained = train_random_forest(X, y, ForestParams(n_trees=5, seed=2)).trees
         for tree in trained + hand_built_trees():
-            assert (tree.node_count(), tree.depth()) == reference_shape(tree.root)
+            assert (tree.node_count(), tree.depth()) == reference_shape(node_doc(tree))
 
     def test_zero_rows(self):
         tree = hand_built_trees()[2]
@@ -503,8 +525,8 @@ class TestCompiledDescent:
             assert out.shape == (0,)
 
     def test_rows_narrower_than_the_features_raise(self):
-        a, u = LeafNode(Label.AUTHENTIC, (0, 1)), LeafNode(Label.UNAUTHORIZED, (1, 0))
-        tree = DecisionTree(SplitNode(0, 0.5, SplitNode(3, -60.0, a, u), u), TreeParams())
+        a, u = leaf(Label.AUTHENTIC, (0, 1)), leaf(Label.UNAUTHORIZED, (1, 0))
+        tree = tree_of(split(0, 0.5, split(3, -60.0, a, u), u))
         forest = RandomForest(trees=(tree, tree, tree), params=ForestParams(n_trees=3))
         for model in (tree, forest):
             assert predict_batch(model, [[0, 0, -99, -99], [1, 0, 0, 0]]).tolist() == [1, 0]
@@ -518,8 +540,8 @@ class TestCompiledDescent:
         assert predict_batch(leaf_tree(Label.AUTHENTIC), np.zeros((2, 0))).tolist() == [1, 1]
 
     def test_predict_takes_exactly_one_row(self):
-        a, u = LeafNode(Label.AUTHENTIC, (0, 1)), LeafNode(Label.UNAUTHORIZED, (1, 0))
-        tree = DecisionTree(SplitNode(3, -60.0, a, u), TreeParams())
+        a, u = leaf(Label.AUTHENTIC, (0, 1)), leaf(Label.UNAUTHORIZED, (1, 0))
+        tree = tree_of(split(3, -60.0, a, u))
         assert predict_batch(tree, [[0, 0, 0, 0], [0, 0, 0, -99]]).tolist() == [0, 1]
         assert predict(tree, [0, 0, 0, -99]) is Label.AUTHENTIC
         assert predict(tree, np.array([[0, 0, 0, -99]])) is Label.AUTHENTIC
@@ -529,7 +551,9 @@ class TestCompiledDescent:
 
     def test_layout_outside_equality_hash_and_repr(self):
         a = hand_built_trees()[3]
-        b = DecisionTree(a.root, a.params)
+        predict_batch(a, np.zeros((1, 4)))  # compiles and caches a's layout
+        b = dataclasses.replace(a)
+        assert "_layout" in vars(a) and "_layout" not in vars(b)
         assert a == b and hash(a) == hash(b)
         assert "_layout" not in repr(a)
 
@@ -643,6 +667,16 @@ class TestSerialization:
         again, _ = document_to_model(json.loads(text))
         assert json.dumps(model_to_document(again, self._encoder())) == text
 
+    def test_hand_written_tree_reserializes_as_written(self):
+        a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (0, 0))
+        doc = split(3, -60, split(0, 0.5, a, u), u)  # an int threshold stays an int
+        tree = tree_of(doc)
+        assert tree.feature == (3, 0, -1, -1, -1)
+        assert tree.threshold == (-60, 0.5, 0.0, 0.0, 0.0)
+        assert tree.right == (4, 3, -1, -1, -1)
+        assert tree.counts == ((0, 0), (0, 0), (0, 3), (0, 0), (0, 0))
+        assert json.dumps(node_doc(tree)) == json.dumps(doc)
+
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             document_to_model({"format": "something-else", "version": 1})
@@ -655,10 +689,8 @@ class TestSerialization:
 
 
 def _split_forest_doc() -> dict:
-    a, u = LeafNode(Label.AUTHENTIC, (0, 3)), LeafNode(Label.UNAUTHORIZED, (2, 1))
-    forest = RandomForest(
-        trees=(DecisionTree(SplitNode(3, -60.0, a, u), TreeParams()),), params=ForestParams(n_trees=1)
-    )
+    a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (2, 1))
+    forest = RandomForest(trees=(tree_of(split(3, -60.0, a, u)),), params=ForestParams(n_trees=1))
     return model_to_document(forest, FeatureEncoder({"A": 1}, (2412000000.0, 5240000000.0)))
 
 
@@ -693,6 +725,21 @@ class TestMalformedDocuments:
             ("trees.0", "leaf"),
             ("trees.0.left.class_counts", [1]),
             ("kind", "bogus"),
+            ("trees.0.feature_index", -1),
+            ("trees.0.feature_index", 3.9),
+            ("trees.0.feature_index", "3"),
+            ("trees.0.feature_index", True),
+            ("trees.0.threshold", "-60"),
+            ("trees.0.threshold", True),
+            ("trees.0.left.class_counts", [0, 3, 7]),
+            ("trees.0.left.class_counts", ["0", "3"]),
+            ("trees.0.left.class_counts", [0, 3.0]),
+            ("trees.0.left.class_counts", [False, 3]),
+            ("trees.0.right.class_counts", [2, -1]),
+            ("trees.0.left.label", "unauthorized"),
+            ("trees.0.right.label", "authentic"),
+            ("trees.0.bogus", 1),
+            ("trees.0.left.bogus", 1),
         ],
     )
     def test_edited_document_is_value_error(self, path, value):

@@ -12,7 +12,7 @@ from proxauth.beacon_model import (
     Label,
     ScanSnapshot,
 )
-from proxauth.colocation_ml import DecisionTree, LeafNode, TreeParams
+from proxauth.colocation_ml import TreeParams, _tree_from_doc
 from proxauth.wire import (
     AuthClient,
     AuthWireServer,
@@ -22,7 +22,7 @@ from proxauth.wire import (
 )
 
 ENCODER = FeatureEncoder({"NetA": 1}, (2412000000.0, 5240000000.0))
-GRANT_ALL = DecisionTree(LeafNode(Label.AUTHENTIC, (0, 1)), TreeParams())
+GRANT_ALL = _tree_from_doc({"type": "leaf", "label": "authentic", "class_counts": [0, 1]}, TreeParams())
 
 
 def make_snapshot(device_id="d1", role=DeviceRole.MOBILE, ts=1000):
