@@ -8,15 +8,14 @@ more apart. Every session flattens into one CSV row per device per
 observed AP.
 """
 
-import io
 from collections import Counter
 
 from proxauth import (
     EnvironmentConfig,
     PathLossConfig,
+    dataset_to_csv_bytes,
     generate_dataset,
     parse_dataset_csv,
-    write_dataset_csv,
 )
 from proxauth.rf_simulator import sessions_for_target_rows
 
@@ -41,8 +40,7 @@ per_location = Counter(s.location_tag for s in dataset.samples)
 print(f"\nrows per location: {dict(per_location)}")
 
 # the CSV round trip is lossless
-buffer = io.StringIO()
-write_dataset_csv(dataset, buffer)
-again = parse_dataset_csv(buffer.getvalue().encode())
-print(f"\nCSV round trip: {len(again)} rows, identical={again.samples == dataset.samples}")
-print("header:", buffer.getvalue().splitlines()[0])
+csv_bytes = dataset_to_csv_bytes(dataset)
+again = parse_dataset_csv(csv_bytes)
+print(f"\nCSV round trip: {len(again)} rows, identical={again == dataset}")
+print("header:", csv_bytes.decode().splitlines()[0])

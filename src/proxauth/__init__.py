@@ -38,14 +38,13 @@ from .beacon_model import (
     FeatureEncoder,
     Label,
     LabeledSample,
-    Provenance,
     ScanSnapshot,
     build_feature_encoder,
+    dataset_to_csv_bytes,
     encode_dataset,
     encode_observation,
     encode_observations,
     parse_dataset_csv,
-    write_dataset_csv,
 )
 from .colocation_ml import (
     ConfusionMatrix,

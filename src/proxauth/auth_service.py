@@ -297,37 +297,21 @@ def overlap_observations(
 ) -> list[tuple[DeviceRole, BeaconObservation]]:
     """Observations of every AP seen by both devices.
 
-    APs match by BSSID when both sides carry one; anything left unmatched
-    falls back to SSID equality (or SSID only, per the policy's match key).
-    Each pass keeps every mobile observation whose key some still-unmatched
-    login observation shares, and the first time a key matches, every login
-    observation with that key. The result lists the passes in turn, each in
-    the mobile snapshot's AP order; it is empty when the devices share no AP.
+    APs match by BSSID first and then, among the observations left, by SSID
+    (or by SSID alone, per the policy's match key). For each key, every
+    observation on either side whose value both sides carry is kept: the
+    mobile device's, then the login device's, each in its snapshot's order.
+    An observation without the key matches nothing. The result is empty when
+    the devices share no AP.
     """
     keys = ("bssid", "ssid") if policy.match_key is MatchKey.BSSID_THEN_SSID else ("ssid",)
-    mobile_left, login_left = mobile.observations, login.observations
-    mobile_role, login_role = DeviceRole.MOBILE, DeviceRole.LOGIN  # looked up once, not per AP
+    left = {DeviceRole.MOBILE: mobile.observations, DeviceRole.LOGIN: login.observations}
     pairs: list[tuple[DeviceRole, BeaconObservation]] = []
     for key in keys:
-        login_by_key: dict[str | None, list[BeaconObservation]] = {}
-        for obs in login_left:
-            login_by_key.setdefault(getattr(obs, key), []).append(obs)
-        login_by_key.pop(None, None)  # an observation without the key matches nothing
-        matched: set[str] = set()
-        still_mobile = []
-        for obs in mobile_left:
-            value = getattr(obs, key)
-            hits = login_by_key.get(value)
-            if hits is None:
-                still_mobile.append(obs)
-            else:
-                pairs.append((mobile_role, obs))
-                if value not in matched:
-                    matched.add(value)
-                    pairs += [(login_role, hit) for hit in hits]
-        mobile_left = still_mobile
-        if matched:
-            login_left = [o for o in login_left if getattr(o, key) not in matched]
+        shared = set.intersection(*({getattr(o, key) for o in side} for side in left.values())) - {None}
+        for role, side in left.items():
+            pairs += [(role, o) for o in side if getattr(o, key) in shared]
+            left[role] = [o for o in side if getattr(o, key) not in shared]
     return pairs
 
 

@@ -5,7 +5,8 @@ The on-disk dataset format is a six-column CSV with the header
     RPI,SSID,Frequency (Hz),RSSI (dBm),Location,Label
 
 Each row is one device's reading of one access point during one scan,
-labeled ``authentic`` (devices were co-located) or ``unauthorized``.
+labeled ``authentic`` (devices were co-located) or ``unauthorized``. The
+CSV is read from bytes and written to bytes, with one rule for the RPI column.
 Observations are turned into fixed-length numeric vectors
 
     [role_code, ssid_index, frequency_normalized, rssi_dbm]
@@ -20,7 +21,7 @@ import io
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import BinaryIO, Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,19 +33,16 @@ __all__ = [
     "ScanSnapshot",
     "Label",
     "LabeledSample",
-    "Provenance",
     "Dataset",
     "FeatureEncoder",
     "FEATURE_VECTOR_LENGTH",
     "CSV_COLUMNS",
     "parse_dataset_csv",
-    "write_dataset_csv",
     "dataset_to_csv_bytes",
     "build_feature_encoder",
     "encode_observation",
     "encode_observations",
     "encode_dataset",
-    "default_role_of_rpi",
 ]
 
 FEATURE_VECTOR_LENGTH = 4
@@ -68,11 +66,6 @@ class DeviceRole(Enum):
 class Label(Enum):
     AUTHENTIC = "authentic"
     UNAUTHORIZED = "unauthorized"
-
-
-class Provenance(Enum):
-    REAL_CSV = "real_csv"
-    SIMULATED = "simulated"
 
 
 @dataclass(frozen=True)
@@ -137,7 +130,6 @@ class LabeledSample:
 @dataclass(frozen=True)
 class Dataset:
     samples: tuple[LabeledSample, ...]
-    provenance: Provenance
 
     def __post_init__(self):
         object.__setattr__(self, "samples", tuple(self.samples))
@@ -158,9 +150,9 @@ class Dataset:
         return hi > 0 and lo / hi >= min_ratio
 
 
-def default_role_of_rpi(value: str) -> DeviceRole | None:
-    """Default mapping for the RPI column: "1" in the value means the mobile
-    device, "2" the login device. Returns None when neither applies."""
+def _role_of_rpi(value: str) -> DeviceRole | None:
+    """The RPI column: "1" in the value means the mobile device, "2" the
+    login device. Returns None when neither applies."""
     if "1" in value:
         return DeviceRole.MOBILE
     if "2" in value:
@@ -181,26 +173,15 @@ def _normalize_header_cell(cell: str) -> str:
 _CANONICAL = tuple(_normalize_header_cell(c) for c in CSV_COLUMNS)
 
 
-def parse_dataset_csv(
-    source: bytes | BinaryIO | io.TextIOBase | str,
-    role_of_rpi: Callable[[str], DeviceRole | None] = default_role_of_rpi,
-) -> Dataset:
-    """Parse the six-column beacon dataset CSV into a :class:`Dataset`.
+def parse_dataset_csv(raw: bytes) -> Dataset:
+    """Parse the six-column beacon dataset CSV, as UTF-8 bytes, into a
+    :class:`Dataset`.
 
-    ``source`` may be raw bytes, a binary or text file object, or a string of
-    CSV text. The header must contain exactly the six canonical columns (any
-    order; quotes and unit parentheticals are tolerated). Raises
+    The header must contain exactly the six canonical columns (any order;
+    quotes and unit parentheticals are tolerated). Raises
     :class:`MalformedHeader`, :class:`RowParseError` (with 1-based physical
     row numbers, header = row 1), or :class:`EmptyDataset`.
     """
-    if isinstance(source, bytes):
-        raw = source
-    elif isinstance(source, str):
-        raw = source.encode("utf-8")
-    elif isinstance(source, io.TextIOBase):
-        raw = source.read().encode("utf-8")
-    else:
-        raw = source.read()
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -225,7 +206,7 @@ def parse_dataset_csv(
             raise RowParseError(row_number, "row", f"expected 6 fields, got {len(row)}")
 
         rpi = row[col["rpi"]].strip()
-        role = role_of_rpi(rpi)
+        role = _role_of_rpi(rpi)
         if role is None:
             raise RowParseError(row_number, "RPI", f"cannot map value {rpi!r} to a device role")
 
@@ -258,14 +239,13 @@ def parse_dataset_csv(
 
     if not samples:
         raise EmptyDataset("CSV contained a header but no data rows")
-    return Dataset(samples=tuple(samples), provenance=Provenance.REAL_CSV)
+    return Dataset(samples=tuple(samples))
 
 
-def write_dataset_csv(dataset: Dataset, sink) -> None:
-    """Write ``dataset`` in the exact CSV format read by :func:`parse_dataset_csv`.
-
-    ``sink`` is a text file object. Round trip is lossless sample-for-sample.
-    """
+def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
+    """``dataset`` as the UTF-8 CSV that :func:`parse_dataset_csv` reads back
+    to an equal dataset (the format carries no BSSID)."""
+    sink = io.StringIO()
     writer = csv.writer(sink, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for s in dataset.samples:
@@ -279,12 +259,7 @@ def write_dataset_csv(dataset: Dataset, sink) -> None:
                 s.label.value,
             ]
         )
-
-
-def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
-    buf = io.StringIO()
-    write_dataset_csv(dataset, buf)
-    return buf.getvalue().encode("utf-8")
+    return sink.getvalue().encode("utf-8")
 
 
 @dataclass(frozen=True)

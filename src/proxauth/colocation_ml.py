@@ -262,8 +262,8 @@ def stratified_split(
     test_idx.sort()
     train_idx.sort()
     samples = dataset.samples
-    train = Dataset(tuple(samples[i] for i in train_idx), dataset.provenance)
-    test = Dataset(tuple(samples[i] for i in test_idx), dataset.provenance)
+    train = Dataset(tuple(samples[i] for i in train_idx))
+    test = Dataset(tuple(samples[i] for i in test_idx))
     return train, test
 
 
@@ -563,13 +563,16 @@ _SPLIT_KEYS = {"type", "feature_index", "threshold", "left", "right"}
 
 def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
     """The one tree reader, a v1 node document straight into the table: a split
-    has exactly its keys, an int ``feature_index`` >= 0 and an int or float
-    ``threshold``; a leaf is what ``_leaf_doc`` writes for two ints >= 0."""
+    has exactly its keys, an int ``feature_index`` in [0, FEATURE_VECTOR_LENGTH)
+    and a finite int or float ``threshold`` (an int past the float range
+    raises OverflowError); a leaf is what ``_leaf_doc`` writes for two ints
+    >= 0."""
 
     def expand(node):
         if type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split":
             feature, threshold = node["feature_index"], node["threshold"]
-            if type(feature) is int and feature >= 0 and type(threshold) in (int, float):
+            if (type(feature) is int and 0 <= feature < FEATURE_VECTOR_LENGTH
+                    and type(threshold) in (int, float) and math.isfinite(threshold)):
                 return feature, threshold, node["left"], node["right"]
         elif type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2:
             if all(type(c) is int and c >= 0 for c in counts) and node == _leaf_doc(*counts):
@@ -610,12 +613,14 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
         elif doc["kind"] == "random_forest":
             params = decode(ForestParams, doc["params"], exact=True)
             trees = tuple(_tree_from_doc(d, params.tree_params) for d in doc["trees"])
+            if len(trees) != params.n_trees:
+                raise ValueError(f"a forest of n_trees {params.n_trees} holds {len(trees)} trees")
             model = RandomForest(trees=trees, params=params)
         else:
             raise ValueError(f"unknown model kind {doc['kind']!r}")
     except KeyError as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} document: missing key {exc}") from exc
-    except (AttributeError, IndexError, TypeError) as exc:
+    except (AttributeError, IndexError, OverflowError, TypeError) as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} document: {exc}") from exc
     return model, encoder
 

@@ -35,7 +35,6 @@ from .beacon_model import (
     DeviceRole,
     Label,
     LabeledSample,
-    Provenance,
     ScanSnapshot,
 )
 from .colocation_ml import derived_rng
@@ -426,21 +425,26 @@ def generate_session(
     separation apart along that zone's campaign bearing, and each reading
     carries the zone's persistent shadow offset for its device and AP.
 
-    Both snapshots share a timestamp within one second. Raises
-    :class:`NoVisibleAp` when either device sees no AP.
+    A placement where either device sees no AP is drawn again, with a fresh
+    separation and anchor, up to 101 draws in all; after the 101st such draw
+    it raises :class:`NoVisibleAp`. Both snapshots share a timestamp within
+    one second.
     """
-    separation = scenario.draw_separation(rng)
     zone = 0 if scenario.label is Label.AUTHENTIC else 1
     bearing = geometry.bearings[zone]
-    anchor = geometry.spots[zone] + rng.uniform(-campaign.anchor_jitter_m, campaign.anchor_jitter_m, size=2)
-    positions = (anchor - 0.5 * separation * bearing, anchor + 0.5 * separation * bearing)
-
-    visible = [
-        [(k, max(d, 1e-3)) for k, d in enumerate(_ap_distances(pos, geometry.aps)) if d <= env.detection_radius_m]
-        for pos in positions
-    ]
-    if not visible[0] or not visible[1]:
-        raise NoVisibleAp(f"a device saw no AP within {env.detection_radius_m} m")
+    for _ in range(101):  # the first draw plus 100 retries
+        separation = scenario.draw_separation(rng)
+        anchor = geometry.spots[zone] + rng.uniform(-campaign.anchor_jitter_m, campaign.anchor_jitter_m, size=2)
+        positions = (anchor - 0.5 * separation * bearing, anchor + 0.5 * separation * bearing)
+        visible = [
+            [(k, max(d, 1e-3)) for k, d in enumerate(_ap_distances(pos, geometry.aps))
+             if d <= env.detection_radius_m]
+            for pos in positions
+        ]
+        if visible[0] and visible[1]:
+            break
+    else:
+        raise NoVisibleAp(f"101 placements each left a device with no AP within {env.detection_radius_m} m")
 
     if base_timestamp_ms is None:
         base_timestamp_ms = int(rng.integers(1_600_000_000_000, 1_900_000_000_000))
@@ -468,24 +472,6 @@ def generate_session(
     return snapshots[0], snapshots[1], scenario.label
 
 
-def _session_with_retries(
-    env: EnvironmentConfig,
-    loss: PathLossConfig,
-    scenario: Scenario,
-    rng: np.random.Generator,
-    geometry: LocationGeometry,
-    campaign: CampaignConfig,
-    device_ids: tuple[str, str] = ("sim-mobile", "sim-login"),
-    base_timestamp_ms: int | None = None,
-) -> tuple[ScanSnapshot, ScanSnapshot, Label]:
-    for _ in range(101):  # initial try plus 100 retries with a fresh anchor
-        try:
-            return generate_session(env, loss, scenario, rng, geometry, campaign, device_ids, base_timestamp_ms)
-        except NoVisibleAp:
-            continue
-    raise ConfigurationError("100 consecutive placements saw no AP; environment is too sparse")
-
-
 def _campaign_sessions(
     env: EnvironmentConfig,
     loss: PathLossConfig,
@@ -502,7 +488,7 @@ def _campaign_sessions(
         for zone, scenario in enumerate(_SCENARIOS):
             rng = derived_rng(seed, stream, j, zone)
             for _ in range(count):
-                yield (geo, *_session_with_retries(env, loss, scenario, rng, geo, campaign))
+                yield (geo, *generate_session(env, loss, scenario, rng, geo, campaign))
 
 
 def _allocation(total: int, buckets: int) -> list[int]:
@@ -544,7 +530,7 @@ def generate_dataset(
         for snap in (mobile, login)
         for obs in snap.observations
     ]
-    return Dataset(samples=tuple(samples), provenance=Provenance.SIMULATED)
+    return Dataset(samples=tuple(samples))
 
 
 def sessions_for_target_rows(
@@ -589,7 +575,7 @@ def scenario_session(
     dataset; the session randomness comes from ``session_seed`` alone."""
     geo = location_geometry(env, loss, campaign, env_seed, location_index, locations)
     rng = derived_rng(session_seed, _ATTEMPT_STREAM)
-    return _session_with_retries(env, loss, scenario, rng, geo, campaign, device_ids, base_timestamp_ms)[:2]
+    return generate_session(env, loss, scenario, rng, geo, campaign, device_ids, base_timestamp_ms)[:2]
 
 
 def simulation_metadata(

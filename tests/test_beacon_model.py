@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -9,17 +7,14 @@ from proxauth.beacon_model import (
     DeviceRole,
     Label,
     LabeledSample,
-    Provenance,
     ScanSnapshot,
     build_feature_encoder,
     dataset_to_csv_bytes,
     FeatureEncoder,
-    default_role_of_rpi,
     encode_dataset,
     encode_observation,
     encode_observations,
     parse_dataset_csv,
-    write_dataset_csv,
 )
 from proxauth.errors import EmptyDataset, MalformedHeader, RowParseError
 
@@ -91,7 +86,6 @@ class TestParseCsv:
         assert s.observation.rssi == -58
         assert s.location_tag == "Lab"
         assert s.label is Label.AUTHENTIC
-        assert ds.provenance is Provenance.REAL_CSV
 
     def test_bad_rssi_names_row_and_column(self):
         text = HEADER + "\nRPI1,Net,2437000000,abc,Lab,authentic\n"
@@ -160,24 +154,13 @@ class TestParseCsv:
             parse_dataset_csv(text.encode())
         assert err.value.row == 3
 
-    def test_custom_role_rule(self):
-        def rule(value):
-            return {"phone": DeviceRole.MOBILE, "desk": DeviceRole.LOGIN}.get(value)
-
-        text = HEADER + "\nphone,Net,2437000000,-58,Lab,authentic\ndesk,Net,2412000000,-61,Lab,unauthorized\n"
-        ds = parse_dataset_csv(text.encode(), role_of_rpi=rule)
-        assert ds.samples[0].role is DeviceRole.MOBILE
-        assert ds.samples[1].role is DeviceRole.LOGIN
-
     def test_default_rpi_rule(self):
-        assert default_role_of_rpi("RPI1") is DeviceRole.MOBILE
-        assert default_role_of_rpi("rpi-2") is DeviceRole.LOGIN
-        assert default_role_of_rpi("pi") is None
-
-    def test_accepts_file_object(self):
-        text = HEADER + "\nRPI1,Net,2437000000,-58,Lab,authentic\n"
-        ds = parse_dataset_csv(io.BytesIO(text.encode()))
-        assert len(ds) == 1
+        text = HEADER + "\nRPI1,Net,2437000000,-58,Lab,authentic\nrpi-2,Net,2412000000,-61,Lab,unauthorized\n"
+        ds = parse_dataset_csv(text.encode())
+        assert [s.role for s in ds.samples] == [DeviceRole.MOBILE, DeviceRole.LOGIN]
+        with pytest.raises(RowParseError) as err:
+            parse_dataset_csv((HEADER + "\npi,Net,2437000000,-58,Lab,authentic\n").encode())
+        assert (err.value.row, err.value.column) == (2, "RPI")
 
 
 class TestCsvRoundTrip:
@@ -187,14 +170,12 @@ class TestCsvRoundTrip:
             sample("With,Comma", 5180000000, -72, DeviceRole.LOGIN, "Desk 2", Label.UNAUTHORIZED),
             sample('Quo"ted', 2462000000, -81, DeviceRole.LOGIN, "", Label.AUTHENTIC),
         )
-        ds = Dataset(samples, Provenance.SIMULATED)
+        ds = Dataset(samples)
         again = parse_dataset_csv(dataset_to_csv_bytes(ds))
-        assert again.samples == ds.samples
+        assert again == ds
 
     def test_writer_emits_canonical_header(self):
-        buf = io.StringIO()
-        write_dataset_csv(Dataset((sample(),), Provenance.SIMULATED), buf)
-        assert buf.getvalue().splitlines()[0] == HEADER
+        assert dataset_to_csv_bytes(Dataset((sample(),))).decode().splitlines()[0] == HEADER
 
 
 class TestDataset:
@@ -202,7 +183,7 @@ class TestDataset:
         samples = tuple(sample(label=Label.AUTHENTIC) for _ in range(2442)) + tuple(
             sample(label=Label.UNAUTHORIZED) for _ in range(2383)
         )
-        ds = Dataset(samples, Provenance.REAL_CSV)
+        ds = Dataset(samples)
         counts = ds.label_counts()
         assert counts[Label.AUTHENTIC] == 2442
         assert counts[Label.UNAUTHORIZED] == 2383
@@ -212,7 +193,7 @@ class TestDataset:
         samples = tuple(sample(label=Label.AUTHENTIC) for _ in range(100)) + tuple(
             sample(label=Label.UNAUTHORIZED) for _ in range(50)
         )
-        assert not Dataset(samples, Provenance.REAL_CSV).is_balanced()
+        assert not Dataset(samples).is_balanced()
 
 
 def reference_row(encoder, role, obs):
@@ -226,32 +207,27 @@ def reference_row(encoder, role, obs):
 
 class TestFeatureEncoder:
     def test_vocabulary_first_appearance_order(self):
-        ds = Dataset(
-            tuple(sample(ssid=s) for s in ["A", "B", "A", "C"]), Provenance.SIMULATED
-        )
+        ds = Dataset(tuple(sample(ssid=s) for s in ["A", "B", "A", "C"]))
         enc = build_feature_encoder(ds)
         assert enc.ssid_vocabulary == {"A": 1, "B": 2, "C": 3}
 
     def test_collapsed_frequency_scale_encodes_half(self):
-        ds = Dataset(tuple(sample() for _ in range(4)), Provenance.SIMULATED)
+        ds = Dataset(tuple(sample() for _ in range(4)))
         enc = build_feature_encoder(ds)
         vec = encode_observation(enc, DeviceRole.MOBILE, ds.samples[0].observation)
         assert vec[2] == 0.5
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
-            build_feature_encoder(Dataset((), Provenance.SIMULATED))
+            build_feature_encoder(Dataset(()))
 
     def test_ten_ssids_vocab_size_ten(self):
-        ds = Dataset(
-            tuple(sample(ssid=f"AP-{i:02d}") for i in range(10)), Provenance.SIMULATED
-        )
+        ds = Dataset(tuple(sample(ssid=f"AP-{i:02d}") for i in range(10)))
         assert len(build_feature_encoder(ds).ssid_vocabulary) == 10
 
     def test_known_ssid_min_frequency(self):
         ds = Dataset(
-            (sample("A", 2412000000, -50), sample("B", 5240000000, -60)),
-            Provenance.SIMULATED,
+            (sample("A", 2412000000, -50), sample("B", 5240000000, -60))
         )
         enc = build_feature_encoder(ds)
         vec = encode_observation(
@@ -260,7 +236,7 @@ class TestFeatureEncoder:
         assert vec.tolist() == [0.0, 1.0, 0.0, -50.0]
 
     def test_unseen_ssid_maps_to_zero(self):
-        ds = Dataset((sample("A"),), Provenance.SIMULATED)
+        ds = Dataset((sample("A"),))
         enc = build_feature_encoder(ds)
         vec = encode_observation(
             enc, DeviceRole.MOBILE, BeaconObservation("Zzz", 2437000000, -50)
@@ -269,8 +245,7 @@ class TestFeatureEncoder:
 
     def test_login_role_max_frequency(self):
         ds = Dataset(
-            (sample("A", 2412000000, -50), sample("B", 5240000000, -60)),
-            Provenance.SIMULATED,
+            (sample("A", 2412000000, -50), sample("B", 5240000000, -60))
         )
         enc = build_feature_encoder(ds)
         vec = encode_observation(
@@ -280,8 +255,7 @@ class TestFeatureEncoder:
 
     def test_out_of_range_frequency_clamps(self):
         ds = Dataset(
-            (sample("A", 2412000000, -50), sample("B", 2462000000, -60)),
-            Provenance.SIMULATED,
+            (sample("A", 2412000000, -50), sample("B", 2462000000, -60))
         )
         enc = build_feature_encoder(ds)
         low = encode_observation(enc, DeviceRole.MOBILE, BeaconObservation("A", 1, -50))
@@ -293,8 +267,7 @@ class TestFeatureEncoder:
         ds = Dataset(
             tuple(sample(ssid=f"S{i}", freq=int(f), rssi=int(r))
                   for i, (f, r) in enumerate(zip(rng.integers(1, 6_000_000_000, 50),
-                                                 rng.integers(-100, 1, 50)))),
-            Provenance.SIMULATED,
+                                                 rng.integers(-100, 1, 50))))
         )
         enc = build_feature_encoder(ds)
         for s in ds.samples:
@@ -325,7 +298,7 @@ class TestFeatureEncoder:
         assert X.dtype == np.float64 and X.shape == (500, 4)
         assert X.tobytes() == reference.tobytes()
         assert np.stack([encode_observation(enc, role, o) for role, o in pairs]).tobytes() == reference.tobytes()
-        X_ds, y = encode_dataset(enc, Dataset(samples, Provenance.SIMULATED))
+        X_ds, y = encode_dataset(enc, Dataset(samples))
         assert X_ds.tobytes() == reference.tobytes()
         assert y.dtype == np.int8 and y.tolist() == [int(s.label is Label.AUTHENTIC) for s in samples]
         assert (X[:, 1] == 0).any()  # unknown SSIDs were drawn

@@ -11,7 +11,6 @@ from proxauth.beacon_model import (
     FeatureEncoder,
     Label,
     LabeledSample,
-    Provenance,
 )
 from proxauth.colocation_ml import (
     ConfusionMatrix,
@@ -71,7 +70,7 @@ def make_dataset(n_auth, n_unauth):
     samples = tuple(mk(i, Label.AUTHENTIC) for i in range(n_auth)) + tuple(
         mk(i, Label.UNAUTHORIZED) for i in range(n_unauth)
     )
-    return Dataset(samples, Provenance.SIMULATED)
+    return Dataset(samples)
 
 
 def random_consistent_data(rng, n_max=200):
@@ -740,6 +739,15 @@ class TestMalformedDocuments:
             ("trees.0.right.label", "authentic"),
             ("trees.0.bogus", 1),
             ("trees.0.left.bogus", 1),
+            ("params.n_trees", 3),
+            ("trees", []),
+            ("trees", {}),
+            ("trees.0.feature_index", 4),
+            ("trees.0.feature_index", 7),
+            ("trees.0.threshold", float("nan")),
+            ("trees.0.threshold", float("inf")),
+            ("trees.0.threshold", float("-inf")),
+            pytest.param("trees.0.threshold", 2**1024, id="trees.0.threshold-2**1024"),
         ],
     )
     def test_edited_document_is_value_error(self, path, value):

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from proxauth.beacon_model import DeviceRole, Label, Provenance
+from proxauth.beacon_model import DeviceRole, Label, dataset_to_csv_bytes, parse_dataset_csv
 from proxauth.colocation_ml import derived_rng
 from proxauth.errors import ConfigurationError, NonPositiveDistance, NoVisibleAp
 from proxauth.rf_simulator import (
@@ -30,6 +31,14 @@ from proxauth.rf_simulator import (
 ENV = EnvironmentConfig()
 LOSS = PathLossConfig()
 QUIET = PathLossConfig(noise_sigma_dbm=0.0)
+
+# sha256 of the CSV of generate_dataset(SPARSE, LOSS, 60, 1, seed): seeds 2 and 3
+# redraw 2 and 10 placements that left a device with no AP; taken with numpy 2.4.6
+SPARSE = EnvironmentConfig(n_aps=3, detection_radius_m=9.0)
+SPARSE_SHA256 = {
+    2: "b35bb12b3f630e9de915b1170ddf4d98781330130f430e668dcc1f0d73108c9e",
+    3: "5bfdc7d91aeecea34c9cdb28ad3c5c4619ac32e7450586b7f9e6c6d2f0abff8a",
+}
 
 
 def center_geometry(n_aps=1, area=30.0, shadow=0.0):
@@ -166,6 +175,14 @@ class TestGenerateSession:
         with pytest.raises(NoVisibleAp):
             generate_session(env, LOSS, Scenario.authentic(), rng, geometry=far)
 
+    def test_no_visible_ap_after_101_draws(self, monkeypatch):
+        draws = []  # a 100 m separation puts both devices 50 m from the anchor, out of range
+        monkeypatch.setattr(Scenario, "draw_separation", lambda self, rng: draws.append(1) or 100.0)
+        env = EnvironmentConfig(detection_radius_m=2.0)
+        with pytest.raises(NoVisibleAp):
+            generate_session(env, LOSS, Scenario.authentic(), derived_rng(14), center_geometry())
+        assert len(draws) == 101
+
     def test_base_timestamp_respected(self):
         rng = derived_rng(15)
         mobile, login, _ = generate_session(
@@ -301,12 +318,19 @@ class TestGenerateDataset:
 
     def test_provenance_and_row_invariants(self):
         ds = generate_dataset(ENV, LOSS, 10, 2, seed=6)
-        assert ds.provenance is Provenance.SIMULATED
+        assert parse_dataset_csv(dataset_to_csv_bytes(ds)) == ds  # a simulated dataset is its CSV
         for s in ds.samples:
             assert s.observation.rssi <= 0
             assert s.observation.frequency > 0
             assert s.observation.ssid
             assert s.observation.bssid is None  # dataset rows mirror the CSV
+
+    @pytest.mark.parametrize("seed", list(SPARSE_SHA256))
+    def test_redrawn_placements_write_pinned_bytes(self, seed):
+        csv = dataset_to_csv_bytes(generate_dataset(SPARSE, LOSS, 60, 1, seed))
+        assert hashlib.sha256(csv).hexdigest() == SPARSE_SHA256[seed], (
+            f"seed {seed} bytes changed under numpy {np.__version__}; the digest was pinned with numpy 2.4.6"
+        )
 
     def test_balanced_labels(self):
         ds = generate_dataset(ENV, LOSS, 30, 3, seed=8)
