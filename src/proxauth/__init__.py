@@ -12,7 +12,7 @@ Modules:
     rf_simulator   log-distance path-loss simulation and dataset generation
     auth_service   enrollment store, session state machine, decisions
     wire           JSON-over-TCP server and client for the service
-    jsondoc        the typed reader of every JSON document proxauth reads
+    jsondoc        the one JSON codec: decode reads and encode writes dataclass documents
     cli            the `proxauth` command line
 """
 

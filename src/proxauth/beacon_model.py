@@ -51,6 +51,7 @@ FEATURE_VECTOR_LENGTH = 4
 CSV_COLUMNS = ("RPI", "SSID", "Frequency (Hz)", "RSSI (dBm)", "Location", "Label")
 
 _BSSID_RE = re.compile(r"^[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}$")
+_FLOAT64_EXACT = 2**53  # float64 holds every integer up to this; frequency and |RSSI| stay within it
 
 
 class DeviceRole(Enum):
@@ -86,8 +87,12 @@ class BeaconObservation:
             raise ValueError("ssid must be non-empty")
         if self.frequency <= 0:
             raise ValueError(f"frequency must be positive, got {self.frequency}")
+        if self.frequency > _FLOAT64_EXACT:
+            raise ValueError(f"frequency must be <= 2**53 Hz, got {self.frequency}")
         if self.rssi > 0:
             raise ValueError(f"rssi must be <= 0 dBm, got {self.rssi}")
+        if self.rssi < -_FLOAT64_EXACT:
+            raise ValueError(f"rssi must be >= -2**53 dBm, got {self.rssi}")
         if self.bssid is not None and not _BSSID_RE.match(self.bssid):
             raise ValueError(f"bssid must be six colon-separated hex octets, got {self.bssid!r}")
 
@@ -220,6 +225,8 @@ def parse_dataset_csv(raw: bytes) -> Dataset:
             raise RowParseError(row_number, "Frequency (Hz)", f"not an integer: {row[col['frequency']]!r}") from None
         if frequency <= 0:
             raise RowParseError(row_number, "Frequency (Hz)", f"must be positive: {frequency}")
+        if frequency > _FLOAT64_EXACT:
+            raise RowParseError(row_number, "Frequency (Hz)", f"must be <= 2**53 Hz: {frequency}")
 
         try:
             rssi = int(row[col["rssi"]].strip())
@@ -227,6 +234,8 @@ def parse_dataset_csv(raw: bytes) -> Dataset:
             raise RowParseError(row_number, "RSSI (dBm)", f"not an integer: {row[col['rssi']]!r}") from None
         if rssi > 0:
             raise RowParseError(row_number, "RSSI (dBm)", f"must be <= 0 dBm: {rssi}")
+        if rssi < -_FLOAT64_EXACT:
+            raise RowParseError(row_number, "RSSI (dBm)", f"must be >= -2**53 dBm: {rssi}")
 
         label_text = row[col["label"]].strip().lower()
         try:

@@ -48,7 +48,7 @@ from .colocation_ml import (
     train_random_forest,
 )
 from .errors import ProxauthError
-from .jsondoc import decode
+from .jsondoc import decode, encode
 from .rf_simulator import (
     CampaignConfig,
     EnvironmentConfig,
@@ -235,7 +235,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             "split": _TRAIN_HOLDOUT_FRACTION,
             "seed": seed,
             "counts": {"train": len(train_set), "test": len(test_set)},
-            "confusion_matrix": {"tp": cm.tp, "tn": cm.tn, "fp": cm.fp, "fn": cm.fn},
+            "confusion_matrix": encode(cm),
             "metrics": metrics.as_dict(),
         },
         args.json,

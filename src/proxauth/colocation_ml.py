@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
@@ -44,7 +44,7 @@ from .errors import (
     EmptyTestSet,
     EmptyTrainingSet,
 )
-from .jsondoc import decode
+from .jsondoc import decode, encode
 
 __all__ = [
     "TreeParams",
@@ -226,7 +226,7 @@ class MetricsReport:
     f1: float | None
 
     def as_dict(self) -> dict[str, float | None]:
-        return asdict(self)
+        return encode(self)
 
 
 def stratified_split(
@@ -531,10 +531,10 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 # A model file is a single JSON document: format marker, version, model kind,
 # the fitted encoder, the hyperparameters, the full tree structures and, when
 # the trainer records one, the ``train_seed`` of its held-out split. The
-# encoder and the hyperparameters are their dataclasses' fields in declaration
-# order, so reordering a field changes the file bytes. ``save_model`` writes
-# every model file. The document round-trips losslessly and re-serializes
-# byte-identically; a malformed document is a ValueError.
+# encoder and the hyperparameters are written by ``jsondoc.encode``, fields in
+# declaration order, so reordering a field changes the file bytes.
+# ``save_model`` writes every model file. The document round-trips losslessly
+# and re-serializes byte-identically; a malformed document is a ValueError.
 
 
 def _leaf_doc(unauthorized: int, authentic: int) -> dict:
@@ -589,8 +589,8 @@ def model_to_document(
         "format": MODEL_FORMAT,
         "version": MODEL_FORMAT_VERSION,
         "kind": "decision_tree" if isinstance(model, DecisionTree) else "random_forest",
-        "encoder": asdict(encoder),
-        "params": asdict(model.params),
+        "encoder": encode(encoder),
+        "params": encode(model.params),
     }
     if isinstance(model, DecisionTree):
         doc["tree"] = _node_to_doc(model)

@@ -1,4 +1,4 @@
-"""One strict reader from JSON values to dataclasses.
+"""One JSON codec for dataclasses: a strict reader and its inverse writer.
 
 :func:`decode` reads each field of a dataclass by its annotation: ``int``
 takes an int, never a bool or a float; ``float`` also takes an int, kept as
@@ -11,6 +11,10 @@ otherwise a field that has a default may be left out, as in config files and
 wire requests. Unknown keys are always rejected, and every failure is a
 ValueError naming the class and the field. Annotations are resolved once per
 class and mode, since the wire decodes every scan.
+
+:func:`encode` is the inverse, and writes every dataclass document proxauth
+writes: a dataclass as an object of its fields in declaration order, an
+``Enum`` as its value, a tuple as an array.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import types
 import typing
 from enum import Enum
 
-__all__ = ["decode"]
+__all__ = ["decode", "encode"]
 
 _SCALARS = {int: (int,), float: (float, int), str: (str,), bool: (bool,)}
 
@@ -29,6 +33,17 @@ _SCALARS = {int: (int,), float: (float, int), str: (str,), bool: (bool,)}
 def decode(cls, doc, *, exact: bool = False):
     """Dataclass ``cls`` read from ``doc``, a value as ``json.loads`` returns it."""
     return _reader(cls, exact)(doc)
+
+
+def encode(value):
+    """``value`` as the JSON value that :func:`decode` reads back to it."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: encode(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: encode(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [encode(v) for v in value]
+    return value.value if isinstance(value, Enum) else value
 
 
 class _Mismatch(Exception):

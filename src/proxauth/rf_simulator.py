@@ -39,6 +39,7 @@ from .beacon_model import (
 )
 from .colocation_ml import derived_rng
 from .errors import ConfigurationError, NonPositiveDistance, NoVisibleAp
+from .jsondoc import encode
 
 __all__ = [
     "PathLossConfig",
@@ -588,15 +589,13 @@ def simulation_metadata(
     dataset: Dataset,
 ) -> dict:
     """Sidecar document describing how a simulated dataset was produced."""
-    from dataclasses import asdict
-
     counts = dataset.label_counts()
     return {
         "generator": "proxauth.rf_simulator",
         "version": 1,
-        "environment": asdict(env),
-        "path_loss": asdict(loss),
-        "campaign": asdict(campaign),
+        "environment": encode(env),
+        "path_loss": encode(loss),
+        "campaign": encode(campaign),
         "n_sessions_per_class": n_sessions_per_class,
         "locations": locations,
         "seed": seed,

@@ -1,11 +1,13 @@
 """JSON-over-TCP wire protocol for the authentication service.
 
-Each request and each response is one compact JSON document on its own line.
-Requests carry an ``op`` of ``enroll``, ``begin``, ``submit_scan``, or
-``status``; responses always carry ``ok`` plus either result fields or an
-``error`` code taken from the service's exception names. Each op's fields
-are read by :func:`proxauth.jsondoc.decode` into that op's request type, so
-a missing, unknown or wrongly typed field is a ``BadRequest``. Snapshot
+Each request and each response is one compact JSON document on its own line;
+a request line over ``MAX_LINE_BYTES`` gets one ``BadRequest`` and then the
+connection closes. Requests carry an ``op`` of ``enroll``, ``begin``,
+``submit_scan``, or ``status``; responses always carry ``ok`` plus either
+result fields or an ``error`` code taken from the service's exception names.
+``_OPS`` maps each op to its request type, which the client writes with
+:func:`proxauth.jsondoc.encode` and the server reads with ``decode``, so a
+missing, unknown or wrongly typed field is a ``BadRequest``. Snapshot
 documents mirror :class:`proxauth.beacon_model.ScanSnapshot` field names,
 with RSSI in integer dBm and timestamps in integer milliseconds.
 """
@@ -21,9 +23,10 @@ from dataclasses import dataclass
 from .auth_service import AuthService, AuthSession
 from .beacon_model import ScanSnapshot
 from .errors import ProxauthError
-from .jsondoc import decode
+from .jsondoc import decode, encode
 
 __all__ = [
+    "MAX_LINE_BYTES",
     "snapshot_to_doc",
     "snapshot_from_doc",
     "AuthWireServer",
@@ -31,22 +34,11 @@ __all__ = [
 ]
 
 
+MAX_LINE_BYTES = 1 << 20  # a request line's bytes before its newline; a 1,000-AP scan is ~90 KB
+
+
 def snapshot_to_doc(snapshot: ScanSnapshot) -> dict:
-    return {
-        "device_id": snapshot.device_id,
-        "role": snapshot.role.value,
-        "timestamp": snapshot.timestamp,
-        "location_tag": snapshot.location_tag,
-        "observations": [
-            {
-                "ssid": o.ssid,
-                "bssid": o.bssid,
-                "frequency": o.frequency,
-                "rssi": o.rssi,
-            }
-            for o in snapshot.observations
-        ],
-    }
+    return encode(snapshot)
 
 
 def snapshot_from_doc(doc: dict) -> ScanSnapshot:
@@ -87,20 +79,24 @@ class StatusRequest:
     session_id: str
 
 
+# op -> (request type, AuthService method), the method looked up per call
+_OPS = {
+    "enroll": (EnrollRequest, "enroll_user"),
+    "begin": (BeginRequest, "begin_session"),
+    "submit_scan": (SubmitScanRequest, "submit_scan"),
+    "status": (StatusRequest, "get_session"),
+}
+
+
 def _dispatch(service: AuthService, request: dict) -> dict:
     op = request.pop("op", None)
-    if op == "enroll":
-        record = service.enroll_user(**vars(decode(EnrollRequest, request)))
-        return {"ok": True, "username": record.username, "enrolled_at": record.enrolled_at}
-    if op == "begin":
-        session = service.begin_session(**vars(decode(BeginRequest, request)))
-    elif op == "submit_scan":
-        session = service.submit_scan(**vars(decode(SubmitScanRequest, request)))
-    elif op == "status":
-        session = service.get_session(**vars(decode(StatusRequest, request)))
-    else:
+    if type(op) is not str or op not in _OPS:
         return {"ok": False, "error": "UnknownOp", "message": f"unknown op {op!r}"}
-    return {"ok": True, **_session_doc(session)}
+    request_type, method = _OPS[op]
+    result = getattr(service, method)(**vars(decode(request_type, request)))
+    if op == "enroll":
+        return {"ok": True, "username": result.username, "enrolled_at": result.enrolled_at}
+    return {"ok": True, **_session_doc(result)}
 
 
 def handle_request_line(service: AuthService, line: str) -> dict:
@@ -109,7 +105,7 @@ def handle_request_line(service: AuthService, line: str) -> dict:
         request = json.loads(line)
         if not isinstance(request, dict):
             raise ValueError("request must be a JSON object")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
         return {"ok": False, "error": "BadRequest", "message": f"malformed JSON: {exc}"}
     try:
         return _dispatch(service, request)
@@ -124,13 +120,18 @@ def handle_request_line(service: AuthService, line: str) -> dict:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self):
         service = self.server.proxauth_service  # type: ignore[attr-defined]
-        for raw in self.rfile:
+        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+            if len(raw.removesuffix(b"\n")) > MAX_LINE_BYTES:
+                self._reply({"ok": False, "error": "BadRequest",
+                             "message": f"request line longer than {MAX_LINE_BYTES} bytes"})
+                return
             line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            response = handle_request_line(service, line)
-            self.wfile.write((json.dumps(response, separators=(",", ":")) + "\n").encode("utf-8"))
-            self.wfile.flush()
+            if line:
+                self._reply(handle_request_line(service, line))
+
+    def _reply(self, response: dict) -> None:
+        self.wfile.write((json.dumps(response, separators=(",", ":")) + "\n").encode("utf-8"))
+        self.wfile.flush()
 
 
 class _TcpServer(socketserver.ThreadingTCPServer):
@@ -194,34 +195,22 @@ class AuthClient:
             raise ConnectionError("server closed the connection")
         return json.loads(line)
 
+    def _send(self, op: str, request) -> dict:
+        return self.call({"op": op, **encode(request)})
+
     def enroll(
         self, username: str, secret: str, mobile_device_id: str, login_device_id: str
     ) -> dict:
-        return self.call(
-            {
-                "op": "enroll",
-                "username": username,
-                "secret": secret,
-                "mobile_device_id": mobile_device_id,
-                "login_device_id": login_device_id,
-            }
-        )
+        return self._send("enroll", EnrollRequest(username, secret, mobile_device_id, login_device_id))
 
     def begin(self, username: str, secret: str) -> dict:
-        return self.call({"op": "begin", "username": username, "secret": secret})
+        return self._send("begin", BeginRequest(username, secret))
 
     def submit_scan(self, session_id: str, device_id: str, snapshot: ScanSnapshot) -> dict:
-        return self.call(
-            {
-                "op": "submit_scan",
-                "session_id": session_id,
-                "device_id": device_id,
-                "snapshot": snapshot_to_doc(snapshot),
-            }
-        )
+        return self._send("submit_scan", SubmitScanRequest(session_id, device_id, snapshot))
 
     def status(self, session_id: str) -> dict:
-        return self.call({"op": "status", "session_id": session_id})
+        return self._send("status", StatusRequest(session_id))
 
     def close(self) -> None:
         try:

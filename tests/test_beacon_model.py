@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,30 @@ class TestParseCsv:
             parse_dataset_csv(text.encode())
         assert err.value.row == 2
         assert err.value.column == "RSSI (dBm)"
+
+    @pytest.mark.parametrize(
+        "frequency, rssi, column, message",
+        [
+            (2**53 + 1, -58, "Frequency (Hz)", f"must be <= 2**53 Hz: {2**53 + 1}"),
+            (2437000000, -2**53 - 1, "RSSI (dBm)", f"must be >= -2**53 dBm: {-2**53 - 1}"),
+            (2437000000, -int("9" * 400), "RSSI (dBm)", "must be >= -2**53 dBm: -999"),
+        ],
+        ids=["frequency-above-2**53", "rssi-below-2**53", "rssi-400-digits"],
+    )
+    def test_value_float64_cannot_hold_names_column(self, frequency, rssi, column, message):
+        text = HEADER + f"\nRPI1,Net,{frequency},{rssi},Lab,authentic\n"
+        with pytest.raises(RowParseError) as err:
+            parse_dataset_csv(text.encode())
+        assert (err.value.row, err.value.column) == (2, column)
+        assert f"({message}" in str(err.value)
+
+    def test_range_ends(self):
+        text = HEADER + f"\nRPI1,Net,{2**53},{-2**53},Lab,authentic\n"
+        assert parse_dataset_csv(text.encode()).samples[0].observation == BeaconObservation("Net", 2**53, -2**53)
+        for frequency, rssi, message in [(0, -58, "must be positive: 0"), (2437000000, 1, "must be <= 0 dBm: 1")]:
+            text = HEADER + f"\nRPI1,Net,{frequency},{rssi},Lab,authentic\n"
+            with pytest.raises(RowParseError, match=re.escape(f"({message})")):
+                parse_dataset_csv(text.encode())
 
     def test_bad_frequency(self):
         text = HEADER + "\nRPI1,Net,fast,-58,Lab,authentic\n"

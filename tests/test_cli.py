@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from proxauth.auth_service import MatchKey, PolicyConfig, UserRecord
+from proxauth.auth_service import MatchKey, PolicyConfig, StoreSnapshot, UserRecord
 from proxauth.beacon_model import (
     BeaconObservation,
     DeviceRole,
@@ -23,6 +23,8 @@ from proxauth.beacon_model import (
     parse_dataset_csv,
 )
 from proxauth.cli import (
+    ParamsFile,
+    SimulationFile,
     _parse_listen,
     _policy_config,
     build_parser,
@@ -39,8 +41,9 @@ from proxauth.colocation_ml import (
     train_random_forest,
 )
 from proxauth.jsondoc import decode as _make_config
+from proxauth.jsondoc import encode
 from proxauth.rf_simulator import CampaignConfig, EnvironmentConfig, PathLossConfig
-from proxauth.wire import AuthWireServer
+from proxauth.wire import AuthWireServer, BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest
 
 
 class TestParseArgs:
@@ -96,7 +99,13 @@ _SAMPLES = {
         (BeaconObservation("A", 2412000000, -60, "aa:bb:cc:dd:ee:ff"), BeaconObservation("B", 5240000000, -71)),
         location_tag="desk",
     ),
+    BeaconObservation: BeaconObservation("C", 5180000000, -2**53, "aa:bb:cc:dd:ee:01"),
+    EnrollRequest: EnrollRequest("zoe", "zoes-secret", "z-m", "z-l"),
+    BeginRequest: BeginRequest("zoe", "zoes-secret"),
+    StatusRequest: StatusRequest("s-1"),
 }
+_SAMPLES[SubmitScanRequest] = SubmitScanRequest("s-1", "z-m", _SAMPLES[ScanSnapshot])
+_SAMPLES[StoreSnapshot] = StoreSnapshot(1, (_SAMPLES[UserRecord], UserRecord("ann", "h", "a-m", "a-l", 0)))
 
 
 class TestHelpers:
@@ -148,16 +157,22 @@ class TestHelpers:
 
     @pytest.mark.parametrize(
         "cls", [EnvironmentConfig, PathLossConfig, CampaignConfig, PolicyConfig, TreeParams, ForestParams,
-                FeatureEncoder, UserRecord, ScanSnapshot]
+                FeatureEncoder, UserRecord, ScanSnapshot, BeaconObservation, StoreSnapshot, SimulationFile,
+                ParamsFile, EnrollRequest, BeginRequest, SubmitScanRequest, StatusRequest]
     )
     def test_make_config_inverts_asdict(self, cls):
         value = _SAMPLES[cls] if cls in _SAMPLES else cls()
         doc = dataclasses.asdict(value)
         assert _make_config(cls, doc) == value
         # as read back from a JSON file: lists for tuples, values for enums
-        assert _make_config(cls, json.loads(json.dumps(doc, default=lambda e: e.value))) == value
+        written = json.dumps(doc, default=lambda e: e.value)
+        assert _make_config(cls, json.loads(written)) == value
         # with every key present, the exact mode reads the same value
-        assert _make_config(cls, json.loads(json.dumps(doc, default=lambda e: e.value)), exact=True) == value
+        assert _make_config(cls, json.loads(written), exact=True) == value
+        # encode writes that JSON document, key order included, and it reads back exactly
+        assert encode(value) == json.loads(written)
+        assert json.dumps(encode(value)) == written
+        assert _make_config(cls, encode(value), exact=True) == value
 
     def test_policy_match_key_parsing(self, tmp_path):
         path = tmp_path / "policy.json"

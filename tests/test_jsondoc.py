@@ -1,11 +1,11 @@
 import json
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
 import pytest
 
-from proxauth.jsondoc import decode
+from proxauth.jsondoc import decode, encode
 
 
 class Color(Enum):
@@ -75,6 +75,39 @@ def test_each_annotation_kind(exact, key, raw, expected, refused):
     for bad in refused:
         with pytest.raises(ValueError, match=f"Every value: {key} must be|Inner"):
             decode(Every, {**FULL, key: bad}, exact=exact)
+
+
+# (field, a value it holds, the JSON value encode writes for it)
+ENCODED = [
+    ("i", -3, -3),
+    ("f", 2, 2),
+    ("f", 2.5, 2.5),
+    ("s", "x", "x"),
+    ("b", True, True),
+    ("maybe", 4, 4),
+    ("maybe", None, None),
+    ("optional", "o", "o"),
+    ("color", Color.BLUE, "blue"),
+    ("pair", (1.5, 2), [1.5, 2]),
+    ("many", (1, 2, 3), [1, 2, 3]),
+    ("counts", {"a": 1, "b": 2}, {"a": 1, "b": 2}),
+    ("inner", Inner(2, "u"), {"n": 2, "tag": "u"}),
+    ("defaulted", 7, 7),
+    ("factory", ("a",), ["a"]),
+]
+
+
+@pytest.mark.parametrize("key, value, expected", ENCODED, ids=[f"{k[0]}-{k[1]!r}" for k in ENCODED])
+def test_encode_writes_what_decode_reads(key, value, expected):
+    every = replace(decode(Every, FULL), **{key: value})
+    doc = encode(every)
+    assert doc[key] == expected
+    assert type(doc[key]) is type(expected)  # an int in a float field stays an int
+    assert list(doc) == [f.name for f in fields(Every)]
+    assert json.loads(json.dumps(doc)) == doc
+    assert decode(Every, doc, exact=True) == every
+    if isinstance(value, dict):
+        assert doc[key] is not value  # a new object: editing the document leaves the value alone
 
 
 @pytest.mark.parametrize("exact", [False, True], ids=["partial", "exact"])

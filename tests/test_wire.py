@@ -14,6 +14,7 @@ from proxauth.beacon_model import (
 )
 from proxauth.colocation_ml import TreeParams, _tree_from_doc
 from proxauth.wire import (
+    MAX_LINE_BYTES,
     AuthClient,
     AuthWireServer,
     handle_request_line,
@@ -101,6 +102,11 @@ class TestTypedSnapshot:
             ("observations", {"ssid": "NetA"}, "observations"),
             ("extra", 1, "extra"),
             ("observations.0.channel", 6, "channel"),
+            # past 2**53 float64 no longer holds every integer; at 10**400 encoding overflows
+            pytest.param("observations.0.rssi", -int("9" * 400), "rssi", id="rssi-400-digits"),
+            pytest.param("observations.0.rssi", -2**53 - 1, "rssi", id="rssi-below-2**53"),
+            pytest.param("observations.0.frequency", int("9" * 400), "frequency", id="frequency-400-digits"),
+            pytest.param("observations.0.frequency", 2**53 + 1, "frequency", id="frequency-above-2**53"),
         ],
     )
     def test_wrongly_typed_or_unknown_field_is_refused(self, path, value, named):
@@ -194,6 +200,8 @@ class TestWireProtocol:
         with client_for(server) as client:
             resp = client.call({"op": "frobnicate"})
             assert resp["error"] == "UnknownOp"
+            for op in ([], {}, None, 5, "ENROLL"):  # not a string key of the op table
+                assert client.call({"op": op, "username": "u", "secret": "s"})["error"] == "UnknownOp"
 
     def test_missing_fields_are_bad_request(self, server):
         with client_for(server) as client:
@@ -262,3 +270,43 @@ class TestIdentityFields:
         service = AuthService(UserStore(tmp_path / "data"), GRANT_ALL, ENCODER)
         response = handle_request_line(service, json.dumps(ENROLL))
         assert response["ok"] is True and response["username"] == "gil"
+
+
+def _send_line(sock_file, line: bytes) -> dict:
+    sock_file.write(line + b"\n")
+    sock_file.flush()
+    return json.loads(sock_file.readline())
+
+
+def _closed(sock_file) -> bool:
+    try:
+        return sock_file.readline() == b""
+    except ConnectionResetError:  # the unread end of a refused line may reset it
+        return True
+
+
+def _status_line(size: int) -> bytes:
+    """A status request for an unknown session, padded to ``size`` bytes."""
+    head, tail = b'{"op":"status","session_id":"', b'"}'
+    return head + b"s" * (size - len(head) - len(tail)) + tail
+
+
+class TestWireLimits:
+    def test_deeply_nested_json_is_bad_request(self, server):
+        service = AuthService(UserStore(), GRANT_ALL, ENCODER)
+        response = handle_request_line(service, "[" * 100_000)
+        assert response["ok"] is False and response["error"] == "BadRequest"
+        with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
+            assert _send_line(f, b"[" * 100_000)["error"] == "BadRequest"
+            enrolled = _send_line(f, json.dumps(ENROLL).encode())
+            assert enrolled["ok"] is True and enrolled["username"] == "gil"
+
+    def test_request_line_cap(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
+            assert _send_line(f, _status_line(MAX_LINE_BYTES))["error"] == "UnknownSession"
+            refused = _send_line(f, _status_line(MAX_LINE_BYTES + 1))
+            assert refused["error"] == "BadRequest"
+            assert str(MAX_LINE_BYTES) in refused["message"]
+            assert _closed(f)
+        with client_for(server) as client:
+            assert client.enroll("gil", "gils-secret", "g-m", "g-l")["ok"] is True
