@@ -61,7 +61,7 @@ from .errors import (
     UnknownUser,
     WeakSecret,
 )
-from .jsondoc import decode
+from .jsondoc import decode, encode
 
 __all__ = [
     "MatchKey",
@@ -247,8 +247,7 @@ class UserStore:
         records += [decode(UserRecord, json.loads(line), exact=True) for line in lines]
         for record in records:
             self._index(record)
-        # a record's __dict__ holds its fields in declaration order; asdict would copy each one
-        doc = {"version": 1, "users": [vars(r) for r in self._users.values()]}
+        doc = encode(StoreSnapshot(version=1, users=tuple(self._users.values())))
         tmp = self._users_path.with_suffix(".json.tmp")
         # compact separators keep json on its C encoder; indent would not
         tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
@@ -266,7 +265,7 @@ class UserStore:
             if device_id in self._devices:
                 raise DuplicateDeviceId(f"device {device_id!r} is already enrolled")
         if append and self.root is not None:
-            _append_json_line(self._log_path, vars(record))
+            _append_json_line(self._log_path, encode(record))
         self._users[record.username] = record
         self._devices[record.mobile_device_id] = record.username
         self._devices[record.login_device_id] = record.username

@@ -7,11 +7,12 @@ The on-disk dataset format is a six-column CSV with the header
 Each row is one device's reading of one access point during one scan,
 labeled ``authentic`` (devices were co-located) or ``unauthorized``. The
 CSV is read from bytes and written to bytes, with one rule for the RPI column.
-Observations are turned into fixed-length numeric vectors
+Observations are turned into numeric rows of the encoder's ``width``
 
     [role_code, ssid_index, frequency_normalized, rssi_dbm]
 
-for the classifiers in :mod:`proxauth.colocation_ml`.
+(role code 0 for the mobile device, 1 for the login device) for the
+classifiers in :mod:`proxauth.colocation_ml`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ __all__ = [
     "LabeledSample",
     "Dataset",
     "FeatureEncoder",
-    "FEATURE_VECTOR_LENGTH",
     "CSV_COLUMNS",
     "parse_dataset_csv",
     "dataset_to_csv_bytes",
@@ -44,8 +44,6 @@ __all__ = [
     "encode_observations",
     "encode_dataset",
 ]
-
-FEATURE_VECTOR_LENGTH = 4
 
 #: Canonical CSV column names, in order.
 CSV_COLUMNS = ("RPI", "SSID", "Frequency (Hz)", "RSSI (dBm)", "Location", "Label")
@@ -57,11 +55,6 @@ _FLOAT64_EXACT = 2**53  # float64 holds every integer up to this; frequency and 
 class DeviceRole(Enum):
     MOBILE = "mobile"
     LOGIN = "login"
-
-    @property
-    def code(self) -> int:
-        """Numeric feature value: 0 for the mobile device, 1 for the login device."""
-        return 0 if self is DeviceRole.MOBILE else 1
 
 
 class Label(Enum):
@@ -273,7 +266,7 @@ def dataset_to_csv_bytes(dataset: Dataset) -> bytes:
 
 @dataclass(frozen=True)
 class FeatureEncoder:
-    """Maps observations to fixed-length numeric vectors.
+    """Maps observations to numeric rows of ``width`` columns.
 
     ``ssid_vocabulary`` assigns dense indices 1..N in first-appearance order;
     index 0 is reserved for SSIDs unseen at fit time. ``frequency_scale`` is
@@ -288,6 +281,11 @@ class FeatureEncoder:
         indices = sorted(self.ssid_vocabulary.values())
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError("ssid vocabulary indices must be dense 1..N")
+
+    @property
+    def width(self) -> int:
+        """The columns of an encoded row: role, SSID index, frequency, RSSI."""
+        return 4
 
 
 def build_feature_encoder(dataset: Dataset) -> FeatureEncoder:
@@ -309,17 +307,18 @@ def build_feature_encoder(dataset: Dataset) -> FeatureEncoder:
 def encode_observations(
     encoder: FeatureEncoder, pairs: Sequence[tuple[DeviceRole, BeaconObservation]]
 ) -> np.ndarray:
-    """Encode ``(role, observation)`` pairs as an ``(n, 4)`` float64 array of
-    ``[role_code, ssid_index, freq_norm, rssi]`` rows.
+    """Encode ``(role, observation)`` pairs as an ``(n, encoder.width)``
+    float64 array of ``[role_code, ssid_index, freq_norm, rssi]`` rows, the
+    role code 1 for the login device and 0 for the mobile one.
 
     Total and deterministic: unknown SSIDs map to index 0 and frequencies
     outside the training range clamp into [0, 1].
     """
     vocab = encoder.ssid_vocabulary
     X = np.array(
-        [(role.code, vocab.get(obs.ssid, 0), obs.frequency, obs.rssi) for role, obs in pairs],
+        [(role is DeviceRole.LOGIN, vocab.get(obs.ssid, 0), obs.frequency, obs.rssi) for role, obs in pairs],
         dtype=np.float64,
-    ).reshape(-1, FEATURE_VECTOR_LENGTH)
+    ).reshape(-1, encoder.width)
     lo, hi = encoder.frequency_scale
     X[:, 2] = 0.5 if hi == lo else np.clip((X[:, 2] - lo) / (hi - lo), 0.0, 1.0)
     return X

@@ -6,9 +6,13 @@ derived metrics (accuracy, sensitivity, specificity, precision, F1).
 
 Conventions
 -----------
-* Samples are numeric feature matrices ``X`` of shape (n, 4) as produced by
-  :func:`proxauth.beacon_model.encode_dataset`, with integer labels ``y``
-  (1 = Authentic, the positive class; 0 = Unauthorized).
+* Samples are numeric feature matrices ``X`` of shape (n, k) with integer
+  labels ``y`` (1 = Authentic, the positive class; 0 = Unauthorized). The
+  trainers take k from ``X``; :func:`proxauth.beacon_model.encode_dataset`
+  gives the encoder's ``width`` columns, and the model reader bounds split
+  features by that width.
+* A decision tree is the one tree of an unbagged forest that considers every
+  feature at every node: one trainer grows both.
 * A tree is its preorder node table (:class:`DecisionTree`), routing ``feature
   <= threshold`` to the left child. Training and the model-file reader both
   write it; it is compiled once into flat node arrays that one vectorized
@@ -31,12 +35,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .beacon_model import (
-    Dataset,
-    FeatureEncoder,
-    FEATURE_VECTOR_LENGTH,
-    Label,
-)
+from .beacon_model import Dataset, FeatureEncoder, Label
 from .errors import (
     DegenerateSplit,
     EmptyMatrix,
@@ -115,10 +114,8 @@ class ForestParams:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
-        if not 1 <= self.features_per_split <= FEATURE_VECTOR_LENGTH:
-            raise ValueError(
-                f"features_per_split must be in [1, {FEATURE_VECTOR_LENGTH}]"
-            )
+        if self.features_per_split < 1:  # its upper bound is the width of X, known at training
+            raise ValueError("features_per_split must be >= 1")
 
 
 class _Layout(NamedTuple):
@@ -370,51 +367,15 @@ def _grow(expand: Callable, root, params: TreeParams) -> DecisionTree:
     return DecisionTree(*map(tuple, zip(*rows)), params)
 
 
-def _build_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    params: TreeParams,
-    choose_features: Callable[[], Sequence[int]],
-) -> DecisionTree:
-    def expand(node: tuple[np.ndarray, np.ndarray, int]):
-        X, y, depth = node
-        n = len(y)
-        pos = int(y.sum())
-        neg = n - pos
-        if pos == 0 or neg == 0:
-            return neg, pos
-        if n < params.min_samples_split:
-            return neg, pos
-        if params.max_depth is not None and depth >= params.max_depth:
-            return neg, pos
-
-        # Deadlock-breaker: without require_improvement, a mixed node whose every
-        # split ties the parent impurity still takes the best tie split, which
-        # separates deeper down, so consistent data always trains to purity.
-        cand = best_split(X, y, choose_features(), params.min_samples_leaf, require_improvement=False)
-        if cand is None:
-            return neg, pos
-
-        mask = X[:, cand.feature_index] <= cand.threshold
-        left, right = (X[mask], y[mask], depth + 1), (X[~mask], y[~mask], depth + 1)
-        return cand.feature_index, cand.threshold, left, right
-
-    return _grow(expand, (X, y, 0), params)
-
-
 def train_decision_tree(
     X: np.ndarray,
     y: np.ndarray,
     params: TreeParams = TreeParams(),
 ) -> DecisionTree:
-    """Greedy CART over all four features; plain tree induction is fully
-    deterministic, so it takes no seed."""
-    if len(y) == 0:
-        raise EmptyTrainingSet("cannot train a tree on zero samples")
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    all_features = tuple(range(X.shape[1]))
-    return _build_tree(X, y, params, lambda: all_features)
+    """Greedy CART over every feature: the one tree of an unbagged forest
+    that draws all of X's columns at every node, so it takes no seed."""
+    every_feature = ForestParams(n_trees=1, bootstrap=False, features_per_split=np.shape(X)[1], tree_params=params)
+    return train_random_forest(X, y, every_feature).trees[0]
 
 
 def train_random_forest(
@@ -423,28 +384,47 @@ def train_random_forest(
     params: ForestParams = ForestParams(),
 ) -> RandomForest:
     """Bagged forest: tree i trains on a bootstrap resample (drawn from an RNG
-    derived from (seed, i)) and considers ``features_per_split`` randomly drawn
-    features at each node."""
+    derived from (seed, i)) and considers ``features_per_split`` features,
+    drawn without replacement, at each node."""
     n = len(y)
     if n == 0:
-        raise EmptyTrainingSet("cannot train a forest on zero samples")
+        raise EmptyTrainingSet("cannot train on zero samples")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
-    n_features = X.shape[1]
+    n_features, k, tree_params = X.shape[1], params.features_per_split, params.tree_params
+    if k > n_features:
+        raise ValueError(f"features_per_split {k} exceeds the {n_features} columns of X")
 
     trees = []
     for i in range(params.n_trees):
         rng = derived_rng(params.seed, i)
-        if params.bootstrap:
-            idx = rng.integers(0, n, size=n)
-            Xi, yi = X[idx], y[idx]
-        else:
-            Xi, yi = X, y
+        rows = rng.integers(0, n, size=n) if params.bootstrap else slice(None)
 
-        def choose() -> Sequence[int]:
-            return np.sort(rng.choice(n_features, size=params.features_per_split, replace=False))
+        def expand(node: tuple[np.ndarray, np.ndarray, int]):
+            X, y, depth = node
+            n = len(y)
+            pos = int(y.sum())
+            neg = n - pos
+            if pos == 0 or neg == 0:
+                return neg, pos
+            if n < tree_params.min_samples_split:
+                return neg, pos
+            if tree_params.max_depth is not None and depth >= tree_params.max_depth:
+                return neg, pos
 
-        trees.append(_build_tree(Xi, yi, params.tree_params, choose))
+            features = np.sort(rng.choice(n_features, size=k, replace=False))
+            # Deadlock-breaker: without require_improvement, a mixed node whose every
+            # split ties the parent impurity still takes the best tie split, which
+            # separates deeper down, so consistent data always trains to purity.
+            cand = best_split(X, y, features, tree_params.min_samples_leaf, require_improvement=False)
+            if cand is None:
+                return neg, pos
+
+            mask = X[:, cand.feature_index] <= cand.threshold
+            left, right = (X[mask], y[mask], depth + 1), (X[~mask], y[~mask], depth + 1)
+            return cand.feature_index, cand.threshold, left, right
+
+        trees.append(_grow(expand, (X[rows], y[rows], 0), tree_params))
     return RandomForest(trees=tuple(trees), params=params)
 
 
@@ -563,15 +543,15 @@ _SPLIT_KEYS = {"type", "feature_index", "threshold", "left", "right"}
 
 def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
     """The one tree reader, a v1 node document straight into the table: a split
-    has exactly its keys, an int ``feature_index`` in [0, FEATURE_VECTOR_LENGTH)
-    and a finite int or float ``threshold`` (an int past the float range
-    raises OverflowError); a leaf is what ``_leaf_doc`` writes for two ints
-    >= 0."""
+    has exactly its keys, an int ``feature_index`` >= 0 (its upper bound, the
+    encoder's width, is checked by :func:`document_to_model`) and a finite int
+    or float ``threshold`` (an int past the float range raises OverflowError);
+    a leaf is what ``_leaf_doc`` writes for two ints >= 0."""
 
     def expand(node):
         if type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split":
             feature, threshold = node["feature_index"], node["threshold"]
-            if (type(feature) is int and 0 <= feature < FEATURE_VECTOR_LENGTH
+            if (type(feature) is int and feature >= 0
                     and type(threshold) in (int, float) and math.isfinite(threshold)):
                 return feature, threshold, node["left"], node["right"]
         elif type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2:
@@ -610,14 +590,19 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
         encoder = decode(FeatureEncoder, doc["encoder"], exact=True)
         if doc["kind"] == "decision_tree":
             model = _tree_from_doc(doc["tree"], decode(TreeParams, doc["params"], exact=True))
+            trees = (model,)
         elif doc["kind"] == "random_forest":
             params = decode(ForestParams, doc["params"], exact=True)
             trees = tuple(_tree_from_doc(d, params.tree_params) for d in doc["trees"])
             if len(trees) != params.n_trees:
                 raise ValueError(f"a forest of n_trees {params.n_trees} holds {len(trees)} trees")
+            if (k := params.features_per_split) > encoder.width:
+                raise ValueError(f"features_per_split {k} exceeds the encoder's width {encoder.width}")
             model = RandomForest(trees=trees, params=params)
         else:
             raise ValueError(f"unknown model kind {doc['kind']!r}")
+        if (top := max(max(t.feature) for t in trees)) >= encoder.width:
+            raise ValueError(f"a split on feature_index {top} is past the encoder's width {encoder.width}")
     except KeyError as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} document: missing key {exc}") from exc
     except (AttributeError, IndexError, OverflowError, TypeError) as exc:

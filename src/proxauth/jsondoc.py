@@ -1,8 +1,9 @@
 """One JSON codec for dataclasses: a strict reader and its inverse writer.
 
 :func:`decode` reads each field of a dataclass by its annotation: ``int``
-takes an int, never a bool or a float; ``float`` also takes an int, kept as
-written so that a document read and written back keeps its bytes; ``str``
+takes an int, never a bool or a float; ``float`` also takes an int that
+``float()`` can convert, kept as written so that a document read and written
+back keeps its bytes (an int past float64's range is refused); ``str``
 and ``bool`` take exactly that type; ``X | None`` also takes null; an
 ``Enum`` is read from its value, a tuple from an array, and ``dict[str, X]``
 and a nested dataclass from an object. With ``exact=True`` every field must
@@ -28,6 +29,7 @@ from enum import Enum
 __all__ = ["decode", "encode"]
 
 _SCALARS = {int: (int,), float: (float, int), str: (str,), bool: (bool,)}
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() rounds past float64's range
 
 
 def decode(cls, doc, *, exact: bool = False):
@@ -88,7 +90,7 @@ def _compile(t, exact: bool):
         kinds = _SCALARS[t]
 
         def read(v):
-            if type(v) in kinds:
+            if type(v) in kinds and not (t is float and type(v) is int and abs(v) >= _FLOAT_OVERFLOW):
                 return v
             raise _Mismatch(t.__name__, v)
     elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:

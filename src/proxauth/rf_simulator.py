@@ -266,9 +266,7 @@ def _ap_distances(point: np.ndarray, aps: Sequence[AccessPoint]) -> list[float]:
 
 def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.hypot(*(p - a)))
+    denom = float(ab @ ab)  # > 0: callers pass the ends of a t range lo < hi along a unit bearing
     t = min(max(float((p - a) @ ab) / denom, 0.0), 1.0)
     return float(np.hypot(*(p - (a + t * ab))))
 

@@ -301,6 +301,19 @@ def run_session(svc, mobile_obs, login_obs, mobile_ts=1_000_000, login_ts=1_000_
 
 
 class TestDecision:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"vote_threshold_tau": 0.0}, r"vote_threshold_tau must be in \(0, 1\]"),
+            ({"vote_threshold_tau": 1.5}, r"vote_threshold_tau must be in \(0, 1\]"),
+            ({"min_overlap_aps": 0}, "min_overlap_aps must be >= 1"),
+            ({"pairing_window_ms": -1}, "pairing_window_ms must be >= 0"),
+        ],
+    )
+    def test_policy_range_checks(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            PolicyConfig(**kwargs)
+
     def test_stale_scans_denied_before_model_runs(self):
         # model=None would crash if the classifier were consulted
         svc = enrolled_service(model=None)
@@ -589,6 +602,16 @@ class TestStore:
         root.mkdir()
         (root / "users.json").write_text(json.dumps(snapshot) + "\n")
         with pytest.raises(ValueError, match="StoreSnapshot"):
+            UserStore(root)
+
+    @pytest.mark.parametrize("where", ["users.json", "users.log"])
+    def test_record_with_equal_device_ids_raises(self, tmp_path, where):
+        root = tmp_path / "data"
+        root.mkdir()
+        doc = {**vars(STORE_RECORDS[0]), "login_device_id": STORE_RECORDS[0].mobile_device_id}
+        text = json.dumps({"version": 1, "users": [doc]}) if where == "users.json" else json.dumps(doc)
+        (root / where).write_text(text + "\n")
+        with pytest.raises(ValueError, match="^bad UserRecord value: device ids must be distinct"):
             UserStore(root)
 
     def test_records_held_by_different_users_are_refused(self, tmp_path):

@@ -126,6 +126,12 @@ class TestParseCsv:
             parse_dataset_csv(text.encode())
         assert err.value.column == "Frequency (Hz)"
 
+    def test_empty_ssid(self):
+        text = HEADER + "\nRPI1,,2437000000,-58,Lab,authentic\n"
+        with pytest.raises(RowParseError) as err:
+            parse_dataset_csv(text.encode())
+        assert (err.value.row, err.value.column) == (2, "SSID")
+
     def test_unknown_label(self):
         text = HEADER + "\nRPI1,Net,2437000000,-58,Lab,maybe\n"
         with pytest.raises(RowParseError) as err:
@@ -141,6 +147,10 @@ class TestParseCsv:
     def test_header_mismatch(self):
         with pytest.raises(MalformedHeader):
             parse_dataset_csv(b"a,b,c\n1,2,3\n")
+
+    def test_non_utf8_input(self):
+        with pytest.raises(MalformedHeader, match="not UTF-8"):
+            parse_dataset_csv((HEADER + "\nRPI1,Caf\xe9,2437000000,-58,Lab,authentic\n").encode("latin-1"))
 
     def test_empty_input(self):
         with pytest.raises(MalformedHeader):
@@ -227,7 +237,7 @@ def reference_row(encoder, role, obs):
     lo, hi = encoder.frequency_scale
     freq_norm = 0.5 if hi == lo else min(max((obs.frequency - lo) / (hi - lo), 0.0), 1.0)
     return np.array(
-        [role.code, encoder.ssid_vocabulary.get(obs.ssid, 0), freq_norm, obs.rssi], dtype=np.float64
+        [{DeviceRole.MOBILE: 0, DeviceRole.LOGIN: 1}[role], encoder.ssid_vocabulary.get(obs.ssid, 0), freq_norm, obs.rssi], dtype=np.float64
     )
 
 

@@ -145,6 +145,9 @@ class TestHelpers:
             (PolicyConfig, {"vote_threshold_tau": True, "pairing_window_ms": 1.5}, "PolicyConfig"),
             (TreeParams, {"max_depth": 2.5}, "TreeParams"),
             (ForestParams, {"bootstrap": 0}, "ForestParams"),
+            (PathLossConfig, {"noise_sigma_dbm": 10**400}, "PathLossConfig"),
+            (EnvironmentConfig, {"area_m": 10**400}, "EnvironmentConfig"),
+            (CampaignConfig, {"intruder_offset_m": [5.0, 10**400]}, "CampaignConfig"),
         ],
     )
     def test_make_config_wrong_type_names_class(self, cls, overrides, named):

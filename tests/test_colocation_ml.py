@@ -207,6 +207,11 @@ class TestBestSplit:
         cand = best_split(X, y, [0, 1, 2, 3])
         assert cand.feature_index == 1
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_rows_returns_none(self, n):
+        X = np.array([[0, 1, 0.5, -50]], float)[:n]
+        assert best_split(X, np.ones(n, np.int8), [0, 1, 2, 3], require_improvement=False) is None
+
     def test_no_improvement_returns_none(self):
         # any threshold keeps both children at gini 0.5
         X = np.array([[0, 1, 0, -60], [0, 1, 0, -60], [0, 2, 0, -50], [0, 2, 0, -50]], float)
@@ -293,6 +298,25 @@ class TestDecisionTree:
         assert tree.counts == ((2, 2),)
         assert node_doc(tree) == leaf(Label.UNAUTHORIZED, (2, 2))
         assert predict(tree, X[0]) is Label.UNAUTHORIZED
+
+    def test_mixed_node_below_min_samples_split_is_a_leaf(self):
+        X = np.array([[0, 1, 0.5, -50], [0, 1, 0.5, -80]], float)
+        y = np.array([1, 0], np.int8)
+        assert train_decision_tree(X, y).feature == (3, -1, -1)
+        tree = train_decision_tree(X, y, TreeParams(min_samples_split=3))
+        assert (tree.feature, tree.counts) == ((-1,), ((1, 1),))
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"max_depth": 0}, "max_depth must be >= 1 or None"),
+            ({"min_samples_split": 1}, "min_samples_split must be >= 2"),
+            ({"min_samples_leaf": 0}, "min_samples_leaf must be >= 1"),
+        ],
+    )
+    def test_params_range_checks(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            TreeParams(**kwargs)
 
     def test_max_depth_bound(self):
         rng = np.random.default_rng(11)
@@ -392,8 +416,9 @@ class TestRandomForest:
             train_random_forest(np.empty((0, 4)), np.empty(0, np.int8))
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            ForestParams(features_per_split=5)
+        X = np.array([[0, 1, 0.5, -50], [0, 1, 0.5, -80]], float)
+        with pytest.raises(ValueError, match="features_per_split 5 exceeds the 4 columns"):
+            train_random_forest(X, np.array([1, 0], np.int8), ForestParams(features_per_split=5))
         with pytest.raises(ValueError):
             ForestParams(n_trees=0)
 
@@ -719,6 +744,7 @@ class TestMalformedDocuments:
             ("trees.0.left.type", "branch"),
             ("encoder", ["A", 1]),
             ("encoder.ssid_vocabulary", None),
+            ("encoder.ssid_vocabulary", {"A": 2}),
             ("params.tree_params", 7),
             ("trees", 7),
             ("trees.0", "leaf"),
@@ -743,11 +769,13 @@ class TestMalformedDocuments:
             ("trees", []),
             ("trees", {}),
             ("trees.0.feature_index", 4),
+            ("params.features_per_split", 5),
             ("trees.0.feature_index", 7),
             ("trees.0.threshold", float("nan")),
             ("trees.0.threshold", float("inf")),
             ("trees.0.threshold", float("-inf")),
             pytest.param("trees.0.threshold", 2**1024, id="trees.0.threshold-2**1024"),
+            pytest.param("encoder.frequency_scale.0", 10**400, id="encoder.frequency_scale.0-10**400"),
         ],
     )
     def test_edited_document_is_value_error(self, path, value):

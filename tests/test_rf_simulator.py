@@ -104,6 +104,28 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             PathLossConfig(clamp_dbm=(-20, -100))
 
+    @pytest.mark.parametrize(
+        "cls, kwargs, message",
+        [
+            (PathLossConfig, {"exponent_n": 0.0}, "exponent_n must be positive"),
+            (EnvironmentConfig, {"n_aps": 0}, "n_aps must be >= 1"),
+            (EnvironmentConfig, {"frequency_set_hz": (2412000000, 0)}, "frequencies must be positive"),
+            (EnvironmentConfig, {"area_m": 0.0}, "area and detection radius must be positive"),
+            (EnvironmentConfig, {"detection_radius_m": -1.0}, "area and detection radius must be positive"),
+            (CampaignConfig, {"anchor_jitter_m": -0.1}, "anchor_jitter_m must be >= 0"),
+            (CampaignConfig, {"intruder_offset_m": (0.0, 12.0)}, "intruder_offset_m must be an increasing"),
+            (CampaignConfig, {"intruder_offset_m": (12.0, 5.0)}, "intruder_offset_m must be an increasing"),
+            (CampaignConfig, {"shadow_sigma_dbm": -1.0}, "shadow_sigma_dbm must be >= 0"),
+            (CampaignConfig, {"zone_visibility_margin_m": -1.0}, "zone_visibility_margin_m must be >= 0"),
+            (CampaignConfig, {"min_band_gap_dbm": -1.0}, "min_band_gap_dbm must be >= 0"),
+            (Scenario, {"label": Label.AUTHENTIC, "separation_range_m": (0.0, 2.0)}, "separation range"),
+            (Scenario, {"label": Label.AUTHENTIC, "separation_range_m": (2.0, 1.0)}, "separation range"),
+        ],
+    )
+    def test_config_range_checks(self, cls, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            cls(**kwargs)
+
 
 class TestScenario:
     def test_authentic_range(self):
@@ -242,6 +264,15 @@ class TestGeometry:
     def test_too_many_locations_rejected(self):
         with pytest.raises(ConfigurationError):
             location_geometry(ENV, LOSS, CampaignConfig(), 1, 0, 11)
+        with pytest.raises(ConfigurationError, match="n_locations must be >= 1"):
+            location_geometry(ENV, LOSS, CampaignConfig(), 1, 0, 0)
+
+    def test_margin_past_the_radius_falls_back_to_the_radius(self):
+        # a margin that leaves no strict radius picks zones as a zero margin does
+        wide = location_geometry(ENV, LOSS, CampaignConfig(zone_visibility_margin_m=ENV.detection_radius_m), 5, 0, 3)
+        zero = location_geometry(ENV, LOSS, CampaignConfig(zone_visibility_margin_m=0.0), 5, 0, 3)
+        assert all(np.array_equal(a, b) for a, b in zip(wide.spots, zero.spots))
+        assert np.array_equal(wide.shadows, zero.shadows)
 
     @pytest.mark.parametrize("index", [-1, 3, 42])
     def test_out_of_range_location_index_rejected(self, index):
@@ -349,6 +380,8 @@ class TestGenerateDataset:
             generate_dataset(ENV, LOSS, 5, 0, seed=1)
         with pytest.raises(ValueError):
             sessions_for_target_rows(ENV, LOSS, 100, 0, seed=1)
+        with pytest.raises(ValueError, match="target_rows must be >= 1"):
+            sessions_for_target_rows(ENV, LOSS, 0, 3, seed=1)
 
     def test_metadata_document(self):
         ds = generate_dataset(ENV, LOSS, 6, 2, seed=4)

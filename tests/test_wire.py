@@ -301,6 +301,23 @@ class TestWireLimits:
             enrolled = _send_line(f, json.dumps(ENROLL).encode())
             assert enrolled["ok"] is True and enrolled["username"] == "gil"
 
+    @pytest.mark.parametrize("line", [b"[]", b'"x"', b"5"])
+    def test_non_object_json_line_is_bad_request(self, server, line):
+        with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
+            refused = _send_line(f, line)
+            assert refused["error"] == "BadRequest" and "JSON object" in refused["message"]
+            enrolled = _send_line(f, json.dumps(ENROLL).encode())
+            assert enrolled["ok"] is True and enrolled["username"] == "gil"
+
+    def test_client_call_raises_once_the_server_closed(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            with AuthClient(*listener.getsockname()) as client:
+                peer, _ = listener.accept()
+                with peer:
+                    peer.shutdown(socket.SHUT_WR)  # the server's side is closed; the request still arrives
+                    with pytest.raises(ConnectionError, match="server closed the connection"):
+                        client.call({"op": "status", "session_id": "s"})
+
     def test_request_line_cap(self, server):
         with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
             assert _send_line(f, _status_line(MAX_LINE_BYTES))["error"] == "UnknownSession"
