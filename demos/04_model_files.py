@@ -1,9 +1,10 @@
 """Model persistence: a versioned JSON document that round-trips losslessly.
 
 The file bundles everything prediction needs: the hyperparameters, the
-fitted feature encoder (SSID vocabulary + frequency scale), and the full
-tree structures. Training is deterministic per seed, so the same inputs
-produce byte-identical files.
+fitted feature encoder (SSID vocabulary + frequency scale), and the trees,
+each as three preorder columns (feature, threshold, counts) from which the
+reader rebuilds the right-child pointers. Training is deterministic per
+seed, so the same inputs produce byte-identical files.
 """
 
 import json
@@ -39,6 +40,9 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"format: {doc['format']} v{doc['version']}, kind: {doc['kind']}")
     print(f"params: {doc['params']}")
     print(f"encoder vocabulary: {list(doc['encoder']['ssid_vocabulary'])[:4]}...")
+    tree = doc["trees"][0]
+    rows = list(zip(*(tree[column] for column in tree)))
+    print(f"tree 0: columns {list(tree)}, {len(rows)} preorder rows, the first three {rows[:3]}")
 
     again, enc_again = load_model(path)
     print(f"reload: {len(again.trees)} trees, predictions identical: "

@@ -14,8 +14,12 @@ which opening the store folds into a JSON snapshot of every record, so it
 costs the same however many users exist; decisions are appended to a
 JSON-lines audit log. Secrets are stored only as salted PBKDF2 hashes and
 never appear in scan records, the audit log, or decisions. Sessions are
-in-memory and short-lived; a decided session keeps only its id, user,
-creation time and decision, not its scans.
+in memory and live for the policy's pairing window after ``begin``, by the
+server clock; a decided session keeps only its id, user, creation time and
+decision, not its scans. A scan that comes after the window denies its
+session MissingScan, and each ``begin`` first forgets the sessions whose
+window has passed, denying MissingScan any still open, so the server holds
+about the request rate times the window of them however long it runs.
 
 Concurrency: one service-wide lock is held only while shared state changes
 (a user added, a session created, a scan slot filled, a decision set) and
@@ -35,8 +39,10 @@ import secrets as _secrets
 import threading
 import time
 import uuid
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from enum import Enum
+from itertools import takewhile
 from pathlib import Path
 from typing import Callable
 
@@ -91,7 +97,8 @@ class MatchKey(Enum):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Decision policy: scan pairing window, vote threshold, and AP matching."""
+    """Decision policy: scan pairing window, vote threshold, and AP matching.
+    The pairing window also bounds a session's life after ``begin``."""
 
     pairing_window_ms: int = 10_000
     vote_threshold_tau: float = 0.6
@@ -386,6 +393,7 @@ class AuthService:
         secret_ok = verify_secret(secret, record.credential_hash)
         with self._lock:
             now = self._clock()
+            self._evict(now)
             session = AuthSession(session_id=uuid.uuid4().hex, username=username, created_at=now)
             self._sessions[session.session_id] = session
             self.store.audit(
@@ -395,8 +403,20 @@ class AuthService:
                 self._finalize(session, AuthDecision(DecisionReason.FIRST_FACTOR_FAILED, None, now))
             return session
 
+    def _expired(self, session: AuthSession, now: int) -> bool:
+        return now - session.created_at > self.policy.pairing_window_ms
+
+    def _evict(self, now: int) -> None:
+        """Forget the sessions past their window from the oldest, denying
+        MissingScan any still open. The first one inside its window stops
+        the sweep, so a clock that steps back evicts late, never early."""
+        for session in list(takewhile(lambda s: self._expired(s, now), self._sessions.values())):
+            if session.decision is None:
+                self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
+            del self._sessions[session.session_id]
+
     def get_session(self, session_id: str) -> AuthSession:
-        # sessions are only ever added, and one dict lookup is atomic
+        # one dict lookup is atomic, also while begin_session evicts under the lock
         session = self._sessions.get(session_id)
         if session is None:
             raise UnknownSession(f"no such session {session_id!r}")
@@ -406,11 +426,15 @@ class AuthService:
         self, session_id: str, device_id: str, snapshot: ScanSnapshot
     ) -> AuthSession:
         """Store one device's scan; the submission that completes the pair
-        decides the session."""
+        decides the session. A scan after the session's window denies it
+        MissingScan instead."""
         with self._lock:
             session = self.get_session(session_id)
             if session.state is SessionState.DECIDED:
                 raise SessionDecided(f"session {session_id!r} already decided")
+            if self._expired(session, now := self._clock()):
+                self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
+                return session
             record = self.store.get_user(session.username)
             assert record is not None
             if device_id == record.mobile_device_id:
@@ -429,7 +453,9 @@ class AuthService:
             completed = session.mobile_scan is not None and session.login_scan is not None
 
         if completed:
-            self.decide_session(session_id)
+            # a begin past the window may evict the session, and so decide it, before this looks it up
+            with suppress(UnknownSession):
+                self.decide_session(session_id)
         return session
 
     def decide_session(self, session_id: str) -> AuthDecision:

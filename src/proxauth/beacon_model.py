@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import re
 from dataclasses import dataclass
 from enum import Enum
@@ -270,8 +271,8 @@ class FeatureEncoder:
 
     ``ssid_vocabulary`` assigns dense indices 1..N in first-appearance order;
     index 0 is reserved for SSIDs unseen at fit time. ``frequency_scale`` is
-    the (min, max) frequency observed in the training data; a collapsed scale
-    (min == max) encodes every frequency as 0.5.
+    the (min, max) frequency observed in the training data, both finite; a
+    collapsed scale (min == max) encodes every frequency as 0.5.
     """
 
     ssid_vocabulary: dict[str, int]
@@ -281,6 +282,9 @@ class FeatureEncoder:
         indices = sorted(self.ssid_vocabulary.values())
         if indices != list(range(1, len(indices) + 1)):
             raise ValueError("ssid vocabulary indices must be dense 1..N")
+        low, high = self.frequency_scale
+        if not -math.inf < low <= high < math.inf:
+            raise ValueError(f"frequency_scale must be a finite (min, max), got {self.frequency_scale}")
 
     @property
     def width(self) -> int:

@@ -14,7 +14,7 @@ Conventions
 * A decision tree is the one tree of an unbagged forest that considers every
   feature at every node: one trainer grows both.
 * A tree is its preorder node table (:class:`DecisionTree`), routing ``feature
-  <= threshold`` to the left child. Training and the model-file reader both
+  <= threshold`` to the left child. Training and both model-file readers
   write it; it is compiled once into flat node arrays that one vectorized
   descent reads for every prediction.
 * All tie-breaks fail toward Unauthorized: leaf majorities and forest votes
@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -72,7 +73,7 @@ __all__ = [
 _SEED_MASK = (1 << 64) - 1
 
 MODEL_FORMAT = "proxauth-colocation-model"
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def derived_rng(seed: int, *path: int) -> np.random.Generator:
@@ -139,7 +140,7 @@ class DecisionTree:
     at ``threshold[i]`` with its left child at i + 1 and its right child at
     ``right[i]``, or a leaf (feature and right -1) whose ``counts[i]`` are its
     (unauthorized, authentic) samples and which predicts their majority, a tie
-    Unauthorized. A split's counts are (0, 0): as in the v1 file it has none."""
+    Unauthorized. A split's counts are (0, 0): as in a model file it has none."""
 
     feature: tuple[int, ...]
     threshold: tuple[float, ...]
@@ -346,7 +347,7 @@ def best_split(
 
 
 def _grow(expand: Callable, root, params: TreeParams) -> DecisionTree:
-    """The one writer of a node table, for training and the v1 reader: rows
+    """The one writer of a node table, for training and both file readers: rows
     in preorder, as ``expand(node)`` gives a leaf's (unauthorized, authentic)
     counts or a split's (feature, threshold, left child, right child)."""
     rows: list[list] = []
@@ -509,12 +510,16 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 # -- model serialization ------------------------------------------------------
 #
 # A model file is a single JSON document: format marker, version, model kind,
-# the fitted encoder, the hyperparameters, the full tree structures and, when
-# the trainer records one, the ``train_seed`` of its held-out split. The
-# encoder and the hyperparameters are written by ``jsondoc.encode``, fields in
-# declaration order, so reordering a field changes the file bytes.
-# ``save_model`` writes every model file. The document round-trips losslessly
-# and re-serializes byte-identically; a malformed document is a ValueError.
+# the fitted encoder, the hyperparameters, the trees and, when the trainer
+# records one, the ``train_seed`` of its held-out split. The encoder and the
+# hyperparameters are written by ``jsondoc.encode``, fields in declaration
+# order, so reordering a field changes the file bytes. Version 2, which
+# ``save_model`` writes, stores each tree as three equal-length preorder
+# columns: ``feature`` (-1 at a leaf), ``threshold`` (0.0 at a leaf) and
+# ``counts`` ([0, 0] at a split); a split's right child follows from the
+# preorder shape, so it is not stored. Version 1 nests split and leaf nodes and
+# is still read. The document round-trips losslessly and re-serializes
+# byte-identically; a malformed document is a ValueError.
 
 
 def _leaf_doc(unauthorized: int, authentic: int) -> dict:
@@ -526,27 +531,15 @@ def _leaf_doc(unauthorized: int, authentic: int) -> dict:
     }
 
 
-def _node_to_doc(tree: DecisionTree, i: int = 0) -> dict:
-    if tree.feature[i] < 0:
-        return _leaf_doc(*tree.counts[i])
-    return {
-        "type": "split",
-        "feature_index": tree.feature[i],
-        "threshold": tree.threshold[i],
-        "left": _node_to_doc(tree, i + 1),
-        "right": _node_to_doc(tree, tree.right[i]),
-    }
-
-
 _SPLIT_KEYS = {"type", "feature_index", "threshold", "left", "right"}
 
 
 def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
-    """The one tree reader, a v1 node document straight into the table: a split
-    has exactly its keys, an int ``feature_index`` >= 0 (its upper bound, the
-    encoder's width, is checked by :func:`document_to_model`) and a finite int
-    or float ``threshold`` (an int past the float range raises OverflowError);
-    a leaf is what ``_leaf_doc`` writes for two ints >= 0."""
+    """The v1 tree reader, a nested node document straight into the table: a
+    split has exactly its keys, an int ``feature_index`` >= 0 (its upper bound,
+    the encoder's width, is checked by :func:`document_to_model`) and a finite
+    int or float ``threshold`` (an int past the float range raises
+    OverflowError); a leaf is what ``_leaf_doc`` gives for two ints >= 0."""
 
     def expand(node):
         if type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split":
@@ -562,6 +555,52 @@ def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
     return _grow(expand, doc, params)
 
 
+_COLUMNS = ("feature", "threshold", "counts")
+
+
+def _tree_to_columns(tree: DecisionTree) -> dict:
+    return {"feature": list(tree.feature), "threshold": list(tree.threshold),
+            "counts": [list(c) for c in tree.counts]}
+
+
+def _tree_from_columns(doc, params: TreeParams) -> DecisionTree:
+    """The v2 tree reader. Each column is checked whole: features are ints
+    >= -1, thresholds finite ints or floats, counts pairs of ints >= 0. Then
+    ``_grow`` takes the rows one at a time in preorder, and they must make one
+    full binary tree of splits (feature >= 0, counts [0, 0]) and leaves
+    (feature -1, threshold 0.0)."""
+    if type(doc) is not dict or doc.keys() != set(_COLUMNS) or {type(doc[c]) for c in _COLUMNS} != {list}:
+        raise ValueError(f"bad tree {doc!r:.80}: not an object of the columns {list(_COLUMNS)}")
+    feature, threshold, counts = (doc[c] for c in _COLUMNS)
+    if not len(feature) == len(threshold) == len(counts):
+        raise ValueError(f"the tree columns {list(_COLUMNS)} differ in length")
+    if not (set(map(type, feature)) <= {int} and min(feature, default=-1) >= -1
+            and set(map(type, threshold)) <= {int, float} and all(map(math.isfinite, threshold))
+            and set(map(type, counts)) <= {list} and set(map(len, counts)) <= {2}
+            and set(map(type, cells := list(chain.from_iterable(counts)))) <= {int} and min(cells, default=0) >= 0):
+        raise ValueError("a tree column holds a value of the wrong type or range")
+    rows = zip(feature, threshold, counts)
+
+    def expand(_):
+        if (row := next(rows, None)) is None:
+            raise ValueError("a tree's columns end before its last leaf")
+        feature, threshold, counts = row
+        if feature < 0:
+            if type(threshold) is float and threshold == 0.0:
+                return tuple(counts)
+        elif counts == [0, 0]:
+            return feature, threshold, None, None
+        raise ValueError(f"bad tree row {row!r:.80}: a leaf with a threshold or a split with counts")
+
+    tree = _grow(expand, None, params)
+    if next(rows, None) is not None:
+        raise ValueError(f"a tree's columns run on past its last leaf, at row {tree.node_count()}")
+    return tree
+
+
+_TREE_READERS = {1: _tree_from_doc, 2: _tree_from_columns}
+
+
 def model_to_document(
     model: DecisionTree | RandomForest, encoder: FeatureEncoder, train_seed: int | None = None
 ) -> dict:
@@ -573,9 +612,9 @@ def model_to_document(
         "params": encode(model.params),
     }
     if isinstance(model, DecisionTree):
-        doc["tree"] = _node_to_doc(model)
+        doc["tree"] = _tree_to_columns(model)
     else:
-        doc["trees"] = [_node_to_doc(t) for t in model.trees]
+        doc["trees"] = [_tree_to_columns(t) for t in model.trees]
     if train_seed is not None:
         doc["train_seed"] = train_seed
     return doc
@@ -584,16 +623,17 @@ def model_to_document(
 def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
-    if doc.get("version") != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('version')!r}")
+    if type(version := doc.get("version")) is not int or version not in _TREE_READERS:
+        raise ValueError(f"unsupported model format version {version!r}")
+    read_tree = _TREE_READERS[version]
     try:
         encoder = decode(FeatureEncoder, doc["encoder"], exact=True)
         if doc["kind"] == "decision_tree":
-            model = _tree_from_doc(doc["tree"], decode(TreeParams, doc["params"], exact=True))
+            model = read_tree(doc["tree"], decode(TreeParams, doc["params"], exact=True))
             trees = (model,)
         elif doc["kind"] == "random_forest":
             params = decode(ForestParams, doc["params"], exact=True)
-            trees = tuple(_tree_from_doc(d, params.tree_params) for d in doc["trees"])
+            trees = tuple(read_tree(d, params.tree_params) for d in doc["trees"])
             if len(trees) != params.n_trees:
                 raise ValueError(f"a forest of n_trees {params.n_trees} holds {len(trees)} trees")
             if (k := params.features_per_split) > encoder.width:
@@ -605,7 +645,7 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
             raise ValueError(f"a split on feature_index {top} is past the encoder's width {encoder.width}")
     except KeyError as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} document: missing key {exc}") from exc
-    except (AttributeError, IndexError, OverflowError, TypeError) as exc:
+    except (AttributeError, IndexError, OverflowError, RecursionError, TypeError) as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} document: {exc}") from exc
     return model, encoder
 

@@ -1,7 +1,8 @@
 """One JSON codec for dataclasses: a strict reader and its inverse writer.
 
 :func:`decode` reads each field of a dataclass by its annotation: ``int``
-takes an int, never a bool or a float; ``float`` also takes an int that
+takes an int, never a bool or a float; ``float`` takes a finite float (not
+the ``NaN`` or ``Infinity`` that ``json.loads`` accepts) or an int that
 ``float()`` can convert, kept as written so that a document read and written
 back keeps its bytes (an int past float64's range is refused); ``str``
 and ``bool`` take exactly that type; ``X | None`` also takes null; an
@@ -22,13 +23,14 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 import types
 import typing
 from enum import Enum
 
 __all__ = ["decode", "encode"]
 
-_SCALARS = {int: (int,), float: (float, int), str: (str,), bool: (bool,)}
+_SCALARS = (int, str, bool)
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() rounds past float64's range
 
 
@@ -86,11 +88,14 @@ def _reader(cls, exact: bool):
 def _compile(t, exact: bool):
     """The reader of one annotation."""
     origin, args = typing.get_origin(t), typing.get_args(t)
-    if t in _SCALARS:
-        kinds = _SCALARS[t]
-
+    if t is float:
         def read(v):
-            if type(v) in kinds and not (t is float and type(v) is int and abs(v) >= _FLOAT_OVERFLOW):
+            if type(v) is float and math.isfinite(v) or type(v) is int and abs(v) < _FLOAT_OVERFLOW:
+                return v
+            raise _Mismatch("float", v)
+    elif t in _SCALARS:
+        def read(v):
+            if type(v) is t:
                 return v
             raise _Mismatch(t.__name__, v)
     elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:

@@ -1,9 +1,11 @@
+import itertools
 import json
 import sys
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import suppress
 from dataclasses import replace
 
 import numpy as np
@@ -858,3 +860,181 @@ class TestDecidedSessionsReleaseScans:
         assert status["ok"] and status["state"] == "Decided"
         assert (status["outcome"], status["reason"]) == (outcome, reason)
         assert status["authentic_fraction"] == session.decision.authentic_fraction
+
+
+class SteppingClock:
+    """A server clock that moves only when a test moves it."""
+
+    def __init__(self, now=1_000_000):
+        self.now = now
+
+    def __call__(self):
+        return self.now
+
+
+WINDOW = PolicyConfig().pairing_window_ms
+
+
+class TestSessionExpiry:
+    """A session lives for the pairing window after begin, by the server clock."""
+
+    def _service(self, tmp_path, clock, **kwargs):
+        svc = AuthService(UserStore(tmp_path), ALWAYS_AUTHENTIC, ENCODER, clock=clock, **kwargs)
+        svc.enroll_user("alice", "sesame-street", "alice-m", "alice-l")
+        return svc
+
+    def _scan(self, clock, device_id="alice-m", role=DeviceRole.MOBILE):
+        return snap(device_id, role, [obs()], ts=clock.now)
+
+    def test_a_late_scan_denies_missing_scan_with_one_audit_line(self, tmp_path):
+        clock = SteppingClock()
+        svc = self._service(tmp_path, clock)
+        session = svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(session.session_id, "alice-m", self._scan(clock))
+        clock.now += WINDOW + 1
+        out = svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        assert out is session
+        assert session.decision == AuthDecision(DecisionReason.MISSING_SCAN, None, clock.now)
+        assert session.decision.outcome is DecisionOutcome.DENY
+        assert session.mobile_scan is None and session.login_scan is None
+        assert [(e["session_id"], e["reason"], e["ts"]) for e in decision_lines(tmp_path)] == [
+            (session.session_id, "MissingScan", clock.now)
+        ]
+        with pytest.raises(SessionDecided):
+            svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        assert len(decision_lines(tmp_path)) == 1
+
+    def test_a_scan_on_the_last_ms_of_the_window_is_in_time(self, tmp_path):
+        clock = SteppingClock()
+        svc = self._service(tmp_path, clock)
+        session = svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(session.session_id, "alice-m", self._scan(clock))
+        clock.now += WINDOW
+        svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        assert session.decision.reason is DecisionReason.CLASSIFIER_AUTHENTIC
+
+    def test_a_later_begin_evicts_expired_sessions(self, tmp_path):
+        clock = SteppingClock()
+        svc = self._service(tmp_path, clock)
+        waiting = svc.begin_session("alice", "sesame-street")
+        half = svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(half.session_id, "alice-m", self._scan(clock))
+        granted = svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(granted.session_id, "alice-m", self._scan(clock))
+        svc.submit_scan(granted.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        refused = svc.begin_session("alice", "wrong-secret")
+        clock.now += WINDOW
+        fresh = svc.begin_session("alice", "sesame-street")  # the others are on their window's last ms
+        assert len(svc._sessions) == 5 and len(decision_lines(tmp_path)) == 2
+        clock.now += 1
+        newest = svc.begin_session("alice", "sesame-street")
+        assert list(svc._sessions) == [fresh.session_id, newest.session_id]
+        for session in (waiting, half):
+            assert session.decision == AuthDecision(DecisionReason.MISSING_SCAN, None, clock.now)
+        assert granted.decision.reason is DecisionReason.CLASSIFIER_AUTHENTIC
+        assert refused.decision.reason is DecisionReason.FIRST_FACTOR_FAILED
+        assert [(e["session_id"], e["reason"]) for e in decision_lines(tmp_path)] == [
+            (granted.session_id, "ClassifierAuthentic"), (refused.session_id, "FirstFactorFailed"),
+            (waiting.session_id, "MissingScan"), (half.session_id, "MissingScan"),
+        ]
+        for session in (waiting, half, granted, refused):
+            with pytest.raises(UnknownSession):
+                svc.get_session(session.session_id)
+            with pytest.raises(UnknownSession):
+                svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        assert svc.get_session(fresh.session_id).state is SessionState.AWAITING_SCANS
+
+    def test_sessions_inside_the_window_behave_as_before(self, tmp_path):
+        clock = SteppingClock()
+        svc = self._service(tmp_path, clock)
+        session = svc.begin_session("alice", "sesame-street")
+        clock.now += WINDOW // 2
+        svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(session.session_id, "alice-m", self._scan(clock))
+        clock.now += WINDOW // 2
+        assert svc.get_session(session.session_id).state is SessionState.AWAITING_SCANS
+        with pytest.raises(MissingScan):
+            svc.decide_session(session.session_id)
+        assert session.decision is None
+        svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        assert svc.get_session(session.session_id).decision.reason is DecisionReason.CLASSIFIER_AUTHENTIC
+        with pytest.raises(SessionDecided):
+            svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+
+    @pytest.mark.parametrize("window", [0, 1, 40])
+    def test_held_sessions_never_exceed_the_window_plus_one(self, tmp_path, monkeypatch, window):
+        monkeypatch.setattr(auth_service, "verify_secret", lambda secret, stored: True)
+        clock = SteppingClock()
+        svc = self._service(tmp_path, clock, policy=PolicyConfig(pairing_window_ms=window))
+        held = []
+        for _ in range(3 * window + 10):
+            clock.now += 1
+            svc.begin_session("alice", "sesame-street")
+            held.append(len(svc._sessions))
+        assert max(held) == window + 1
+        assert len(decision_lines(tmp_path)) == 3 * window + 10 - (window + 1)  # every evicted one, MissingScan
+
+    def test_a_clock_stepping_back_never_evicts_early(self, tmp_path):
+        clock = SteppingClock(100_000)
+        svc = self._service(tmp_path, clock)
+        first = svc.begin_session("alice", "sesame-street")
+        clock.now = 50_000
+        behind = svc.begin_session("alice", "sesame-street")
+        clock.now = 100_000 + WINDOW  # the last ms of first's window, past behind's
+        svc.begin_session("alice", "sesame-street")
+        assert first.session_id in svc._sessions and behind.session_id in svc._sessions  # behind goes late
+        svc.submit_scan(first.session_id, "alice-m", self._scan(clock))
+        assert first.decision is None
+        clock.now = 0
+        svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(first.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        assert first.decision.reason is DecisionReason.STALE_SCANS  # the scans' own timestamps decide
+        clock.now = 100_000 + WINDOW + 1
+        svc.begin_session("alice", "sesame-street")
+        assert first.session_id not in svc._sessions and behind.session_id not in svc._sessions
+        assert behind.decision.reason is DecisionReason.MISSING_SCAN
+
+    def test_an_eviction_racing_the_decision_is_the_decision(self, tmp_path):
+        clock = SteppingClock()
+        svc = self._service(tmp_path, clock)
+        session = svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(session.session_id, "alice-m", self._scan(clock))
+        real = svc.decide_session
+
+        def after_an_eviction(session_id):
+            clock.now += WINDOW + 1
+            svc.begin_session("alice", "sesame-street")  # evicts the session, denying it MissingScan
+            return real(session_id)
+
+        svc.decide_session = after_an_eviction
+        out = svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
+        assert out.decision.reason is DecisionReason.MISSING_SCAN
+        assert [e["reason"] for e in decision_lines(tmp_path)] == ["MissingScan"]
+
+    def test_racing_begins_and_scans_decide_each_session_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(auth_service, "verify_secret", lambda secret, stored: True)
+        ticks = itertools.count(1_000_000)  # each reading of the clock moves it 1 ms
+        svc = self._service(tmp_path, lambda: next(ticks), policy=PolicyConfig(pairing_window_ms=20))
+        begun = []
+
+        def rounds():
+            for i in range(150):
+                session = svc.begin_session("alice", "sesame-street")
+                begun.append(session)
+                devices = (("alice-m", DeviceRole.MOBILE), ("alice-l", DeviceRole.LOGIN))
+                for device_id, role in devices[: 1 + (i % 3 > 0)]:  # every third round leaves a scan out
+                    with suppress(UnknownSession, SessionDecided):  # evicted, or denied late
+                        svc.submit_scan(session.session_id, device_id, snap(device_id, role, [obs()]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            in_threads(rounds, rounds, rounds, rounds)  # more threads than cores
+        finally:
+            sys.setswitchinterval(interval)
+        audited = {entry["session_id"]: entry["reason"] for entry in decision_lines(tmp_path)}
+        assert len(audited) == len(decision_lines(tmp_path))  # no session decided twice
+        assert {s.session_id: s.decision.reason.value for s in begun if s.decision} == audited
+        assert all(s.decision for s in begun if s.session_id not in svc._sessions)
+        assert "MissingScan" in set(audited.values()) <= {"ClassifierAuthentic", "MissingScan"}
+        assert len(svc._sessions) <= 21

@@ -253,6 +253,17 @@ class TestFeatureEncoder:
         vec = encode_observation(enc, DeviceRole.MOBILE, ds.samples[0].observation)
         assert vec[2] == 0.5
 
+    @pytest.mark.parametrize(
+        "scale", [(float("nan"), float("nan")), (0.0, float("nan")), (0.0, float("inf")),
+                  (float("-inf"), 1.0), (5.0, 1.0), (2437000001, 2437000000)]
+    )
+    def test_frequency_scale_must_be_finite_and_ordered(self, scale):
+        with pytest.raises(ValueError, match="frequency_scale must be a finite"):
+            FeatureEncoder({"A": 1}, scale)
+
+    def test_collapsed_frequency_scale_is_legal(self):
+        assert FeatureEncoder({"A": 1}, (5.0, 5.0)).frequency_scale == (5.0, 5.0)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyDataset):
             build_feature_encoder(Dataset(()))

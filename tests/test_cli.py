@@ -35,6 +35,7 @@ from proxauth.colocation_ml import (
     ForestParams,
     TreeParams,
     load_model,
+    predict_batch,
     save_model,
     stratified_split,
     train_decision_tree,
@@ -44,6 +45,8 @@ from proxauth.jsondoc import decode as _make_config
 from proxauth.jsondoc import encode
 from proxauth.rf_simulator import CampaignConfig, EnvironmentConfig, PathLossConfig
 from proxauth.wire import AuthWireServer, BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest
+
+from model_v1 import v1_bytes
 
 
 class TestParseArgs:
@@ -148,6 +151,11 @@ class TestHelpers:
             (PathLossConfig, {"noise_sigma_dbm": 10**400}, "PathLossConfig"),
             (EnvironmentConfig, {"area_m": 10**400}, "EnvironmentConfig"),
             (CampaignConfig, {"intruder_offset_m": [5.0, 10**400]}, "CampaignConfig"),
+            (EnvironmentConfig, {"area_m": float("inf")}, "EnvironmentConfig"),
+            (PathLossConfig, {"noise_sigma_dbm": float("nan")}, "PathLossConfig"),
+            (CampaignConfig, {"intruder_offset_m": [5.0, float("inf")]}, "CampaignConfig"),
+            (PolicyConfig, {"vote_threshold_tau": float("nan")}, "PolicyConfig"),
+            (FeatureEncoder, {"ssid_vocabulary": {}, "frequency_scale": [5.0, 1.0]}, "FeatureEncoder"),
         ],
     )
     def test_make_config_wrong_type_names_class(self, cls, overrides, named):
@@ -185,26 +193,72 @@ class TestHelpers:
         assert policy.match_key is MatchKey.SSID_ONLY
 
 
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    """simulate -> train dt+rf once for the whole module."""
-    root = tmp_path_factory.mktemp("cli")
+def _run_pipeline(root, seed):
     csv = root / "scans.csv"
-    assert main(["simulate", "--rows", "1500", "--seed", "5", "--out", str(csv)]) == 0
+    assert main(["simulate", "--rows", "1500", "--seed", str(seed), "--out", str(csv)]) == 0
     rf = root / "rf.model"
     dt = root / "dt.model"
-    assert main(["train", "--data", str(csv), "--model", "rf", "--seed", "5", "--out", str(rf)]) == 0
-    assert main(["train", "--data", str(csv), "--model", "dt", "--seed", "5", "--out", str(dt)]) == 0
+    assert main(["train", "--data", str(csv), "--model", "rf", "--seed", str(seed), "--out", str(rf)]) == 0
+    assert main(["train", "--data", str(csv), "--model", "dt", "--seed", str(seed), "--out", str(dt)]) == 0
     return root, csv, rf, dt
 
 
-# sha256 of what the pipeline fixture writes, taken with numpy 2.4.6 and Python 3.11.7
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """simulate -> train dt+rf once for the whole module."""
+    return _run_pipeline(tmp_path_factory.mktemp("cli"), 5)
+
+
+@pytest.fixture(scope="module")
+def pipeline_7(tmp_path_factory):
+    """The same at seed 7."""
+    return _run_pipeline(tmp_path_factory.mktemp("cli7"), 7)
+
+
+# sha256 of what the pipeline fixture writes, model files in format v2, taken with numpy 2.4.6 and Python 3.11.7
 PIPELINE_SHA256 = {
     "scans.csv": "048ce0144447d2e6c2f5a16971d8e895b8c1f4126212ac56c9f1590f1408c227",
     "scans.csv.meta.json": "aeaed3a65740a7f7fb5474f02312582a1e5a561a95223597dc3a7be98f5a33d6",
+    "rf.model": "bd2fd4172eb3a9a322b10bebbb801b7c66518960c455216b0c0ec09250f04db0",
+    "dt.model": "afe80406203c688a4f64527a80ab4bb0545c1365be521dfb08ddcf9b1c311254",
+}
+
+
+# sha256 of the model files the pipeline fixture wrote in format v1, before save_model wrote v2
+PIPELINE_V1_SHA256 = {
     "rf.model": "d513142c63ffe054107369b64fa0fbf9afdfd9bd8186777c40331b7ed017d6b5",
     "dt.model": "0d66f0872a8195fd6d6673d916ef9dde0f825864be596607d90eb56c76fb93ad",
 }
+
+
+class TestModelFormatV1:
+    """The tests' v1 writer is the old format, and v1 files still load."""
+
+    @pytest.mark.parametrize("name", list(PIPELINE_V1_SHA256))
+    def test_the_v1_writer_reproduces_the_v1_pipeline_bytes(self, pipeline, name):
+        path = pipeline[0] / name
+        model, encoder = load_model(path)
+        got = hashlib.sha256(v1_bytes(model, encoder, json.loads(path.read_text())["train_seed"])).hexdigest()
+        assert got == PIPELINE_V1_SHA256[name], (
+            f"{name} bytes changed under numpy {np.__version__}; the digest was pinned with numpy 2.4.6"
+        )
+
+    @pytest.mark.parametrize("fixture, seed", [("pipeline", 5), ("pipeline_7", 7)])
+    @pytest.mark.parametrize("name", ["rf.model", "dt.model"])
+    def test_a_v1_file_loads_to_the_v2_files_model(self, request, tmp_path, fixture, seed, name):
+        root, csv, _, _ = request.getfixturevalue(fixture)
+        model, encoder = load_model(root / name)
+        train_seed = json.loads((root / name).read_text())["train_seed"]
+        v1 = tmp_path / name
+        v1.write_bytes(v1_bytes(model, encoder, train_seed))
+        assert json.loads(v1.read_text())["version"] == 1
+        from_v1, encoder_from_v1 = load_model(v1)
+        assert (from_v1, encoder_from_v1) == (model, encoder)
+        _, held_out = stratified_split(parse_dataset_csv(csv.read_bytes()), 0.2, seed)
+        X, _ = encode_dataset(encoder, held_out)
+        assert predict_batch(from_v1, X).tobytes() == predict_batch(model, X).tobytes()
+        save_model(tmp_path / "again.model", from_v1, encoder_from_v1, train_seed)
+        assert (tmp_path / "again.model").read_bytes() == (root / name).read_bytes()
 
 
 class TestCommands:
@@ -406,6 +460,15 @@ class TestCommands:
         assert re.match(r"error: (SimulationFile|EnvironmentConfig) must be an object with keys",
                         capsys.readouterr().err)
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_simulate_refuses_a_non_finite_config_number(self, tmp_path, capsys, literal):
+        config = tmp_path / "config.json"
+        config.write_text('{"environment": {"area_m": %s}}' % literal)
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--rows", "100", "--seed", "1", "--config", str(config), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: bad EnvironmentConfig value: area_m must be float")
+        assert not out.exists()
 
     @pytest.mark.parametrize("content", [{"forrest": {"n_trees": 2}}, [], {"tree": 3}])
     def test_params_file_takes_only_its_sections(self, pipeline, tmp_path, capsys, content):

@@ -39,6 +39,8 @@ from proxauth.errors import (
     EmptyTrainingSet,
 )
 
+from model_v1 import node_doc, v1_document
+
 
 def leaf(label, counts):
     return {"type": "leaf", "label": label.value, "class_counts": list(counts)}
@@ -51,11 +53,6 @@ def split(feature, threshold, left, right):
 def tree_of(node):
     """A hand-made tree: a v1 node document read by the model-file reader."""
     return _tree_from_doc(node, TreeParams())
-
-
-def node_doc(tree):
-    """The tree's v1 node document, as its model file holds it."""
-    return model_to_document(tree, FeatureEncoder({"A": 1}, (0.0, 1.0)))["tree"]
 
 
 def make_dataset(n_auth, n_unauth):
@@ -701,95 +698,225 @@ class TestSerialization:
         assert tree.counts == ((0, 0), (0, 0), (0, 3), (0, 0), (0, 0))
         assert json.dumps(node_doc(tree)) == json.dumps(doc)
 
+    def test_v2_stores_three_preorder_columns(self):
+        a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (0, 0))
+        tree = tree_of(split(3, -60, split(0, 0.5, a, u), u))
+        doc = model_to_document(tree, self._encoder())
+        assert doc["version"] == 2
+        assert doc["tree"] == {
+            "feature": [3, 0, -1, -1, -1],
+            "threshold": [-60, 0.5, 0.0, 0.0, 0.0],  # an int threshold stays an int
+            "counts": [[0, 0], [0, 0], [0, 3], [0, 0], [0, 0]],
+        }
+        assert list(doc["tree"]) == ["feature", "threshold", "counts"]
+        text = json.dumps(doc)
+        again, _ = document_to_model(json.loads(text))
+        assert again == tree and again.right == (4, 3, -1, -1, -1)
+        assert json.dumps(model_to_document(again, self._encoder())) == text
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_v1_document_loads_to_the_same_model(self, kind):
+        rng = np.random.default_rng(71)
+        X, y = random_consistent_data(rng, n_max=150)
+        if kind == "tree":
+            model = train_decision_tree(X, y, TreeParams(max_depth=6))
+        else:
+            model = train_random_forest(X, y, ForestParams(n_trees=6, seed=4))
+        v1 = json.loads(json.dumps(v1_document(model, self._encoder(), train_seed=3)))
+        assert v1["version"] == 1
+        again, encoder = document_to_model(v1)
+        assert (again, encoder) == (model, self._encoder())
+        assert np.array_equal(predict_batch(again, X), predict_batch(model, X))
+        assert model_to_document(again, self._encoder(), 3) == model_to_document(model, self._encoder(), 3)
+
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             document_to_model({"format": "something-else", "version": 1})
 
-    def test_bad_version_rejected(self):
+    @pytest.mark.parametrize("version", [999, 0, 3, True, 2.0, "2", None])
+    def test_bad_version_rejected(self, version):
         doc = model_to_document(leaf_tree(Label.AUTHENTIC), self._encoder())
-        doc["version"] = 999
-        with pytest.raises(ValueError):
+        doc["version"] = version
+        with pytest.raises(ValueError, match="unsupported model format version"):
             document_to_model(doc)
 
 
-def _split_forest_doc() -> dict:
+def _split_forest_doc(version: int = 2) -> dict:
+    """A one-tree forest, a split on feature 3 with two leaves, as a model
+    document of ``version``; its v2 columns are feature [3, -1, -1],
+    threshold [-60.0, 0.0, 0.0] and counts [[0, 0], [0, 3], [2, 1]]."""
     a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (2, 1))
     forest = RandomForest(trees=(tree_of(split(3, -60.0, a, u)),), params=ForestParams(n_trees=1))
-    return model_to_document(forest, FeatureEncoder({"A": 1}, (2412000000.0, 5240000000.0)))
+    write = model_to_document if version == 2 else v1_document
+    return write(forest, FeatureEncoder({"A": 1}, (2412000000.0, 5240000000.0)))
 
 
 _DROP = "<drop>"
+
+# edits of the header, which both versions share
+HEADER_EDITS = [
+    ("encoder", _DROP),
+    ("kind", _DROP),
+    ("params", _DROP),
+    ("trees", _DROP),
+    ("params.seed", _DROP),
+    ("params.tree_params.min_samples_leaf", _DROP),
+    ("encoder.frequency_scale", _DROP),
+    ("params.bogus", 1),
+    ("params.tree_params.bogus", 1),
+    ("encoder.bogus", 1),
+    ("encoder", ["A", 1]),
+    ("encoder.ssid_vocabulary", None),
+    ("encoder.ssid_vocabulary", {"A": 2}),
+    ("params.tree_params", 7),
+    ("trees", 7),
+    ("trees.0", "leaf"),
+    ("kind", "bogus"),
+    ("params.n_trees", 3),
+    ("trees", []),
+    ("trees", {}),
+    ("params.features_per_split", 5),
+    pytest.param("encoder.frequency_scale.0", 10**400, id="encoder.frequency_scale.0-10**400"),
+    ("encoder.frequency_scale", [float("nan"), float("nan")]),
+    ("encoder.frequency_scale", [2412000000.0, float("inf")]),
+    ("encoder.frequency_scale", [5240000000.0, 2412000000.0]),
+]
+
+# edits of the v1 tree, nested split and leaf nodes
+V1_EDITS = [
+    ("trees.0.left", _DROP),
+    ("trees.0.right.label", _DROP),
+    ("trees.0.type", "branch"),
+    ("trees.0.left.type", "branch"),
+    ("trees.0.left.class_counts", [1]),
+    ("trees.0.feature_index", -1),
+    ("trees.0.feature_index", 3.9),
+    ("trees.0.feature_index", "3"),
+    ("trees.0.feature_index", True),
+    ("trees.0.threshold", "-60"),
+    ("trees.0.threshold", True),
+    ("trees.0.left.class_counts", [0, 3, 7]),
+    ("trees.0.left.class_counts", ["0", "3"]),
+    ("trees.0.left.class_counts", [0, 3.0]),
+    ("trees.0.left.class_counts", [False, 3]),
+    ("trees.0.right.class_counts", [2, -1]),
+    ("trees.0.left.label", "unauthorized"),
+    ("trees.0.right.label", "authentic"),
+    ("trees.0.bogus", 1),
+    ("trees.0.left.bogus", 1),
+    ("trees.0.feature_index", 4),
+    ("trees.0.feature_index", 7),
+    ("trees.0.threshold", float("nan")),
+    ("trees.0.threshold", float("inf")),
+    ("trees.0.threshold", float("-inf")),
+    pytest.param("trees.0.threshold", 2**1024, id="trees.0.threshold-2**1024"),
+]
+
+# edits of the v2 tree's columns, cell by cell
+V2_EDITS = [
+    ("trees.0.feature", _DROP),
+    ("trees.0.counts", _DROP),
+    ("trees.0.bogus", [1, 2, 3]),
+    ("trees.0.feature", 3),
+    ("trees.0.threshold", {"0": -60.0}),
+    ("trees.0", [[3, -60.0, [0, 0]]]),
+    ("trees.0.feature.0", True),
+    ("trees.0.feature.0", 3.0),
+    ("trees.0.feature.0", "3"),
+    ("trees.0.feature.0", 4),
+    ("trees.0.feature.0", 7),
+    ("trees.0.feature.1", -2),
+    ("trees.0.feature.2", None),
+    ("trees.0.feature.0", -1),  # a leaf with a threshold
+    ("trees.0.feature.1", 0),  # a split with counts
+    ("trees.0.threshold.0", float("nan")),
+    ("trees.0.threshold.0", float("inf")),
+    ("trees.0.threshold.0", float("-inf")),
+    pytest.param("trees.0.threshold.0", 2**1024, id="trees.0.threshold.0-2**1024"),
+    ("trees.0.threshold.0", "-60"),
+    ("trees.0.threshold.0", True),
+    ("trees.0.threshold.1", 1.5),  # a leaf with a threshold
+    ("trees.0.threshold.2", 0),
+    ("trees.0.counts.0", [1, 0]),  # a split with counts
+    ("trees.0.counts.1", [1]),
+    ("trees.0.counts.1", [0, 3, 7]),
+    ("trees.0.counts.1", ["0", "3"]),
+    ("trees.0.counts.1", [0, 3.0]),
+    ("trees.0.counts.1", [False, 3]),
+    ("trees.0.counts.2", [2, -1]),
+    ("trees.0.counts.2", "21"),
+    ("trees.0.counts.2", {"2": 1}),
+    ("trees.0.counts.2", None),
+]
+
+def _four_counts(tree):
+    """Unchecked, a leaf's four counts would read as a split whose children
+    are the next two rows, so two more leaf rows would complete the tree."""
+    tree["counts"][1] = [0, 3, 0, 0]
+    for column, value in zip(tree.values(), (-1, 0.0, [1, 0])):
+        column += [value, value]
+
+
+# edits of the v2 tree's shape: (name, what is done to the tree's columns)
+V2_SHAPES = [
+    ("truncated", lambda tree: [column.pop() for column in tree.values()]),
+    ("extra row", lambda tree: [column.append(v) for column, v in zip(tree.values(), (-1, 0.0, [1, 0]))]),
+    ("extra split row", lambda tree: [column.append(v) for column, v in zip(tree.values(), (0, 0.5, [0, 0]))]),
+    ("unequal columns", lambda tree: tree["counts"].pop()),
+    ("one column longer", lambda tree: tree["feature"].append(-1)),
+    ("a leaf of four counts", _four_counts),
+    ("empty", lambda tree: [column.clear() for column in tree.values()]),
+    ("leaves only", lambda tree: tree.update(feature=[-1, -1, -1], threshold=[0.0] * 3)),
+    ("splits only", lambda tree: tree.update(feature=[3, 3, 3], threshold=[1.0] * 3, counts=[[0, 0]] * 3)),
+]
+
+
+def _versioned(version: int, edits: list):
+    """Each edit as the parameters (version, path, value)."""
+    for edit in edits:
+        if hasattr(edit, "id"):  # a pytest.param with its own id
+            yield pytest.param(version, *edit.values, id=f"{version}-{edit.id}")
+        else:
+            yield (version, *edit)
+
+
+def _edited(doc: dict, path: str, value) -> dict:
+    *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    target = doc
+    for key in parents:
+        target = target[key]
+    if value == _DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return doc
 
 
 class TestMalformedDocuments:
     """Every malformed model document is a ValueError, never a KeyError or
     TypeError from deep inside the reader."""
 
-    @pytest.mark.parametrize(
-        "path, value",
-        [
-            ("encoder", _DROP),
-            ("kind", _DROP),
-            ("params", _DROP),
-            ("trees", _DROP),
-            ("params.seed", _DROP),
-            ("params.tree_params.min_samples_leaf", _DROP),
-            ("encoder.frequency_scale", _DROP),
-            ("trees.0.left", _DROP),
-            ("trees.0.right.label", _DROP),
-            ("params.bogus", 1),
-            ("params.tree_params.bogus", 1),
-            ("encoder.bogus", 1),
-            ("trees.0.type", "branch"),
-            ("trees.0.left.type", "branch"),
-            ("encoder", ["A", 1]),
-            ("encoder.ssid_vocabulary", None),
-            ("encoder.ssid_vocabulary", {"A": 2}),
-            ("params.tree_params", 7),
-            ("trees", 7),
-            ("trees.0", "leaf"),
-            ("trees.0.left.class_counts", [1]),
-            ("kind", "bogus"),
-            ("trees.0.feature_index", -1),
-            ("trees.0.feature_index", 3.9),
-            ("trees.0.feature_index", "3"),
-            ("trees.0.feature_index", True),
-            ("trees.0.threshold", "-60"),
-            ("trees.0.threshold", True),
-            ("trees.0.left.class_counts", [0, 3, 7]),
-            ("trees.0.left.class_counts", ["0", "3"]),
-            ("trees.0.left.class_counts", [0, 3.0]),
-            ("trees.0.left.class_counts", [False, 3]),
-            ("trees.0.right.class_counts", [2, -1]),
-            ("trees.0.left.label", "unauthorized"),
-            ("trees.0.right.label", "authentic"),
-            ("trees.0.bogus", 1),
-            ("trees.0.left.bogus", 1),
-            ("params.n_trees", 3),
-            ("trees", []),
-            ("trees", {}),
-            ("trees.0.feature_index", 4),
-            ("params.features_per_split", 5),
-            ("trees.0.feature_index", 7),
-            ("trees.0.threshold", float("nan")),
-            ("trees.0.threshold", float("inf")),
-            ("trees.0.threshold", float("-inf")),
-            pytest.param("trees.0.threshold", 2**1024, id="trees.0.threshold-2**1024"),
-            pytest.param("encoder.frequency_scale.0", 10**400, id="encoder.frequency_scale.0-10**400"),
-        ],
-    )
-    def test_edited_document_is_value_error(self, path, value):
-        doc = _split_forest_doc()
+    @pytest.mark.parametrize("version, path, value", [*_versioned(1, HEADER_EDITS + V1_EDITS),
+                                                      *_versioned(2, HEADER_EDITS + V2_EDITS)])
+    def test_edited_document_is_value_error(self, version, path, value):
+        doc = _split_forest_doc(version)
         document_to_model(json.loads(json.dumps(doc)))  # the unedited document loads
-        *parents, last = [int(k) if k.isdigit() else k for k in path.split(".")]
-        target = doc
-        for key in parents:
-            target = target[key]
-        if value == _DROP:
-            del target[last]
-        else:
-            target[last] = value
         with pytest.raises(ValueError):
+            document_to_model(_edited(doc, path, value))
+
+    @pytest.mark.parametrize("name, edit", V2_SHAPES, ids=[name for name, _ in V2_SHAPES])
+    def test_v2_tree_of_the_wrong_shape_is_value_error(self, name, edit):
+        doc = _split_forest_doc()
+        edit(doc["trees"][0])
+        with pytest.raises(ValueError, match="tree"):
+            document_to_model(doc)
+
+    def test_v2_tree_deeper_than_the_reader_recurses_is_value_error(self):
+        depth = 5000  # past Python's default recursion limit of 1000
+        tree = {"feature": [0] * depth + [-1] * (depth + 1), "threshold": [0.5] * depth + [0.0] * (depth + 1),
+                "counts": [[0, 0]] * depth + [[1, 0]] * (depth + 1)}
+        doc = {**_split_forest_doc(), "trees": [tree]}
+        with pytest.raises(ValueError, match="malformed"):
             document_to_model(doc)
 
     @pytest.mark.parametrize("doc", [[], "proxauth-colocation-model", 1, None])

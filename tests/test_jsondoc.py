@@ -47,14 +47,14 @@ FULL = {
 KINDS = [
     ("i", -3, -3, [True, 1.0, 1.5, "1", None]),
     ("f", 2, 2, [True, "2.5", None, [2.5]]),
-    ("f", 2.5, 2.5, [False]),
+    ("f", 2.5, 2.5, [False, float("nan"), float("inf"), float("-inf")]),
     ("s", "", "", [5, None, ["s"]]),
     ("b", True, True, [1, 0, "true", None]),
     ("maybe", 4, 4, [4.5, False, "4"]),
     ("maybe", None, None, []),
     ("optional", "o", "o", [1]),
     ("color", "blue", Color.BLUE, ["BLUE", "green", 1, None, ["red"]]),
-    ("pair", [1, 2], (1, 2), [[1.0, 2.5], [1.0], [1.0, 2, 3], "12", {"0": 1.0}, [True, 2]]),
+    ("pair", [1, 2], (1, 2), [[1.0, 2.5], [1.0], [1.0, 2, 3], "12", {"0": 1.0}, [True, 2], [float("nan"), 2]]),
     ("many", [1, 2, 3], (1, 2, 3), [[1, "2"], [1.5], 3, None]),
     ("counts", {"a": 1}, {"a": 1}, [{"a": 1.0}, {"a": True}, [["a", 1]], None]),
     ("inner", {"n": 2}, Inner(2), [{"n": "2"}, {"n": 2, "x": 1}, {}, [2], None]),
@@ -75,6 +75,13 @@ def test_each_annotation_kind(exact, key, raw, expected, refused):
     for bad in refused:
         with pytest.raises(ValueError, match=f"Every value: {key} must be|Inner"):
             decode(Every, {**FULL, key: bad}, exact=exact)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_float_refuses_the_non_finite_literals_json_loads_reads(literal):
+    text = json.dumps({**FULL, "f": 0.5}).replace("0.5", literal)
+    with pytest.raises(ValueError, match="^bad Every value: f must be float, got (nan|inf|-inf)$"):
+        decode(Every, json.loads(text))
 
 
 # (field, a value it holds, the JSON value encode writes for it)
