@@ -3,8 +3,11 @@
 The file bundles everything prediction needs: the hyperparameters, the
 fitted feature encoder (SSID vocabulary + frequency scale), and the trees,
 each as three preorder columns (feature, threshold, counts) from which the
-reader rebuilds the right-child pointers. Training is deterministic per
-seed, so the same inputs produce byte-identical files.
+reader rebuilds the right-child pointers. The reader turns each tree into
+typed, read-only numpy columns as soon as the JSON parser closes it, and
+compiles the model before it returns, so the first prediction pays for
+nothing. Training is deterministic per seed, so the same inputs produce
+byte-identical files.
 """
 
 import json
@@ -45,6 +48,10 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"tree 0: columns {list(tree)}, {len(rows)} preorder rows, the first three {rows[:3]}")
 
     again, enc_again = load_model(path)
+    first = again.trees[0]
+    print(f"loaded tree 0: feature {first.feature.dtype}, threshold {first.threshold.dtype}, "
+          f"counts {first.counts.dtype} {first.counts.shape}, right {first.right.dtype} "
+          f"(derived, the first three {first.right[:3].tolist()}), compiled at load: {'_layout' in vars(again)}")
     print(f"reload: {len(again.trees)} trees, predictions identical: "
           f"{np.array_equal(predict_batch(again, X), predict_batch(forest, X))}")
 

@@ -16,10 +16,11 @@ JSON-lines audit log. Secrets are stored only as salted PBKDF2 hashes and
 never appear in scan records, the audit log, or decisions. Sessions are
 in memory and live for the policy's pairing window after ``begin``, by the
 server clock; a decided session keeps only its id, user, creation time and
-decision, not its scans. A scan that comes after the window denies its
-session MissingScan, and each ``begin`` first forgets the sessions whose
-window has passed, denying MissingScan any still open, so the server holds
-about the request rate times the window of them however long it runs.
+decision, not its scans. A scan or a status request that comes after the
+window denies a session still open MissingScan, and each ``begin`` first
+forgets the sessions whose window has passed, denying MissingScan any still
+open, so the server holds about the request rate times the window of them
+however long it runs.
 
 Concurrency: one service-wide lock is held only while shared state changes
 (a user added, a session created, a scan slot filled, a decision set) and
@@ -158,7 +159,7 @@ class DecisionReason(Enum):
     FIRST_FACTOR_FAILED = "FirstFactorFailed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AuthDecision:
     """A session's decision; the outcome is derived, never stored, so only
     a CLASSIFIER_AUTHENTIC reason can grant."""
@@ -182,7 +183,7 @@ class AuthDecision:
                 "authentic_fraction": self.authentic_fraction}
 
 
-@dataclass
+@dataclass(slots=True)
 class AuthSession:
     session_id: str
     username: str
@@ -416,7 +417,15 @@ class AuthService:
             del self._sessions[session.session_id]
 
     def get_session(self, session_id: str) -> AuthSession:
-        # one dict lookup is atomic, also while begin_session evicts under the lock
+        """The session, first denied MissingScan if its window has passed
+        while it was open."""
+        with self._lock:
+            session = self._session(session_id)
+            if session.decision is None and self._expired(session, now := self._clock()):
+                self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
+            return session
+
+    def _session(self, session_id: str) -> AuthSession:
         session = self._sessions.get(session_id)
         if session is None:
             raise UnknownSession(f"no such session {session_id!r}")
@@ -429,7 +438,7 @@ class AuthService:
         decides the session. A scan after the session's window denies it
         MissingScan instead."""
         with self._lock:
-            session = self.get_session(session_id)
+            session = self._session(session_id)
             if session.state is SessionState.DECIDED:
                 raise SessionDecided(f"session {session_id!r} already decided")
             if self._expired(session, now := self._clock()):
@@ -467,7 +476,7 @@ class AuthService:
         session stays open).
         """
         with self._lock:
-            session = self.get_session(session_id)
+            session = self._session(session_id)
             if session.decision is not None:
                 return session.decision
             if session.mobile_scan is None or session.login_scan is None:

@@ -13,10 +13,12 @@ Conventions
   features by that width.
 * A decision tree is the one tree of an unbagged forest that considers every
   feature at every node: one trainer grows both.
-* A tree is its preorder node table (:class:`DecisionTree`), routing ``feature
-  <= threshold`` to the left child. Training and both model-file readers
-  write it; it is compiled once into flat node arrays that one vectorized
-  descent reads for every prediction.
+* A tree is its preorder node table (:class:`DecisionTree`), four read-only
+  numpy columns, routing ``feature <= threshold`` to the left child.
+  Training and both model-file readers write it through one writer, which
+  checks the shape and derives the right pointers; a model is compiled once,
+  when it is first used or when it is loaded, into flat node arrays that one
+  vectorized descent reads for every prediction.
 * All tie-breaks fail toward Unauthorized: leaf majorities and forest votes
   that end even predict Unauthorized.
 * Randomness comes from numpy's PCG64 generator seeded through
@@ -71,6 +73,7 @@ __all__ = [
 ]
 
 _SEED_MASK = (1 << 64) - 1
+_FLOAT_MAX = float(np.finfo(np.float64).max)
 
 MODEL_FORMAT = "proxauth-colocation-model"
 MODEL_FORMAT_VERSION = 2
@@ -134,19 +137,30 @@ class _Layout(NamedTuple):
     width: int  # the fewest columns a row needs: one past the highest split feature
 
 
-@dataclass(frozen=True)
-class DecisionTree:
-    """A tree as its preorder node table. Node i is a split on ``feature[i]``
-    at ``threshold[i]`` with its left child at i + 1 and its right child at
-    ``right[i]``, or a leaf (feature and right -1) whose ``counts[i]`` are its
-    (unauthorized, authentic) samples and which predicts their majority, a tie
-    Unauthorized. A split's counts are (0, 0): as in a model file it has none."""
+_COLUMNS = ("feature", "threshold", "counts")  # a tree's stored columns; ``right`` follows from them
 
-    feature: tuple[int, ...]
-    threshold: tuple[float, ...]
-    right: tuple[int, ...]
-    counts: tuple[tuple[int, int], ...]
+
+@dataclass(frozen=True, eq=False)
+class DecisionTree:
+    """A tree as its preorder node table, read-only columns that :func:`_nodes`
+    writes. Node i is a split on ``feature[i]`` at ``threshold[i]`` with its
+    left child at i + 1 and its right child at ``right[i]``, or a leaf
+    (feature and right -1) whose ``counts[i]`` are its (unauthorized,
+    authentic) samples and which predicts their majority, a tie Unauthorized.
+    A split's counts are (0, 0): as in a model file it has none."""
+
+    feature: np.ndarray  # int32
+    threshold: np.ndarray  # float64
+    right: np.ndarray  # int32
+    counts: np.ndarray  # int64, one (unauthorized, authentic) row per node
     params: TreeParams
+
+    def __eq__(self, other) -> bool:  # the params and the stored columns
+        return type(other) is DecisionTree and self.params == other.params and all(
+            np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS)
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.feature.tobytes(), self.counts.tobytes()))
 
     @cached_property
     def _layout(self) -> _Layout:  # compiled on first use; not a dataclass field
@@ -170,21 +184,24 @@ class RandomForest:
 
 
 def _compile(trees: Sequence[DecisionTree]) -> _Layout:
-    """The trees' tables end to end; the depth is found a level at a time."""
+    """The trees' columns end to end; the depth is found a level at a time."""
     sizes = np.array([len(t.feature) for t in trees], np.int32)
     starts = np.cumsum(sizes, dtype=np.int32) - sizes
-    columns = [np.vstack((t.feature, t.threshold, t.right, np.transpose(t.counts))) for t in trees]
-    feature, threshold, right, unauthorized, authentic = np.concatenate([np.empty((5, 0)), *columns], axis=1)
-    feature = feature.astype(np.int32)
+
+    def joined(column: str, empty: np.ndarray) -> np.ndarray:
+        return np.concatenate([empty, *(getattr(t, column) for t in trees)])
+
+    feature, counts = joined("feature", np.empty(0, np.int32)), joined("counts", np.empty((0, 2), np.int64))
     index = np.arange(len(feature), dtype=np.int32)
     is_leaf = feature < 0
     left = index + ~is_leaf
-    right = np.where(is_leaf, index, right.astype(np.int32) + np.repeat(starts, sizes))
+    right = np.where(is_leaf, index, joined("right", np.empty(0, np.int32)) + np.repeat(starts, sizes))
     depth, level = 0, starts
     while (splits := level[~is_leaf[level]]).size:
         depth, level = depth + 1, np.concatenate((splits + 1, right[splits]))
     width = int(feature.max(initial=-1)) + 1
-    return _Layout(feature, threshold, left, right, authentic > unauthorized, starts, depth, width)
+    authentic = counts[:, 1] > counts[:, 0]
+    return _Layout(feature, joined("threshold", np.empty(0)), left, right, authentic, starts, depth, width)
 
 
 @dataclass(frozen=True)
@@ -346,26 +363,44 @@ def best_split(
     return SplitCandidate(feature_index=best[1], threshold=best[2], weighted_impurity=best[0])
 
 
+def _nodes(feature, threshold, counts) -> tuple[np.ndarray, ...]:
+    """The one writer of a node table, for training and both model-file
+    readers: preorder columns in, :class:`DecisionTree`'s typed columns out.
+    A split adds 1 to a running sum and a leaf takes 1 away, so the rows make
+    one full binary tree exactly when the sum stays >= 0 before the last row
+    and ends at -1. A split's right child is then the next row with the same
+    sum before it, which a stable sort by that sum puts right after it."""
+    feature, threshold = np.asarray(feature, np.int32), np.asarray(threshold, np.float64)
+    counts = np.asarray(counts, np.int64).reshape(-1, 2)
+    leaf = feature < 0
+    step = np.where(leaf, -1, 1)
+    total = np.cumsum(step)
+    if not (total.size and total[-1] == -1 and total[:-1].min(initial=0) >= 0):
+        raise ValueError(f"a tree's {len(feature)} rows do not make one full binary tree in preorder")
+    order = np.argsort(total - step, kind="stable")
+    right = np.full(len(feature), -1, np.int32)
+    right[order[:-1]] = order[1:]
+    right[leaf] = -1
+    for column in (feature, threshold, right, counts):
+        column.flags.writeable = False
+    return feature, threshold, right, counts
+
+
 def _grow(expand: Callable, root, params: TreeParams) -> DecisionTree:
-    """The one writer of a node table, for training and both file readers: rows
-    in preorder, as ``expand(node)`` gives a leaf's (unauthorized, authentic)
-    counts or a split's (feature, threshold, left child, right child)."""
-    rows: list[list] = []
-
-    def visit(node) -> None:
-        i = len(rows)
-        grown = expand(node)
+    """Training's and the v1 reader's rows for :func:`_nodes`, in preorder on
+    an explicit stack, so a tree of any depth grows: ``expand(node)`` gives a
+    leaf's (unauthorized, authentic) counts or a split's (feature, threshold,
+    left child, right child)."""
+    rows, stack = [], [root]
+    while stack:
+        grown = expand(stack.pop())
         if len(grown) == 2:
-            rows.append([-1, 0.0, -1, grown])
-            return
-        feature, threshold, left, right = grown
-        rows.append([feature, threshold, -1, (0, 0)])
-        visit(left)
-        rows[i][2] = len(rows)
-        visit(right)
-
-    visit(root)
-    return DecisionTree(*map(tuple, zip(*rows)), params)
+            rows.append((-1, 0.0, grown))
+        else:
+            feature, threshold, left, right = grown
+            rows.append((feature, threshold, (0, 0)))
+            stack += (right, left)
+    return DecisionTree(*_nodes(*zip(*rows)), params)
 
 
 def train_decision_tree(
@@ -517,9 +552,11 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 # ``save_model`` writes, stores each tree as three equal-length preorder
 # columns: ``feature`` (-1 at a leaf), ``threshold`` (0.0 at a leaf) and
 # ``counts`` ([0, 0] at a split); a split's right child follows from the
-# preorder shape, so it is not stored. Version 1 nests split and leaf nodes and
-# is still read. The document round-trips losslessly and re-serializes
-# byte-identically; a malformed document is a ValueError.
+# preorder shape, so it is not stored. ``load_model`` reads one tree's lists
+# at a time. Version 1 nests split and leaf nodes and is still read. A
+# threshold is a float64, so a hand-written int threshold is written back as a
+# float; otherwise the document round-trips losslessly and re-serializes
+# byte-identically. A malformed document is a ValueError.
 
 
 def _leaf_doc(unauthorized: int, authentic: int) -> dict:
@@ -544,58 +581,55 @@ def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
     def expand(node):
         if type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split":
             feature, threshold = node["feature_index"], node["threshold"]
-            if (type(feature) is int and feature >= 0
+            if (type(feature) is int and 0 <= feature < 2**31
                     and type(threshold) in (int, float) and math.isfinite(threshold)):
                 return feature, threshold, node["left"], node["right"]
         elif type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2:
-            if all(type(c) is int and c >= 0 for c in counts) and node == _leaf_doc(*counts):
+            if all(type(c) is int and 0 <= c < 2**63 for c in counts) and node == _leaf_doc(*counts):
                 return tuple(counts)
         raise ValueError(f"bad tree node {node!r:.80}: not a split or leaf as the v1 format writes it")
 
     return _grow(expand, doc, params)
 
 
-_COLUMNS = ("feature", "threshold", "counts")
-
-
 def _tree_to_columns(tree: DecisionTree) -> dict:
-    return {"feature": list(tree.feature), "threshold": list(tree.threshold),
-            "counts": [list(c) for c in tree.counts]}
+    return {c: getattr(tree, c).tolist() for c in _COLUMNS}
 
 
-def _tree_from_columns(doc, params: TreeParams) -> DecisionTree:
-    """The v2 tree reader. Each column is checked whole: features are ints
-    >= -1, thresholds finite ints or floats, counts pairs of ints >= 0. Then
-    ``_grow`` takes the rows one at a time in preorder, and they must make one
-    full binary tree of splits (feature >= 0, counts [0, 0]) and leaves
-    (feature -1, threshold 0.0)."""
+def _columns_to_nodes(doc) -> tuple[np.ndarray, ...]:
+    """The v2 tree reader. Each column is checked whole, in Python before
+    numpy converts it (numpy 1.x wraps an int32 overflow): features are ints
+    in [-1, 2**31), thresholds finite ints or floats, counts pairs of ints in
+    [0, 2**63). Then splits (feature >= 0) must have counts [0, 0] and leaves
+    a float threshold 0.0, and :func:`_nodes` checks the tree's shape."""
     if type(doc) is not dict or doc.keys() != set(_COLUMNS) or {type(doc[c]) for c in _COLUMNS} != {list}:
         raise ValueError(f"bad tree {doc!r:.80}: not an object of the columns {list(_COLUMNS)}")
     feature, threshold, counts = (doc[c] for c in _COLUMNS)
     if not len(feature) == len(threshold) == len(counts):
         raise ValueError(f"the tree columns {list(_COLUMNS)} differ in length")
-    if not (set(map(type, feature)) <= {int} and min(feature, default=-1) >= -1
-            and set(map(type, threshold)) <= {int, float} and all(map(math.isfinite, threshold))
+    kinds = set(map(type, threshold))
+    # min and max compare an int past the float range exactly; a NaN fails them when they start from it
+    if not (set(map(type, feature)) <= {int} and -1 <= min(feature, default=-1) and max(feature, default=-1) < 2**31
+            and kinds <= {int, float} and -_FLOAT_MAX <= min(threshold, default=0.0)
+            and max(threshold, default=0.0) <= _FLOAT_MAX
             and set(map(type, counts)) <= {list} and set(map(len, counts)) <= {2}
-            and set(map(type, cells := list(chain.from_iterable(counts)))) <= {int} and min(cells, default=0) >= 0):
+            and set(map(type, cells := list(chain.from_iterable(counts)))) <= {int}
+            and 0 <= min(cells, default=0) and max(cells, default=0) < 2**63):
         raise ValueError("a tree column holds a value of the wrong type or range")
-    rows = zip(feature, threshold, counts)
+    columns = np.array(feature, np.int32), np.array(threshold, np.float64), np.array(cells, np.int64).reshape(-1, 2)
+    if not np.isfinite(columns[1]).all():  # any NaN the range check missed
+        raise ValueError("a tree column holds a value of the wrong type or range")
+    leaf = columns[0] < 0
+    if (columns[1][leaf].any() or columns[2][~leaf].any()
+            or int in kinds and any(type(threshold[i]) is int for i in np.flatnonzero(leaf))):
+        raise ValueError("a tree has a leaf with a threshold or a split with counts")
+    return _nodes(*columns)
 
-    def expand(_):
-        if (row := next(rows, None)) is None:
-            raise ValueError("a tree's columns end before its last leaf")
-        feature, threshold, counts = row
-        if feature < 0:
-            if type(threshold) is float and threshold == 0.0:
-                return tuple(counts)
-        elif counts == [0, 0]:
-            return feature, threshold, None, None
-        raise ValueError(f"bad tree row {row!r:.80}: a leaf with a threshold or a split with counts")
 
-    tree = _grow(expand, None, params)
-    if next(rows, None) is not None:
-        raise ValueError(f"a tree's columns run on past its last leaf, at row {tree.node_count()}")
-    return tree
+def _tree_from_columns(doc, params: TreeParams) -> DecisionTree:
+    """A v2 tree, from its object or from the columns (a tuple, which JSON
+    never gives) that ``load_model``'s parse made of it."""
+    return DecisionTree(*(doc if type(doc) is tuple else _columns_to_nodes(doc)), params)
 
 
 _TREE_READERS = {1: _tree_from_doc, 2: _tree_from_columns}
@@ -621,6 +655,8 @@ def model_to_document(
 
 
 def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
+    """A document as ``json.loads`` or ``load_model``'s parse reads it, to
+    the model, compiled, and its encoder."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
     if type(version := doc.get("version")) is not int or version not in _TREE_READERS:
@@ -630,7 +666,6 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
         encoder = decode(FeatureEncoder, doc["encoder"], exact=True)
         if doc["kind"] == "decision_tree":
             model = read_tree(doc["tree"], decode(TreeParams, doc["params"], exact=True))
-            trees = (model,)
         elif doc["kind"] == "random_forest":
             params = decode(ForestParams, doc["params"], exact=True)
             trees = tuple(read_tree(d, params.tree_params) for d in doc["trees"])
@@ -641,7 +676,7 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
             model = RandomForest(trees=trees, params=params)
         else:
             raise ValueError(f"unknown model kind {doc['kind']!r}")
-        if (top := max(max(t.feature) for t in trees)) >= encoder.width:
+        if (top := model._layout.width - 1) >= encoder.width:  # compiles the model
             raise ValueError(f"a split on feature_index {top} is past the encoder's width {encoder.width}")
     except KeyError as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} document: missing key {exc}") from exc
@@ -661,5 +696,12 @@ def save_model(
 
 
 def load_model(path: str | Path) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    """The model and encoder a file holds, the model compiled, so its first
+    prediction does not pay for the layout. Each v2 tree object, one of
+    exactly the stored columns, becomes its columns as the parser closes it."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=lambda obj: (
+            _columns_to_nodes(obj) if obj.keys() == set(_COLUMNS) else obj))
+    except RecursionError as exc:  # nested deeper than the parser recurses
+        raise ValueError(f"malformed {MODEL_FORMAT} document: {exc}") from exc
     return document_to_model(doc)

@@ -12,13 +12,13 @@ from proxauth.colocation_ml import _leaf_doc, model_to_document
 def node_doc(tree, i=0):
     """The v1 node document of ``tree``'s subtree rooted at row ``i``."""
     if tree.feature[i] < 0:
-        return _leaf_doc(*tree.counts[i])
+        return _leaf_doc(*tree.counts[i].tolist())
     return {
         "type": "split",
-        "feature_index": tree.feature[i],
-        "threshold": tree.threshold[i],
+        "feature_index": tree.feature[i].item(),
+        "threshold": tree.threshold[i].item(),
         "left": node_doc(tree, i + 1),
-        "right": node_doc(tree, tree.right[i]),
+        "right": node_doc(tree, tree.right[i].item()),
     }
 
 

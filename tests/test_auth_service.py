@@ -15,6 +15,7 @@ from proxauth import auth_service
 from proxauth.auth_service import (
     AuthDecision,
     AuthService,
+    AuthSession,
     DecisionOutcome,
     DecisionReason,
     MatchKey,
@@ -53,7 +54,7 @@ from proxauth.errors import (
     UnknownUser,
     WeakSecret,
 )
-from proxauth.wire import AuthClient, AuthWireServer
+from proxauth.wire import AuthClient, AuthWireServer, handle_request_line
 
 ENCODER = FeatureEncoder({"NetA": 1, "NetB": 2, "NetC": 3}, (2412000000.0, 5240000000.0))
 
@@ -491,6 +492,15 @@ class TestAuthDecision:
             AuthDecision(DecisionReason.CLASSIFIER_AUTHENTIC, None, 777)
         assert AuthDecision(DecisionReason.NO_OVERLAP, None, 777).outcome is DecisionOutcome.DENY
 
+    def test_sessions_and_decisions_hold_no_instance_dict(self):
+        # one is held per session in the window, so each keeps only its slots
+        decision = AuthDecision(DecisionReason.NO_OVERLAP, None, 777)
+        session = AuthSession("s", "alice", 777, decision=decision)
+        for value in (decision, session):
+            assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            session.bogus = 1
+
     def test_service_decides_through_decide(self, monkeypatch):
         calls = []
 
@@ -903,6 +913,31 @@ class TestSessionExpiry:
         with pytest.raises(SessionDecided):
             svc.submit_scan(session.session_id, "alice-l", self._scan(clock, "alice-l", DeviceRole.LOGIN))
         assert len(decision_lines(tmp_path)) == 1
+
+    def test_status_after_the_window_denies_missing_scan_with_one_audit_line(self, tmp_path):
+        clock = SteppingClock()
+        svc = self._service(tmp_path, clock)
+        session = svc.begin_session("alice", "sesame-street")
+        svc.submit_scan(session.session_id, "alice-m", self._scan(clock))
+        status = json.dumps({"op": "status", "session_id": session.session_id})
+        clock.now += WINDOW
+        assert handle_request_line(svc, status) == {
+            "ok": True, "session_id": session.session_id, "state": "AwaitingScans"
+        }
+        clock.now += 1
+        decided = {
+            "ok": True, "session_id": session.session_id, "state": "Decided",
+            "outcome": "Deny", "reason": "MissingScan", "authentic_fraction": None,
+        }
+        assert handle_request_line(svc, status) == decided
+        assert session.decision == AuthDecision(DecisionReason.MISSING_SCAN, None, clock.now)
+        assert session.mobile_scan is None
+        clock.now += 1
+        assert handle_request_line(svc, status) == decided  # decided once, at the first late status
+        assert svc.get_session(session.session_id).decision.decided_at == clock.now - 1
+        assert [(e["session_id"], e["reason"], e["ts"]) for e in decision_lines(tmp_path)] == [
+            (session.session_id, "MissingScan", clock.now - 1)
+        ]
 
     def test_a_scan_on_the_last_ms_of_the_window_is_in_time(self, tmp_path):
         clock = SteppingClock()

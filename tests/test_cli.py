@@ -47,6 +47,7 @@ from proxauth.rf_simulator import CampaignConfig, EnvironmentConfig, PathLossCon
 from proxauth.wire import AuthWireServer, BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest
 
 from model_v1 import v1_bytes
+from model_v2_rows import node_rows, trees_of
 
 
 class TestParseArgs:
@@ -259,6 +260,42 @@ class TestModelFormatV1:
         assert predict_batch(from_v1, X).tobytes() == predict_batch(model, X).tobytes()
         save_model(tmp_path / "again.model", from_v1, encoder_from_v1, train_seed)
         assert (tmp_path / "again.model").read_bytes() == (root / name).read_bytes()
+
+
+class TestColumnReader:
+    """The v2 reader builds each tree's columns whole; the per-row reader it
+    replaced reads the same rows from the pipeline's files."""
+
+    @pytest.mark.parametrize("fixture", ["pipeline", "pipeline_7"])
+    @pytest.mark.parametrize("name", ["rf.model", "dt.model"])
+    def test_the_pipeline_models_read_as_the_row_reader_reads_them(self, request, fixture, name):
+        path = request.getfixturevalue(fixture)[0] / name
+        model, _ = load_model(path)
+        assert node_rows(model) == trees_of(path)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc/self/status")
+    def test_loading_the_pipeline_forest_raises_the_peak_rss_by_under_3_mb(self, pipeline):
+        # a fresh interpreter, so the peak so far is the imports' and nothing the tests did
+        script = """if True:
+            import sys
+            import numpy as np
+            from proxauth.colocation_ml import load_model, predict_batch
+
+            def peak_kb():
+                with open("/proc/self/status") as status:
+                    return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+
+            before = peak_kb()
+            model, encoder = load_model(sys.argv[1])
+            predict_batch(model, np.zeros((1, encoder.width)))
+            print(peak_kb() - before)
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", script, str(pipeline[2])],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert int(result.stdout) < 3 * 1024, f"VmHWM grew {result.stdout.strip()} kB"
 
 
 class TestCommands:

@@ -23,6 +23,7 @@ from proxauth.colocation_ml import (
     document_to_model,
     evaluate,
     gini_impurity,
+    load_model,
     model_to_document,
     predict,
     predict_batch,
@@ -40,6 +41,7 @@ from proxauth.errors import (
 )
 
 from model_v1 import node_doc, v1_document
+from model_v2_rows import node_rows, trees_of
 
 
 def leaf(label, counts):
@@ -273,7 +275,7 @@ class TestDecisionTree:
         X = np.array([[0, 1, 0.5, -50]], float)
         y = np.array([1], np.int8)
         tree = train_decision_tree(X, y)
-        assert tree.feature == (-1,)
+        assert tree.feature.tolist() == [-1]
         assert node_doc(tree) == leaf(Label.AUTHENTIC, (0, 1))
 
     def test_empty_training_set(self):
@@ -291,17 +293,17 @@ class TestDecisionTree:
         X = np.tile([0.0, 1.0, 0.5, -60.0], (4, 1))
         y = np.array([1, 1, 0, 0], np.int8)
         tree = train_decision_tree(X, y)
-        assert tree.feature == (-1,)
-        assert tree.counts == ((2, 2),)
+        assert tree.feature.tolist() == [-1]
+        assert tree.counts.tolist() == [[2, 2]]
         assert node_doc(tree) == leaf(Label.UNAUTHORIZED, (2, 2))
         assert predict(tree, X[0]) is Label.UNAUTHORIZED
 
     def test_mixed_node_below_min_samples_split_is_a_leaf(self):
         X = np.array([[0, 1, 0.5, -50], [0, 1, 0.5, -80]], float)
         y = np.array([1, 0], np.int8)
-        assert train_decision_tree(X, y).feature == (3, -1, -1)
+        assert train_decision_tree(X, y).feature.tolist() == [3, -1, -1]
         tree = train_decision_tree(X, y, TreeParams(min_samples_split=3))
-        assert (tree.feature, tree.counts) == ((-1,), ((1, 1),))
+        assert (tree.feature.tolist(), tree.counts.tolist()) == ([-1], [[1, 1]])
 
     @pytest.mark.parametrize(
         "kwargs, message",
@@ -334,9 +336,9 @@ class TestDecisionTree:
                 f, t = tree.feature[i], tree.threshold[i]
                 if f < 0:
                     assert sum(tree.counts[i]) >= 1
-                    assert tree.counts[i] == (int(np.sum(yn == 0)), int(np.sum(yn == 1)))
+                    assert tree.counts[i].tolist() == [int(np.sum(yn == 0)), int(np.sum(yn == 1))]
                     continue
-                assert tree.counts[i] == (0, 0)  # a split carries no counts
+                assert tree.counts[i].tolist() == [0, 0]  # a split carries no counts
                 mask = Xn[:, f] <= t
                 assert np.all(Xn[mask, f] <= t)
                 assert np.all(Xn[~mask, f] > t)
@@ -366,6 +368,20 @@ class TestDecisionTree:
         for i, Xn, yn in nodes:
             if tree.feature[i] < 0:
                 assert sum(tree.counts[i]) >= 5
+
+    def test_a_tree_deeper_than_the_recursion_limit_trains_saves_and_loads(self, tmp_path):
+        # labels alternate along column 3, so each split peels one row off
+        n = 3000
+        X = np.zeros((n, 4))
+        X[:, 3] = -np.arange(n)
+        y = (np.arange(n) % 2).astype(np.int8)
+        tree = train_decision_tree(X, y, TreeParams(max_depth=None))
+        assert tree.depth() > 1000
+        save_model(tmp_path / "deep.model", tree, FeatureEncoder({"A": 1}, (0.0, 1.0)))
+        again, _ = load_model(tmp_path / "deep.model")
+        assert again == tree
+        assert np.array_equal(predict_batch(again, X), predict_batch(tree, X))
+        assert np.array_equal(predict_batch(tree, X), y)
 
 
 class TestRandomForest:
@@ -578,6 +594,13 @@ class TestCompiledDescent:
         assert a == b and hash(a) == hash(b)
         assert "_layout" not in repr(a)
 
+    def test_trees_differing_in_one_stored_column_are_unequal(self):
+        a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (2, 1))
+        tree = tree_of(split(3, -60.0, a, u))
+        for other in (split(2, -60.0, a, u), split(3, -61.0, a, u), split(3, -60.0, a, leaf(Label.UNAUTHORIZED, (2, 0)))):
+            assert tree_of(other) != tree
+        assert dataclasses.replace(tree, params=TreeParams(max_depth=3)) != tree
+
     def test_empty_forest_predicts_unauthorized(self):
         forest = RandomForest(trees=(), params=ForestParams(n_trees=1))
         assert predict_batch(forest, np.zeros((3, 4))).tolist() == [0, 0, 0]
@@ -690,13 +713,24 @@ class TestSerialization:
 
     def test_hand_written_tree_reserializes_as_written(self):
         a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (0, 0))
-        doc = split(3, -60, split(0, 0.5, a, u), u)  # an int threshold stays an int
+        doc = split(3, -60, split(0, 0.5, a, u), u)  # an int threshold reads as a float64
         tree = tree_of(doc)
-        assert tree.feature == (3, 0, -1, -1, -1)
-        assert tree.threshold == (-60, 0.5, 0.0, 0.0, 0.0)
-        assert tree.right == (4, 3, -1, -1, -1)
-        assert tree.counts == ((0, 0), (0, 0), (0, 3), (0, 0), (0, 0))
-        assert json.dumps(node_doc(tree)) == json.dumps(doc)
+        assert tree.feature.tolist() == [3, 0, -1, -1, -1]
+        assert tree.threshold.tolist() == [-60.0, 0.5, 0.0, 0.0, 0.0]
+        assert tree.right.tolist() == [4, 3, -1, -1, -1]
+        assert tree.counts.tolist() == [[0, 0], [0, 0], [0, 3], [0, 0], [0, 0]]
+        assert json.dumps(node_doc(tree)) == json.dumps({**doc, "threshold": -60.0})
+
+    def test_columns_are_typed_and_read_only(self):
+        a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (0, 0))
+        tree = tree_of(split(3, -60.0, split(0, 0.5, a, u), u))
+        dtypes = {"feature": np.int32, "threshold": np.float64, "right": np.int32, "counts": np.int64}
+        for name, dtype in dtypes.items():
+            column = getattr(tree, name)
+            assert column.dtype == dtype and not column.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+        assert tree.counts.shape == (5, 2)
 
     def test_v2_stores_three_preorder_columns(self):
         a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (0, 0))
@@ -705,14 +739,23 @@ class TestSerialization:
         assert doc["version"] == 2
         assert doc["tree"] == {
             "feature": [3, 0, -1, -1, -1],
-            "threshold": [-60, 0.5, 0.0, 0.0, 0.0],  # an int threshold stays an int
+            "threshold": [-60.0, 0.5, 0.0, 0.0, 0.0],  # an int threshold is written as a float
             "counts": [[0, 0], [0, 0], [0, 3], [0, 0], [0, 0]],
         }
         assert list(doc["tree"]) == ["feature", "threshold", "counts"]
         text = json.dumps(doc)
         again, _ = document_to_model(json.loads(text))
-        assert again == tree and again.right == (4, 3, -1, -1, -1)
+        assert again == tree and again.right.tolist() == [4, 3, -1, -1, -1]
         assert json.dumps(model_to_document(again, self._encoder())) == text
+
+    def test_trained_forests_read_as_the_row_reader_reads_them(self, tmp_path):
+        rng = np.random.default_rng(73)
+        for seed in range(6):
+            X, y = random_consistent_data(rng, n_max=150)
+            forest = train_random_forest(X, y, ForestParams(n_trees=5, seed=seed))
+            save_model(tmp_path / "m.model", forest, self._encoder())
+            loaded, _ = load_model(tmp_path / "m.model")
+            assert node_rows(loaded) == node_rows(forest) == trees_of(tmp_path / "m.model")
 
     @pytest.mark.parametrize("kind", ["tree", "forest"])
     def test_v1_document_loads_to_the_same_model(self, kind):
@@ -810,6 +853,8 @@ V1_EDITS = [
     ("trees.0.threshold", float("inf")),
     ("trees.0.threshold", float("-inf")),
     pytest.param("trees.0.threshold", 2**1024, id="trees.0.threshold-2**1024"),
+    pytest.param("trees.0.feature_index", 2**31, id="trees.0.feature_index-2**31"),
+    pytest.param("trees.0.left.class_counts", [0, 2**63], id="trees.0.left.class_counts-[0, 2**63]"),
 ]
 
 # edits of the v2 tree's columns, cell by cell
@@ -847,6 +892,14 @@ V2_EDITS = [
     ("trees.0.counts.2", "21"),
     ("trees.0.counts.2", {"2": 1}),
     ("trees.0.counts.2", None),
+    # each column holds a value its numpy column cannot, or a bool
+    pytest.param("trees.0.feature.0", 2**31, id="trees.0.feature.0-2**31"),
+    pytest.param("trees.0.counts.1", [0, 2**63], id="trees.0.counts.1-[0, 2**63]"),
+    pytest.param("trees.0.counts.2", [2**64, 1], id="trees.0.counts.2-[2**64, 1]"),
+    ("trees.0.feature.1", False),
+    ("trees.0.threshold.1", False),
+    ("trees.0.counts.0", [False, False]),
+    ("trees.0.threshold.2", float("nan")),
 ]
 
 def _four_counts(tree):
@@ -868,6 +921,9 @@ V2_SHAPES = [
     ("empty", lambda tree: [column.clear() for column in tree.values()]),
     ("leaves only", lambda tree: tree.update(feature=[-1, -1, -1], threshold=[0.0] * 3)),
     ("splits only", lambda tree: tree.update(feature=[3, 3, 3], threshold=[1.0] * 3, counts=[[0, 0]] * 3)),
+    # the rows' running sum ends at -1, but a leaf ends the tree at the first row
+    ("a leaf before the root's split", lambda tree: tree.update(feature=[-1, 3, -1], threshold=[0.0, -60.0, 0.0],
+                                                                counts=[[0, 3], [0, 0], [2, 1]])),
 ]
 
 
@@ -898,11 +954,25 @@ class TestMalformedDocuments:
 
     @pytest.mark.parametrize("version, path, value", [*_versioned(1, HEADER_EDITS + V1_EDITS),
                                                       *_versioned(2, HEADER_EDITS + V2_EDITS)])
-    def test_edited_document_is_value_error(self, version, path, value):
+    def test_edited_document_is_value_error(self, version, path, value, tmp_path):
         doc = _split_forest_doc(version)
         document_to_model(json.loads(json.dumps(doc)))  # the unedited document loads
+        edited = _edited(doc, path, value)
+        (tmp_path / "edited.model").write_text(json.dumps(edited))
+        with pytest.raises(ValueError):  # never an OverflowError or TypeError
+            load_model(tmp_path / "edited.model")
         with pytest.raises(ValueError):
-            document_to_model(_edited(doc, path, value))
+            document_to_model(edited)
+
+    def test_v2_nan_threshold_past_the_first_row_is_value_error(self, tmp_path):
+        # min and max only see a NaN they start from, so the reader checks the column for one too
+        doc = _split_forest_doc()
+        doc["trees"][0] = {"feature": [3, 0, -1, -1, -1], "threshold": [-60.0, float("nan"), 0.0, 0.0, 0.0],
+                           "counts": [[0, 0], [0, 0], [0, 3], [2, 1], [2, 1]]}
+        (tmp_path / "nan.model").write_text(json.dumps(doc))
+        for load in (lambda: document_to_model(doc), lambda: load_model(tmp_path / "nan.model")):
+            with pytest.raises(ValueError, match="wrong type or range"):
+                load()
 
     @pytest.mark.parametrize("name, edit", V2_SHAPES, ids=[name for name, _ in V2_SHAPES])
     def test_v2_tree_of_the_wrong_shape_is_value_error(self, name, edit):
@@ -911,13 +981,19 @@ class TestMalformedDocuments:
         with pytest.raises(ValueError, match="tree"):
             document_to_model(doc)
 
-    def test_v2_tree_deeper_than_the_reader_recurses_is_value_error(self):
+    def test_v2_tree_deeper_than_the_recursion_limit_loads(self):
         depth = 5000  # past Python's default recursion limit of 1000
         tree = {"feature": [0] * depth + [-1] * (depth + 1), "threshold": [0.5] * depth + [0.0] * (depth + 1),
                 "counts": [[0, 0]] * depth + [[1, 0]] * (depth + 1)}
-        doc = {**_split_forest_doc(), "trees": [tree]}
+        forest, _ = document_to_model({**_split_forest_doc(), "trees": [tree]})
+        assert forest.trees[0].depth() == depth
+        assert forest.trees[0].right[:3].tolist() == [2 * depth, 2 * depth - 1, 2 * depth - 2]
+
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000])
+    def test_a_file_nested_past_the_parsers_depth_is_value_error(self, text, tmp_path):
+        (tmp_path / "deep.model").write_text(text)
         with pytest.raises(ValueError, match="malformed"):
-            document_to_model(doc)
+            load_model(tmp_path / "deep.model")
 
     @pytest.mark.parametrize("doc", [[], "proxauth-colocation-model", 1, None])
     def test_non_object_document_is_value_error(self, doc):
@@ -940,6 +1016,16 @@ class TestDocumentLayout:
         assert list(doc["params"]["tree_params"]) == [
             "max_depth", "min_samples_split", "min_samples_leaf"
         ]
+
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_load_model_compiles_the_model(self, tmp_path, kind):
+        rng = np.random.default_rng(79)
+        X, y = random_consistent_data(rng, n_max=80)
+        model = train_decision_tree(X, y) if kind == "tree" else train_random_forest(X, y, ForestParams(n_trees=3))
+        assert "_layout" not in vars(model)
+        save_model(tmp_path / "m.model", model, FeatureEncoder({"A": 1}, (0.0, 1.0)))
+        loaded, _ = load_model(tmp_path / "m.model")
+        assert "_layout" in vars(loaded)
 
     def test_train_seed_is_the_last_key_and_loads(self, tmp_path):
         tree = leaf_tree(Label.AUTHENTIC)
