@@ -68,7 +68,7 @@ from .errors import (
     UnknownUser,
     WeakSecret,
 )
-from .jsondoc import decode, encode
+from .jsondoc import decode, encode, parse
 
 __all__ = [
     "MatchKey",
@@ -247,12 +247,12 @@ class UserStore:
     def _compact(self) -> None:
         records = []
         if self._users_path.exists():
-            snapshot = json.loads(self._users_path.read_text(encoding="utf-8"))
+            snapshot = parse(self._users_path.read_text(encoding="utf-8"))
             records += decode(StoreSnapshot, snapshot, exact=True).users
         log = self._log_path.read_bytes() if self._log_path.exists() else b""
         # bytes after the last newline are a torn append; a bad whole line raises ValueError
         lines = log[: log.rfind(b"\n") + 1].splitlines()
-        records += [decode(UserRecord, json.loads(line), exact=True) for line in lines]
+        records += [decode(UserRecord, parse(line), exact=True) for line in lines]
         for record in records:
             self._index(record)
         doc = encode(StoreSnapshot(version=1, users=tuple(self._users.values())))

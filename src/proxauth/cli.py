@@ -42,13 +42,14 @@ from .colocation_ml import (
     document_to_model,
     evaluate,
     load_model,
+    read_model_document,
     save_model,
     stratified_split,
     train_decision_tree,
     train_random_forest,
 )
 from .errors import ProxauthError
-from .jsondoc import decode, encode
+from .jsondoc import decode, encode, parse
 from .rf_simulator import (
     CampaignConfig,
     EnvironmentConfig,
@@ -83,7 +84,7 @@ class ParamsFile:
 
 
 def _load_json_file(path: str) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return parse(Path(path).read_text(encoding="utf-8"))
 
 
 def _simulation_configs(config_path: str | None):
@@ -208,7 +209,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    doc = _load_json_file(args.model)
+    doc = read_model_document(args.model)
     model, encoder = document_to_model(doc)
     seed = doc.get("train_seed") if args.seed is None else args.seed
     if type(seed) is not int:

@@ -14,11 +14,11 @@ Conventions
 * A decision tree is the one tree of an unbagged forest that considers every
   feature at every node: one trainer grows both.
 * A tree is its preorder node table (:class:`DecisionTree`), four read-only
-  numpy columns, routing ``feature <= threshold`` to the left child.
-  Training and both model-file readers write it through one writer, which
-  checks the shape and derives the right pointers; a model is compiled once,
-  when it is first used or when it is loaded, into flat node arrays that one
-  vectorized descent reads for every prediction.
+  numpy columns, routing ``feature <= threshold`` to the left child. The
+  trainer and the one column check, which both model-file versions pass,
+  feed one writer, which checks the shape and derives the right pointers; a
+  model is compiled once, when it is first used or when it is loaded, into
+  flat node arrays that one vectorized descent reads for every prediction.
 * All tie-breaks fail toward Unauthorized: leaf majorities and forest votes
   that end even predict Unauthorized.
 * Randomness comes from numpy's PCG64 generator seeded through
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
     EmptyTestSet,
     EmptyTrainingSet,
 )
-from .jsondoc import decode, encode
+from .jsondoc import decode, encode, parse
 
 __all__ = [
     "TreeParams",
@@ -68,6 +68,7 @@ __all__ = [
     "model_to_document",
     "document_to_model",
     "save_model",
+    "read_model_document",
     "load_model",
     "derived_rng",
 ]
@@ -364,8 +365,9 @@ def best_split(
 
 
 def _nodes(feature, threshold, counts) -> tuple[np.ndarray, ...]:
-    """The one writer of a node table, for training and both model-file
-    readers: preorder columns in, :class:`DecisionTree`'s typed columns out.
+    """The one writer of a node table, fed by the trainer and by
+    :func:`_columns_to_nodes`, the column check of both model-file versions:
+    preorder columns in, :class:`DecisionTree`'s typed columns out.
     A split adds 1 to a running sum and a leaf takes 1 away, so the rows make
     one full binary tree exactly when the sum stays >= 0 before the last row
     and ends at -1. A split's right child is then the next row with the same
@@ -386,23 +388,6 @@ def _nodes(feature, threshold, counts) -> tuple[np.ndarray, ...]:
     return feature, threshold, right, counts
 
 
-def _grow(expand: Callable, root, params: TreeParams) -> DecisionTree:
-    """Training's and the v1 reader's rows for :func:`_nodes`, in preorder on
-    an explicit stack, so a tree of any depth grows: ``expand(node)`` gives a
-    leaf's (unauthorized, authentic) counts or a split's (feature, threshold,
-    left child, right child)."""
-    rows, stack = [], [root]
-    while stack:
-        grown = expand(stack.pop())
-        if len(grown) == 2:
-            rows.append((-1, 0.0, grown))
-        else:
-            feature, threshold, left, right = grown
-            rows.append((feature, threshold, (0, 0)))
-            stack += (right, left)
-    return DecisionTree(*_nodes(*zip(*rows)), params)
-
-
 def train_decision_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -421,7 +406,9 @@ def train_random_forest(
 ) -> RandomForest:
     """Bagged forest: tree i trains on a bootstrap resample (drawn from an RNG
     derived from (seed, i)) and considers ``features_per_split`` features,
-    drawn without replacement, at each node."""
+    drawn without replacement, at each node. Nodes grow in preorder on an
+    explicit stack, so a tree of any depth trains, and its rows go to
+    :func:`_nodes`."""
     n = len(y)
     if n == 0:
         raise EmptyTrainingSet("cannot train on zero samples")
@@ -435,32 +422,26 @@ def train_random_forest(
     for i in range(params.n_trees):
         rng = derived_rng(params.seed, i)
         rows = rng.integers(0, n, size=n) if params.bootstrap else slice(None)
-
-        def expand(node: tuple[np.ndarray, np.ndarray, int]):
-            X, y, depth = node
-            n = len(y)
-            pos = int(y.sum())
-            neg = n - pos
-            if pos == 0 or neg == 0:
-                return neg, pos
-            if n < tree_params.min_samples_split:
-                return neg, pos
-            if tree_params.max_depth is not None and depth >= tree_params.max_depth:
-                return neg, pos
-
-            features = np.sort(rng.choice(n_features, size=k, replace=False))
-            # Deadlock-breaker: without require_improvement, a mixed node whose every
-            # split ties the parent impurity still takes the best tie split, which
-            # separates deeper down, so consistent data always trains to purity.
-            cand = best_split(X, y, features, tree_params.min_samples_leaf, require_improvement=False)
+        table, stack = [], [(X[rows], y[rows], 0)]
+        while stack:
+            X_node, y_node, depth = stack.pop()
+            pos = int(y_node.sum())
+            neg = len(y_node) - pos
+            cand = None
+            if (pos and neg and len(y_node) >= tree_params.min_samples_split
+                    and (tree_params.max_depth is None or depth < tree_params.max_depth)):
+                features = np.sort(rng.choice(n_features, size=k, replace=False))
+                # Deadlock-breaker: without require_improvement, a mixed node whose every
+                # split ties the parent impurity still takes the best tie split, which
+                # separates deeper down, so consistent data always trains to purity.
+                cand = best_split(X_node, y_node, features, tree_params.min_samples_leaf, require_improvement=False)
             if cand is None:
-                return neg, pos
-
-            mask = X[:, cand.feature_index] <= cand.threshold
-            left, right = (X[mask], y[mask], depth + 1), (X[~mask], y[~mask], depth + 1)
-            return cand.feature_index, cand.threshold, left, right
-
-        trees.append(_grow(expand, (X[rows], y[rows], 0), tree_params))
+                table.append((-1, 0.0, (neg, pos)))
+                continue
+            table.append((cand.feature_index, cand.threshold, (0, 0)))
+            mask = X_node[:, cand.feature_index] <= cand.threshold
+            stack += (X_node[~mask], y_node[~mask], depth + 1), (X_node[mask], y_node[mask], depth + 1)
+        trees.append(DecisionTree(*_nodes(*zip(*table)), tree_params))
     return RandomForest(trees=tuple(trees), params=params)
 
 
@@ -553,7 +534,9 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 # columns: ``feature`` (-1 at a leaf), ``threshold`` (0.0 at a leaf) and
 # ``counts`` ([0, 0] at a split); a split's right child follows from the
 # preorder shape, so it is not stored. ``load_model`` reads one tree's lists
-# at a time. Version 1 nests split and leaf nodes and is still read. A
+# at a time. Version 1 nests split and leaf nodes and is still read: its trees
+# are flattened into the v2 columns, and every tree of either version passes
+# the one column check, ``_columns_to_nodes``, on its way to ``_nodes``. A
 # threshold is a float64, so a hand-written int threshold is written back as a
 # float; otherwise the document round-trips losslessly and re-serializes
 # byte-identically. A malformed document is a ValueError.
@@ -572,24 +555,24 @@ _SPLIT_KEYS = {"type", "feature_index", "threshold", "left", "right"}
 
 
 def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
-    """The v1 tree reader, a nested node document straight into the table: a
-    split has exactly its keys, an int ``feature_index`` >= 0 (its upper bound,
-    the encoder's width, is checked by :func:`document_to_model`) and a finite
-    int or float ``threshold`` (an int past the float range raises
-    OverflowError); a leaf is what ``_leaf_doc`` gives for two ints >= 0."""
-
-    def expand(node):
-        if type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split":
-            feature, threshold = node["feature_index"], node["threshold"]
-            if (type(feature) is int and 0 <= feature < 2**31
-                    and type(threshold) in (int, float) and math.isfinite(threshold)):
-                return feature, threshold, node["left"], node["right"]
-        elif type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2:
-            if all(type(c) is int and 0 <= c < 2**63 for c in counts) and node == _leaf_doc(*counts):
-                return tuple(counts)
-        raise ValueError(f"bad tree node {node!r:.80}: not a split or leaf as the v1 format writes it")
-
-    return _grow(expand, doc, params)
+    """The v1 tree reader: the nested nodes flattened into the v2 columns in
+    preorder, on an explicit stack, for :func:`_columns_to_nodes` to check and
+    pass to :func:`_nodes`. It checks only what is v1's own: a split has
+    exactly its keys and an int ``feature_index`` >= 0 (-1 would read as a
+    leaf), and a leaf is what ``_leaf_doc`` gives for its two counts."""
+    table, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if (type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split"
+                and type(node["feature_index"]) is int and node["feature_index"] >= 0):
+            table.append((node["feature_index"], node["threshold"], [0, 0]))
+            stack += node["right"], node["left"]
+        elif (type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2
+              and node == _leaf_doc(*counts)):
+            table.append((-1, 0.0, counts))
+        else:
+            raise ValueError(f"bad tree node {node!r:.80}: not a split or leaf as the v1 format writes it")
+    return DecisionTree(*_columns_to_nodes(dict(zip(_COLUMNS, map(list, zip(*table))))), params)
 
 
 def _tree_to_columns(tree: DecisionTree) -> dict:
@@ -597,11 +580,13 @@ def _tree_to_columns(tree: DecisionTree) -> dict:
 
 
 def _columns_to_nodes(doc) -> tuple[np.ndarray, ...]:
-    """The v2 tree reader. Each column is checked whole, in Python before
-    numpy converts it (numpy 1.x wraps an int32 overflow): features are ints
-    in [-1, 2**31), thresholds finite ints or floats, counts pairs of ints in
-    [0, 2**63). Then splits (feature >= 0) must have counts [0, 0] and leaves
-    a float threshold 0.0, and :func:`_nodes` checks the tree's shape."""
+    """The one check of a tree's node values, for both model-file versions: a
+    v2 tree object, or the columns a v1 tree flattens to. Each column is
+    checked whole, in Python before numpy converts it (numpy 1.x wraps an
+    int32 overflow): features are ints in [-1, 2**31), thresholds finite ints
+    or floats, counts pairs of ints in [0, 2**63). Then splits (feature >= 0)
+    must have counts [0, 0] and leaves a float threshold 0.0, and
+    :func:`_nodes` checks the tree's shape."""
     if type(doc) is not dict or doc.keys() != set(_COLUMNS) or {type(doc[c]) for c in _COLUMNS} != {list}:
         raise ValueError(f"bad tree {doc!r:.80}: not an object of the columns {list(_COLUMNS)}")
     feature, threshold, counts = (doc[c] for c in _COLUMNS)
@@ -626,15 +611,6 @@ def _columns_to_nodes(doc) -> tuple[np.ndarray, ...]:
     return _nodes(*columns)
 
 
-def _tree_from_columns(doc, params: TreeParams) -> DecisionTree:
-    """A v2 tree, from its object or from the columns (a tuple, which JSON
-    never gives) that ``load_model``'s parse made of it."""
-    return DecisionTree(*(doc if type(doc) is tuple else _columns_to_nodes(doc)), params)
-
-
-_TREE_READERS = {1: _tree_from_doc, 2: _tree_from_columns}
-
-
 def model_to_document(
     model: DecisionTree | RandomForest, encoder: FeatureEncoder, train_seed: int | None = None
 ) -> dict:
@@ -655,13 +631,19 @@ def model_to_document(
 
 
 def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
-    """A document as ``json.loads`` or ``load_model``'s parse reads it, to
-    the model, compiled, and its encoder."""
+    """A document as ``json.loads`` or :func:`read_model_document` reads it,
+    to the model, compiled, and its encoder. A v2 tree is its object or the
+    columns (a tuple, which JSON never gives) that the latter made of it."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
-    if type(version := doc.get("version")) is not int or version not in _TREE_READERS:
+    if type(version := doc.get("version")) is not int or version not in (1, 2):
         raise ValueError(f"unsupported model format version {version!r}")
-    read_tree = _TREE_READERS[version]
+
+    def read_tree(tree, params: TreeParams) -> DecisionTree:
+        if version == 1:
+            return _tree_from_doc(tree, params)
+        return DecisionTree(*(tree if type(tree) is tuple else _columns_to_nodes(tree)), params)
+
     try:
         encoder = decode(FeatureEncoder, doc["encoder"], exact=True)
         if doc["kind"] == "decision_tree":
@@ -695,13 +677,15 @@ def save_model(
     Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
 
 
+def read_model_document(path: str | Path):
+    """A model file's document, parsed one tree at a time: each v2 tree
+    object, one of exactly the stored columns, becomes its checked columns
+    as the parser closes it."""
+    return parse(Path(path).read_text(encoding="utf-8"), object_hook=lambda obj: (
+        _columns_to_nodes(obj) if obj.keys() == set(_COLUMNS) else obj))
+
+
 def load_model(path: str | Path) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
     """The model and encoder a file holds, the model compiled, so its first
-    prediction does not pay for the layout. Each v2 tree object, one of
-    exactly the stored columns, becomes its columns as the parser closes it."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), object_hook=lambda obj: (
-            _columns_to_nodes(obj) if obj.keys() == set(_COLUMNS) else obj))
-    except RecursionError as exc:  # nested deeper than the parser recurses
-        raise ValueError(f"malformed {MODEL_FORMAT} document: {exc}") from exc
-    return document_to_model(doc)
+    prediction does not pay for the layout."""
+    return document_to_model(read_model_document(path))

@@ -17,21 +17,33 @@ class and mode, since the wire decodes every scan.
 :func:`encode` is the inverse, and writes every dataclass document proxauth
 writes: a dataclass as an object of its fields in declaration order, an
 ``Enum`` as its value, a tuple as an array.
+
+:func:`parse` is the one JSON parse of every file and request line proxauth reads.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import types
 import typing
 from enum import Enum
 
-__all__ = ["decode", "encode"]
+__all__ = ["decode", "encode", "parse"]
 
 _SCALARS = (int, str, bool)
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() rounds past float64's range
+
+
+def parse(text: str | bytes, object_hook=None):
+    """``json.loads(text, object_hook=object_hook)``, except that a text nested
+    past the parser's depth is a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text, object_hook=object_hook)
+    except RecursionError:
+        raise ValueError("nested past the JSON parser's depth") from None
 
 
 def decode(cls, doc, *, exact: bool = False):

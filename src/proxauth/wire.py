@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .auth_service import AuthService, AuthSession
 from .beacon_model import ScanSnapshot
 from .errors import ProxauthError
-from .jsondoc import decode, encode
+from .jsondoc import decode, encode, parse
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -102,10 +102,10 @@ def _dispatch(service: AuthService, request: dict) -> dict:
 def handle_request_line(service: AuthService, line: str) -> dict:
     """Parse and execute one request line; never raises."""
     try:
-        request = json.loads(line)
+        request = parse(line)
         if not isinstance(request, dict):
             raise ValueError("request must be a JSON object")
-    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except ValueError as exc:
         return {"ok": False, "error": "BadRequest", "message": f"malformed JSON: {exc}"}
     try:
         return _dispatch(service, request)
@@ -193,7 +193,7 @@ class AuthClient:
         line = self._reader.readline()
         if not line:
             raise ConnectionError("server closed the connection")
-        return json.loads(line)
+        return parse(line)
 
     def _send(self, op: str, request) -> dict:
         return self.call({"op": op, **encode(request)})

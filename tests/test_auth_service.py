@@ -577,6 +577,14 @@ class TestStore:
             UserStore(root)
 
     @pytest.mark.parametrize("where", ["users.json", "users.log"])
+    def test_a_file_nested_past_the_parsers_depth_raises_value_error(self, tmp_path, where):
+        root = tmp_path / "data"
+        root.mkdir()
+        (root / where).write_text("[" * 100_000 + "\n")
+        with pytest.raises(ValueError, match="parser's depth"):
+            UserStore(root)
+
+    @pytest.mark.parametrize("where", ["users.json", "users.log"])
     @pytest.mark.parametrize("change", ["unknown key", "missing key"])
     def test_record_without_exactly_its_fields_raises(self, tmp_path, where, change):
         root = tmp_path / "data"

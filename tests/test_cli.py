@@ -46,7 +46,7 @@ from proxauth.jsondoc import encode
 from proxauth.rf_simulator import CampaignConfig, EnvironmentConfig, PathLossConfig
 from proxauth.wire import AuthWireServer, BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest
 
-from model_v1 import v1_bytes
+from model_v1 import grow_tree_from_doc, v1_bytes
 from model_v2_rows import node_rows, trees_of
 
 
@@ -262,6 +262,18 @@ class TestModelFormatV1:
         assert (tmp_path / "again.model").read_bytes() == (root / name).read_bytes()
 
 
+    @pytest.mark.parametrize("fixture", ["pipeline", "pipeline_7"])
+    @pytest.mark.parametrize("name", ["rf.model", "dt.model"])
+    def test_the_v1_pipeline_files_read_as_the_grow_reader_reads_them(self, request, tmp_path, fixture, name):
+        model, encoder = load_model(request.getfixturevalue(fixture)[0] / name)
+        v1 = tmp_path / name
+        v1.write_bytes(v1_bytes(model, encoder))
+        doc = json.loads(v1.read_text())
+        trees = [doc["tree"]] if "tree" in doc else doc["trees"]
+        reference = [node_rows(grow_tree_from_doc(t, TreeParams()))[0] for t in trees]
+        assert node_rows(load_model(v1)[0]) == reference
+
+
 class TestColumnReader:
     """The v2 reader builds each tree's columns whole; the per-row reader it
     replaced reads the same rows from the pipeline's files."""
@@ -448,6 +460,39 @@ class TestCommands:
         code = main(["serve", "--model", str(rf), "--policy", str(policy), "--listen", "127.0.0.1:0"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: bad PolicyConfig value")
+
+    @pytest.mark.parametrize("command", ["evaluate --model", "simulate --config", "train --params", "serve --policy"])
+    def test_a_file_nested_past_the_parsers_depth_is_one_error_line(self, pipeline, tmp_path, command):
+        _, csv, rf, _ = pipeline
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = {
+            "evaluate --model": ["evaluate", "--model", deep, "--data", csv],
+            "simulate --config": ["simulate", "--rows", "10", "--seed", "1", "--config", deep, "--out", tmp_path / "s"],
+            "train --params": ["train", "--data", csv, "--model", "dt", "--seed", "1", "--params", deep,
+                               "--out", tmp_path / "m"],
+            "serve --policy": ["serve", "--model", rf, "--policy", deep, "--listen", "127.0.0.1:0"],
+        }[command]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+               "PROXAUTH_DATA_DIR": str(tmp_path / "store")}
+        result = subprocess.run([sys.executable, "-m", "proxauth.cli", *map(str, argv)],
+                                env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
+            "error: nested past the JSON parser's depth"], result.stderr
+
+    def test_evaluate_reads_a_v1_file_as_its_v2_file(self, pipeline, tmp_path, capsys):
+        _, csv, rf, _ = pipeline
+        model, encoder = load_model(rf)
+        v1 = tmp_path / "rf.v1.model"
+        v1.write_bytes(v1_bytes(model, encoder, train_seed=5))
+        reports = []
+        for path in (rf, v1):
+            assert main(["evaluate", "--model", str(path), "--data", str(csv), "--json"]) == 0
+            reports.append({**json.loads(capsys.readouterr().out), "model": None})
+        assert reports[0] == reports[1] and reports[0]["seed"] == 5
 
     def test_module_entry_point_runs_without_warnings(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -40,7 +40,7 @@ from proxauth.errors import (
     EmptyTrainingSet,
 )
 
-from model_v1 import node_doc, v1_document
+from model_v1 import grow_random_forest, grow_tree_from_doc, node_doc, v1_document
 from model_v2_rows import node_rows, trees_of
 
 
@@ -757,6 +757,33 @@ class TestSerialization:
             loaded, _ = load_model(tmp_path / "m.model")
             assert node_rows(loaded) == node_rows(forest) == trees_of(tmp_path / "m.model")
 
+    @pytest.mark.parametrize("params", [
+        ForestParams(n_trees=4, seed=3),
+        ForestParams(n_trees=4, seed=5, tree_params=TreeParams(max_depth=None)),
+        ForestParams(n_trees=4, seed=7, tree_params=TreeParams(min_samples_leaf=3)),
+        ForestParams(n_trees=4, bootstrap=False, seed=9),
+        ForestParams(n_trees=1, seed=11),
+    ], ids=["defaults", "max_depth None", "min_samples_leaf 3", "bootstrap False", "one tree"])
+    def test_the_trainer_grows_the_trees_the_grow_trainer_grew(self, params):
+        rng = np.random.default_rng(83)
+        for offset in range(4):
+            X, y = random_consistent_data(rng, n_max=150)
+            seeded = dataclasses.replace(params, seed=params.seed + offset)
+            assert train_random_forest(X, y, seeded).trees == grow_random_forest(X, y, seeded).trees
+            # and the decision tree is the unbagged one-tree forest over every feature
+            every_feature = ForestParams(n_trees=1, bootstrap=False, features_per_split=4,
+                                         tree_params=params.tree_params)
+            assert train_decision_tree(X, y, params.tree_params) == grow_random_forest(X, y, every_feature).trees[0]
+
+    def test_trained_trees_read_from_v1_as_the_grow_reader_reads_them(self):
+        rng = np.random.default_rng(89)
+        for seed in range(4):
+            X, y = random_consistent_data(rng, n_max=150)
+            forest = train_random_forest(X, y, ForestParams(n_trees=3, seed=seed))
+            doc = json.loads(json.dumps(v1_document(forest, self._encoder())))
+            reference = [grow_tree_from_doc(t, forest.params.tree_params) for t in doc["trees"]]
+            assert node_rows(document_to_model(doc)[0]) == node_rows(RandomForest(tuple(reference), forest.params))
+
     @pytest.mark.parametrize("kind", ["tree", "forest"])
     def test_v1_document_loads_to_the_same_model(self, kind):
         rng = np.random.default_rng(71)
@@ -992,7 +1019,7 @@ class TestMalformedDocuments:
     @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000])
     def test_a_file_nested_past_the_parsers_depth_is_value_error(self, text, tmp_path):
         (tmp_path / "deep.model").write_text(text)
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="^nested past the JSON parser's depth$"):
             load_model(tmp_path / "deep.model")
 
     @pytest.mark.parametrize("doc", [[], "proxauth-colocation-model", 1, None])

@@ -5,7 +5,7 @@ from enum import Enum
 
 import pytest
 
-from proxauth.jsondoc import decode, encode
+from proxauth.jsondoc import decode, encode, parse
 
 
 class Color(Enum):
@@ -161,3 +161,19 @@ def test_an_unsupported_annotation_is_a_type_error():
 
     with pytest.raises(TypeError, match="cannot read"):
         decode(Listed, {"items": [1]})
+
+
+class TestParse:
+    @pytest.mark.parametrize("text", ['{"a": [1, 2.5, null], "b": {"c": "d"}}', b'[true, {"x": -1}]', "7", '"s"'])
+    def test_reads_what_json_loads_reads(self, text):
+        assert parse(text) == json.loads(text)
+        assert parse(text, object_hook=lambda obj: sorted(obj)) == json.loads(text, object_hook=lambda obj: sorted(obj))
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"a":' * 100_000 + "1" + "}" * 100_000])
+    def test_a_text_nested_past_the_parsers_depth_is_value_error(self, text):
+        with pytest.raises(ValueError, match="^nested past the JSON parser's depth$"):
+            parse(text)
+
+    def test_a_syntax_error_stays_json_decode_error(self):
+        with pytest.raises(json.JSONDecodeError):
+            parse('{"a": ')

@@ -294,10 +294,12 @@ def _status_line(size: int) -> bytes:
 class TestWireLimits:
     def test_deeply_nested_json_is_bad_request(self, server):
         service = AuthService(UserStore(), GRANT_ALL, ENCODER)
-        response = handle_request_line(service, "[" * 100_000)
-        assert response["ok"] is False and response["error"] == "BadRequest"
+        # one BadRequest per line, which says "malformed JSON" once
+        refused = {"ok": False, "error": "BadRequest", "message": "malformed JSON: nested past the JSON parser's depth"}
+        lines = ["[" * 100_000, '{"op":' * 100_000]
+        assert [handle_request_line(service, line) for line in lines] == [refused, refused]
         with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
-            assert _send_line(f, b"[" * 100_000)["error"] == "BadRequest"
+            assert [_send_line(f, line.encode()) for line in lines] == [refused, refused]
             enrolled = _send_line(f, json.dumps(ENROLL).encode())
             assert enrolled["ok"] is True and enrolled["username"] == "gil"
 
