@@ -12,7 +12,7 @@ Modules:
     rf_simulator   log-distance path-loss simulation and dataset generation
     auth_service   enrollment store, session state machine, decisions
     wire           JSON-over-TCP server and client for the service
-    jsondoc        the one JSON codec: decode reads and encode writes dataclass documents
+    jsondoc        the one JSON codec: parse/decode read, encode/dump write every document
     cli            the `proxauth` command line
 """
 

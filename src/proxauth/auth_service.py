@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 import os
 import secrets as _secrets
 import threading
@@ -68,7 +67,7 @@ from .errors import (
     UnknownUser,
     WeakSecret,
 )
-from .jsondoc import decode, encode, parse
+from .jsondoc import decode, dump, encode, naming, parse
 
 __all__ = [
     "MatchKey",
@@ -247,18 +246,17 @@ class UserStore:
     def _compact(self) -> None:
         records = []
         if self._users_path.exists():
-            snapshot = parse(self._users_path.read_text(encoding="utf-8"))
-            records += decode(StoreSnapshot, snapshot, exact=True).users
+            with naming(self._users_path):
+                records += decode(StoreSnapshot, parse(self._users_path.read_bytes()), exact=True).users
         log = self._log_path.read_bytes() if self._log_path.exists() else b""
         # bytes after the last newline are a torn append; a bad whole line raises ValueError
-        lines = log[: log.rfind(b"\n") + 1].splitlines()
-        records += [decode(UserRecord, parse(line), exact=True) for line in lines]
+        for number, line in enumerate(log[: log.rfind(b"\n") + 1].splitlines(), 1):
+            with naming(f"{self._log_path}:{number}"):
+                records.append(decode(UserRecord, parse(line), exact=True))
         for record in records:
             self._index(record)
-        doc = encode(StoreSnapshot(version=1, users=tuple(self._users.values())))
         tmp = self._users_path.with_suffix(".json.tmp")
-        # compact separators keep json on its C encoder; indent would not
-        tmp.write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+        tmp.write_bytes(dump(encode(StoreSnapshot(version=1, users=tuple(self._users.values())))))
         os.replace(tmp, self._users_path)
         self._log_path.write_bytes(b"")  # after the snapshot: a crash between replays a logged record
 
@@ -293,8 +291,8 @@ class UserStore:
 
 
 def _append_json_line(path: Path, doc: dict) -> None:
-    with path.open("a", encoding="utf-8") as f:
-        f.write(json.dumps(doc, separators=(",", ":")) + "\n")
+    with path.open("ab") as f:
+        f.write(dump(doc))
 
 
 def overlap_observations(

@@ -49,7 +49,7 @@ from .colocation_ml import (
     train_random_forest,
 )
 from .errors import ProxauthError
-from .jsondoc import decode, encode, parse
+from .jsondoc import decode, encode, naming, parse
 from .rf_simulator import (
     CampaignConfig,
     EnvironmentConfig,
@@ -83,17 +83,20 @@ class ParamsFile:
     forest: ForestParams = ForestParams()
 
 
-def _load_json_file(path: str) -> dict:
-    return parse(Path(path).read_text(encoding="utf-8"))
+def _load_json_file(path: str | None, cls):
+    """The JSON file at ``path`` (``{}`` without one) and ``cls`` decoded from it."""
+    with naming(path):
+        doc = parse(Path(path).read_text(encoding="utf-8")) if path else {}
+        return doc, decode(cls, doc)
 
 
 def _simulation_configs(config_path: str | None):
-    config = decode(SimulationFile, _load_json_file(config_path) if config_path else {})
+    config = _load_json_file(config_path, SimulationFile)[1]
     return config.environment, config.path_loss, config.campaign
 
 
 def _policy_config(policy_path: str | None) -> PolicyConfig:
-    return decode(PolicyConfig, _load_json_file(policy_path) if policy_path else {})
+    return _load_json_file(policy_path, PolicyConfig)[1]
 
 
 def _parse_listen(value: str) -> tuple[str, int]:
@@ -169,13 +172,14 @@ _TRAIN_HOLDOUT_FRACTION = 0.2
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    params_doc, params_file = _load_json_file(args.params, ParamsFile)
+    if (unread := {"dt": "forest", "rf": "tree"}[args.model]) in params_doc:
+        raise ValueError(f"{args.params}: --model {args.model} reads no {unread} section")
     dataset = parse_dataset_csv(Path(args.data).read_bytes())
     train_set, test_set = stratified_split(dataset, _TRAIN_HOLDOUT_FRACTION, args.seed)
     encoder = build_feature_encoder(train_set)
     X, y = encode_dataset(encoder, train_set)
 
-    params_doc = _load_json_file(args.params) if args.params else {}
-    params_file = decode(ParamsFile, params_doc)
     started = time.perf_counter()
     if args.model == "dt":
         model = train_decision_tree(X, y, params_file.tree)
@@ -209,8 +213,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    doc = read_model_document(args.model)
-    model, encoder = document_to_model(doc)
+    with naming(args.model):
+        doc = read_model_document(args.model)
+        model, encoder = document_to_model(doc)
     seed = doc.get("train_seed") if args.seed is None else args.seed
     if type(seed) is not int:
         raise ValueError(f"{args.model} records no integer train_seed; give the split seed with --seed")
@@ -245,7 +250,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def build_service(model_path: str, policy_path: str | None, data_dir: str | None = None) -> AuthService:
-    model, encoder = load_model(model_path)
+    with naming(model_path):
+        model, encoder = load_model(model_path)
     policy = _policy_config(policy_path)
     root = data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV, DEFAULT_DATA_DIR)
     return AuthService(UserStore(root), model, encoder, policy)

@@ -28,7 +28,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -46,7 +45,7 @@ from .errors import (
     EmptyTestSet,
     EmptyTrainingSet,
 )
-from .jsondoc import decode, encode, parse
+from .jsondoc import decode, dump, encode, parse
 
 __all__ = [
     "TreeParams",
@@ -408,11 +407,13 @@ def train_random_forest(
     derived from (seed, i)) and considers ``features_per_split`` features,
     drawn without replacement, at each node. Nodes grow in preorder on an
     explicit stack, so a tree of any depth trains, and its rows go to
-    :func:`_nodes`."""
+    :func:`_nodes`. A NaN or infinite value in X is a ValueError."""
     n = len(y)
     if n == 0:
         raise EmptyTrainingSet("cannot train on zero samples")
     X = np.asarray(X, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("X holds a NaN or an infinite value")
     y = np.asarray(y)
     n_features, k, tree_params = X.shape[1], params.features_per_split, params.tree_params
     if k > n_features:
@@ -673,8 +674,7 @@ def save_model(
     encoder: FeatureEncoder,
     train_seed: int | None = None,
 ) -> None:
-    doc = model_to_document(model, encoder, train_seed)
-    Path(path).write_text(json.dumps(doc, separators=(",", ":")) + "\n", encoding="utf-8")
+    Path(path).write_bytes(dump(model_to_document(model, encoder, train_seed)))
 
 
 def read_model_document(path: str | Path):

@@ -18,11 +18,13 @@ class and mode, since the wire decodes every scan.
 writes: a dataclass as an object of its fields in declaration order, an
 ``Enum`` as its value, a tuple as an array.
 
-:func:`parse` is the one JSON parse of every file and request line proxauth reads.
+:func:`parse` is the one JSON parse of every file and request line proxauth
+reads, and :func:`dump` the one writer of every JSON line it stores or sends.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import json
@@ -31,19 +33,34 @@ import types
 import typing
 from enum import Enum
 
-__all__ = ["decode", "encode", "parse"]
+__all__ = ["decode", "dump", "encode", "naming", "parse"]
 
 _SCALARS = (int, str, bool)
 _FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int that float() rounds past float64's range
 
 
 def parse(text: str | bytes, object_hook=None):
-    """``json.loads(text, object_hook=object_hook)``, except that a text nested
-    past the parser's depth is a ValueError, not a RecursionError."""
+    """``json.loads(text, object_hook=object_hook)``, except that bytes must be UTF-8
+    and that a text nested past the parser's depth is a ValueError, not a RecursionError."""
     try:
-        return json.loads(text, object_hook=object_hook)
+        return json.loads(text.decode() if type(text) is bytes else text, object_hook=object_hook)
     except RecursionError:
         raise ValueError("nested past the JSON parser's depth") from None
+
+
+@contextlib.contextmanager
+def naming(where):
+    """A ValueError raised within it, its message led by ``where`` (a file, or file:line)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
+def dump(value) -> bytes:
+    """``value`` as one JSON line that :func:`parse` reads back; a NaN or infinite float
+    is a ValueError. Compact separators and no indent keep json on its C encoder."""
+    return (json.dumps(value, separators=(",", ":"), allow_nan=False) + "\n").encode()
 
 
 def decode(cls, doc, *, exact: bool = False):

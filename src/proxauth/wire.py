@@ -1,29 +1,29 @@
 """JSON-over-TCP wire protocol for the authentication service.
 
-Each request and each response is one compact JSON document on its own line;
-a request line over ``MAX_LINE_BYTES`` gets one ``BadRequest`` and then the
+Each request and each response is one compact JSON line (``jsondoc.dump``
+writes it, ``parse`` reads it); a request line that is not UTF-8 JSON gets a
+``BadRequest``, and one over ``MAX_LINE_BYTES`` gets one and then the
 connection closes. Requests carry an ``op`` of ``enroll``, ``begin``,
 ``submit_scan``, or ``status``; responses always carry ``ok`` plus either
 result fields or an ``error`` code taken from the service's exception names.
-``_OPS`` maps each op to its request type, which the client writes with
-:func:`proxauth.jsondoc.encode` and the server reads with ``decode``, so a
-missing, unknown or wrongly typed field is a ``BadRequest``. Snapshot
+Each op is one row of ``_OPS``: its request type (written with ``encode``,
+read with ``decode``, so a missing, unknown or wrongly typed field is a
+``BadRequest``), its ``AuthService`` method and its response shape. Snapshot
 documents mirror :class:`proxauth.beacon_model.ScanSnapshot` field names,
 with RSSI in integer dBm and timestamps in integer milliseconds.
 """
 
 from __future__ import annotations
 
-import json
 import socket
 import socketserver
 import threading
 from dataclasses import dataclass
 
-from .auth_service import AuthService, AuthSession
+from .auth_service import AuthService, AuthSession, UserRecord
 from .beacon_model import ScanSnapshot
 from .errors import ProxauthError
-from .jsondoc import decode, encode, parse
+from .jsondoc import decode, dump, encode, parse
 
 __all__ = [
     "MAX_LINE_BYTES",
@@ -43,6 +43,10 @@ def snapshot_to_doc(snapshot: ScanSnapshot) -> dict:
 
 def snapshot_from_doc(doc: dict) -> ScanSnapshot:
     return decode(ScanSnapshot, doc)
+
+
+def _enrolled_doc(record: UserRecord) -> dict:
+    return {"username": record.username, "enrolled_at": record.enrolled_at}
 
 
 def _session_doc(session: AuthSession) -> dict:
@@ -79,12 +83,12 @@ class StatusRequest:
     session_id: str
 
 
-# op -> (request type, AuthService method), the method looked up per call
+# op -> (request type, AuthService method, response shape), the method looked up per call
 _OPS = {
-    "enroll": (EnrollRequest, "enroll_user"),
-    "begin": (BeginRequest, "begin_session"),
-    "submit_scan": (SubmitScanRequest, "submit_scan"),
-    "status": (StatusRequest, "get_session"),
+    "enroll": (EnrollRequest, "enroll_user", _enrolled_doc),
+    "begin": (BeginRequest, "begin_session", _session_doc),
+    "submit_scan": (SubmitScanRequest, "submit_scan", _session_doc),
+    "status": (StatusRequest, "get_session", _session_doc),
 }
 
 
@@ -92,15 +96,12 @@ def _dispatch(service: AuthService, request: dict) -> dict:
     op = request.pop("op", None)
     if type(op) is not str or op not in _OPS:
         return {"ok": False, "error": "UnknownOp", "message": f"unknown op {op!r}"}
-    request_type, method = _OPS[op]
-    result = getattr(service, method)(**vars(decode(request_type, request)))
-    if op == "enroll":
-        return {"ok": True, "username": result.username, "enrolled_at": result.enrolled_at}
-    return {"ok": True, **_session_doc(result)}
+    request_type, method, shape = _OPS[op]
+    return {"ok": True, **shape(getattr(service, method)(**vars(decode(request_type, request))))}
 
 
-def handle_request_line(service: AuthService, line: str) -> dict:
-    """Parse and execute one request line; never raises."""
+def handle_request_line(service: AuthService, line: str | bytes) -> dict:
+    """Parse and execute one request line, UTF-8 if bytes; never raises."""
     try:
         request = parse(line)
         if not isinstance(request, dict):
@@ -118,61 +119,50 @@ def handle_request_line(service: AuthService, line: str) -> dict:
 
 
 class _Handler(socketserver.StreamRequestHandler):
+    server: AuthWireServer
+
     def handle(self):
-        service = self.server.proxauth_service  # type: ignore[attr-defined]
         while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
             if len(raw.removesuffix(b"\n")) > MAX_LINE_BYTES:
-                self._reply({"ok": False, "error": "BadRequest",
-                             "message": f"request line longer than {MAX_LINE_BYTES} bytes"})
+                self.wfile.write(dump({"ok": False, "error": "BadRequest",
+                                       "message": f"request line longer than {MAX_LINE_BYTES} bytes"}))
                 return
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                self._reply(handle_request_line(service, line))
-
-    def _reply(self, response: dict) -> None:
-        self.wfile.write((json.dumps(response, separators=(",", ":")) + "\n").encode("utf-8"))
-        self.wfile.flush()
+            if line := raw.strip():
+                self.wfile.write(dump(handle_request_line(self.server.service, line)))
 
 
-class _TcpServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-
-class AuthWireServer:
-    """Threaded TCP listener speaking the JSON-lines protocol.
+class AuthWireServer(socketserver.ThreadingTCPServer):
+    """Threaded TCP server speaking the JSON-lines protocol for ``service``.
 
     ``port=0`` binds an ephemeral port; read the actual one from ``address``.
     Use ``start()``/``shutdown()`` for a background server or
     ``serve_forever()`` to block.
     """
 
+    allow_reuse_address = True
+    daemon_threads = True
+
     def __init__(self, service: AuthService, host: str = "127.0.0.1", port: int = 0):
-        self._tcp = _TcpServer((host, port), _Handler)
-        self._tcp.proxauth_service = service  # type: ignore[attr-defined]
+        super().__init__((host, port), _Handler)
+        self.service = service
         self._thread: threading.Thread | None = None
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._tcp.server_address[:2]
-        return str(host), int(port)
+        return self.server_address[:2]
 
-    def start(self) -> "AuthWireServer":
-        self._thread = threading.Thread(target=self._tcp.serve_forever, daemon=True)
+    def start(self) -> AuthWireServer:
+        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
         self._thread.start()
         return self
 
-    def serve_forever(self) -> None:
-        self._tcp.serve_forever()
-
     def shutdown(self) -> None:
-        self._tcp.shutdown()
-        self._tcp.server_close()
+        super().shutdown()
+        self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-            self._thread = None
 
-    def __enter__(self) -> "AuthWireServer":
+    def __enter__(self) -> AuthWireServer:
         return self.start()
 
     def __exit__(self, *exc) -> None:
@@ -184,12 +174,10 @@ class AuthClient:
 
     def __init__(self, host: str, port: int, timeout: float = 10.0):
         self._sock = socket.create_connection((host, port), timeout=timeout)
-        self._reader = self._sock.makefile("r", encoding="utf-8", newline="\n")
-        self._writer = self._sock.makefile("w", encoding="utf-8", newline="\n")
+        self._reader = self._sock.makefile("rb")
 
     def call(self, request: dict) -> dict:
-        self._writer.write(json.dumps(request, separators=(",", ":")) + "\n")
-        self._writer.flush()
+        self._sock.sendall(dump(request))
         line = self._reader.readline()
         if not line:
             raise ConnectionError("server closed the connection")
@@ -213,11 +201,8 @@ class AuthClient:
         return self._send("status", StatusRequest(session_id))
 
     def close(self) -> None:
-        try:
+        with self._sock:  # closed even if closing the reader fails
             self._reader.close()
-            self._writer.close()
-        finally:
-            self._sock.close()
 
     def __enter__(self) -> "AuthClient":
         return self

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 import sys
 import threading
 import time
@@ -416,6 +417,11 @@ CONFLICTS_WITH_ANN = {
 }
 
 
+def where_read(root, where):
+    """How a store error names the file at fault: users.json, or users.log's first line."""
+    return str(root / where) + (":1" if where == "users.log" else "")
+
+
 def reference_decision(model, encoder, policy, mobile, login):
     """The per-row encode and predict loop that batched classification
     replaced, kept as the reference: (outcome, reason, authentic fraction)."""
@@ -609,7 +615,8 @@ class TestStore:
         doc = {**vars(STORE_RECORDS[0]), key: value}
         text = json.dumps({"version": 1, "users": [doc]}) if where == "users.json" else json.dumps(doc)
         (root / where).write_text(text + "\n")
-        with pytest.raises(ValueError, match=f"^bad UserRecord value: {key} must be"):
+        named = re.escape(where_read(root, where))
+        with pytest.raises(ValueError, match=f"^{named}: bad UserRecord value: {key} must be"):
             UserStore(root)
 
     @pytest.mark.parametrize(
@@ -631,7 +638,8 @@ class TestStore:
         doc = {**vars(STORE_RECORDS[0]), "login_device_id": STORE_RECORDS[0].mobile_device_id}
         text = json.dumps({"version": 1, "users": [doc]}) if where == "users.json" else json.dumps(doc)
         (root / where).write_text(text + "\n")
-        with pytest.raises(ValueError, match="^bad UserRecord value: device ids must be distinct"):
+        named = re.escape(where_read(root, where))
+        with pytest.raises(ValueError, match=f"^{named}: bad UserRecord value: device ids must be distinct"):
             UserStore(root)
 
     def test_records_held_by_different_users_are_refused(self, tmp_path):

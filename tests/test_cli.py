@@ -441,7 +441,8 @@ class TestCommands:
         monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
         code = main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: UserRecord must be an object with keys")
+        named = f"{store / where}{':1' * (where == 'users.log')}"
+        assert capsys.readouterr().err.startswith(f"error: {named}: UserRecord must be an object with keys")
 
     def test_train_wrongly_typed_params_is_a_clean_error(self, pipeline, tmp_path, capsys):
         _, csv, _, _ = pipeline
@@ -450,7 +451,7 @@ class TestCommands:
         code = main(["train", "--data", str(csv), "--model", "rf", "--params", str(params),
                      "--seed", "2", "--out", str(tmp_path / "m.model")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: bad ForestParams value")
+        assert capsys.readouterr().err.startswith(f"error: {params}: bad ForestParams value")
 
     def test_serve_wrongly_typed_policy_is_a_clean_error(self, pipeline, tmp_path, capsys, monkeypatch):
         _, _, rf, _ = pipeline
@@ -459,7 +460,7 @@ class TestCommands:
         policy.write_text(json.dumps({"vote_threshold_tau": "high"}))
         code = main(["serve", "--model", str(rf), "--policy", str(policy), "--listen", "127.0.0.1:0"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: bad PolicyConfig value")
+        assert capsys.readouterr().err.startswith(f"error: {policy}: bad PolicyConfig value")
 
     @pytest.mark.parametrize("command", ["evaluate --model", "simulate --config", "train --params", "serve --policy"])
     def test_a_file_nested_past_the_parsers_depth_is_one_error_line(self, pipeline, tmp_path, command):
@@ -481,7 +482,53 @@ class TestCommands:
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert [line for line in result.stderr.splitlines() if line.startswith("error:")] == [
-            "error: nested past the JSON parser's depth"], result.stderr
+            f"error: {deep}: nested past the JSON parser's depth"], result.stderr
+
+    @pytest.mark.parametrize(
+        "kind", ["--config", "--params", "--policy", "evaluate --model", "serve --model", "users.json", "users.log"]
+    )
+    def test_an_error_line_names_the_file_at_fault(self, pipeline, tmp_path, capsys, monkeypatch, kind):
+        _, csv, rf, _ = pipeline
+        store = tmp_path / "store"
+        store.mkdir()
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
+        monkeypatch.setattr(AuthWireServer, "serve_forever", lambda self: None)  # if everything loaded
+        bad = store / kind if kind.startswith("users.") else tmp_path / "bad.json"
+        named = bad
+        if kind == "users.log":  # a good record, then a bad line
+            bad.write_text(json.dumps(vars(UserRecord("ann", "h", "m1", "l1", 1))) + "\n{\n")
+            named = f"{bad}:2"
+        else:
+            bad.write_text("{")
+        serve = ["serve", "--model", rf, "--listen", "127.0.0.1:0"]
+        argv = {
+            "--config": ["simulate", "--rows", "10", "--seed", "1", "--config", bad, "--out", tmp_path / "s.csv"],
+            "--params": ["train", "--data", csv, "--model", "dt", "--seed", "1", "--params", bad,
+                         "--out", tmp_path / "m.model"],
+            "--policy": [*serve, "--policy", bad],
+            "evaluate --model": ["evaluate", "--model", bad, "--data", csv],
+            "serve --model": ["serve", "--model", bad, "--listen", "127.0.0.1:0"],
+        }.get(kind, serve)
+        assert main(list(map(str, argv))) == 1
+        assert capsys.readouterr().err == (
+            f"error: {named}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
+
+    @pytest.mark.parametrize("model, content, unread", [
+        ("rf", {"tree": {"max_depth": 1}}, "tree"),
+        ("rf", {"tree": {}, "forest": {"n_trees": 2}}, "tree"),
+        ("dt", {"forest": {"n_trees": 1}}, "forest"),
+    ])
+    def test_a_params_section_the_model_does_not_read_is_an_error(self, pipeline, tmp_path, capsys, model, content,
+                                                                   unread):
+        _, csv, _, _ = pipeline
+        params, out = tmp_path / "params.json", tmp_path / "m.model"
+        params.write_text(json.dumps(content))
+        assert main(["train", "--data", str(csv), "--model", model, "--params", str(params),
+                     "--seed", "2", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {params}: --model {model} reads no {unread} section")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_evaluate_reads_a_v1_file_as_its_v2_file(self, pipeline, tmp_path, capsys):
         _, csv, rf, _ = pipeline
@@ -539,7 +586,7 @@ class TestCommands:
             argv = ["attempt", "--server", "127.0.0.1:9", "--username", "u", "--secret", "s" * 8,
                     "--scenario", "near", *argv]
         assert main(argv) == 1
-        assert re.match(r"error: (SimulationFile|EnvironmentConfig) must be an object with keys",
+        assert re.match(rf"error: {re.escape(str(config))}: (SimulationFile|EnvironmentConfig) must be an object with keys",
                         capsys.readouterr().err)
         assert not (tmp_path / "s.csv").exists()
 
@@ -549,7 +596,7 @@ class TestCommands:
         config.write_text('{"environment": {"area_m": %s}}' % literal)
         out = tmp_path / "s.csv"
         assert main(["simulate", "--rows", "100", "--seed", "1", "--config", str(config), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: bad EnvironmentConfig value: area_m must be float")
+        assert capsys.readouterr().err.startswith(f"error: {config}: bad EnvironmentConfig value: area_m must be float")
         assert not out.exists()
 
     @pytest.mark.parametrize("content", [{"forrest": {"n_trees": 2}}, [], {"tree": 3}])
@@ -559,7 +606,8 @@ class TestCommands:
         params.write_text(json.dumps(content))
         assert main(["train", "--data", str(csv), "--model", "dt", "--params", str(params),
                      "--seed", "2", "--out", str(tmp_path / "m.model")]) == 1
-        assert re.match(r"error: (ParamsFile|TreeParams) must be an object with keys", capsys.readouterr().err)
+        assert re.match(rf"error: {re.escape(str(params))}: (ParamsFile|TreeParams) must be an object with keys",
+                        capsys.readouterr().err)
         assert not (tmp_path / "m.model").exists()
 
     def test_evaluate_rejects_a_bool_train_seed(self, pipeline, tmp_path, capsys):
@@ -585,7 +633,7 @@ class TestCommands:
         monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
         monkeypatch.setattr(AuthWireServer, "serve_forever", lambda self: None)  # if the store loaded
         assert main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"]) == 1
-        assert re.match(r"error: (bad )?StoreSnapshot", capsys.readouterr().err)
+        assert re.match(rf"error: {re.escape(str(store / 'users.json'))}: (bad )?StoreSnapshot", capsys.readouterr().err)
 
 
     def test_serve_with_conflicting_user_records_is_a_clean_error(self, pipeline, tmp_path, capsys, monkeypatch):

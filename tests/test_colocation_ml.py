@@ -14,9 +14,11 @@ from proxauth.beacon_model import (
 )
 from proxauth.colocation_ml import (
     ConfusionMatrix,
+    DecisionTree,
     ForestParams,
     RandomForest,
     TreeParams,
+    _nodes,
     _tree_from_doc,
     best_split,
     compute_metrics,
@@ -439,6 +441,31 @@ class TestRandomForest:
 def leaf_tree(label):
     counts = (0, 1) if label is Label.AUTHENTIC else (1, 0)
     return tree_of(leaf(label, counts))
+
+
+class TestNonFiniteInput:
+    """Training and the model file take only finite numbers, as the reader does."""
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("trainer", ["forest", "tree"])
+    def test_training_refuses_a_non_finite_value_in_x(self, value, trainer):
+        X = np.array([[0.0, 0.0, 0.5, -50.0], [1.0, 1.0, 0.5, -60.0], [0.0, 2.0, 0.5, -70.0], [1.0, 3.0, 0.5, -80.0]])
+        X[2, 3] = value  # one RSSI
+        y = np.array([1, 0, 1, 0])
+        with pytest.raises(ValueError, match="^X holds a NaN or an infinite value$"):
+            if trainer == "forest":
+                train_random_forest(X, y, ForestParams(n_trees=3, features_per_split=2))
+            else:
+                train_decision_tree(X, y)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_save_model_refuses_a_non_finite_threshold_and_writes_no_file(self, tmp_path, value):
+        tree = DecisionTree(*_nodes([3, -1, -1], [value, 0.0, 0.0], [[0, 0], [1, 0], [0, 1]]), TreeParams())
+        encoder = FeatureEncoder({"N0": 1}, (2412000000.0, 5240000000.0))
+        path = tmp_path / "tree.model"
+        with pytest.raises(ValueError, match="Out of range float values"):
+            save_model(path, tree, encoder)
+        assert not path.exists()
 
 
 class TestPredict:

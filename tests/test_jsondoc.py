@@ -1,11 +1,17 @@
 import json
+import math
 import typing
 from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 
+import numpy as np
 import pytest
 
-from proxauth.jsondoc import decode, encode, parse
+from proxauth.auth_service import AuthService, PolicyConfig, UserStore
+from proxauth.beacon_model import BeaconObservation, DeviceRole, FeatureEncoder, ScanSnapshot
+from proxauth.colocation_ml import ForestParams, model_to_document, train_decision_tree, train_random_forest
+from proxauth.jsondoc import decode, dump, encode, naming, parse
+from proxauth.wire import BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest, handle_request_line
 
 
 class Color(Enum):
@@ -177,3 +183,106 @@ class TestParse:
     def test_a_syntax_error_stays_json_decode_error(self):
         with pytest.raises(json.JSONDecodeError):
             parse('{"a": ')
+
+    @pytest.mark.parametrize(
+        "text", [b'"al\xffice"', "[1]".encode("utf-16-be"), "[1]".encode("utf-16"), "[1]".encode("utf-32"),
+                 b"\xef\xbb\xbf[1]", b'"\xed\xa0\x80"'],
+        ids=["invalid byte", "utf-16-be", "utf-16 bom", "utf-32 bom", "utf-8 bom", "encoded surrogate"],
+    )
+    def test_bytes_are_read_as_utf8_only(self, text):
+        with pytest.raises(ValueError):
+            parse(text)
+
+    def test_utf8_bytes_read_as_their_text(self):
+        assert parse('{"zoë": "café"}'.encode()) == {"zoë": "café"}
+
+
+class TestNaming:
+    def test_a_value_error_raised_within_leads_with_the_input(self):
+        with pytest.raises(ValueError, match=r"^users\.log:3: Expecting property name") as info:
+            with naming("users.log:3"):
+                parse("{")
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_other_errors_pass_through(self):
+        with pytest.raises(KeyError):
+            with naming("file"):
+                {}["missing"]
+
+
+def old_writer(value) -> bytes:
+    """The line that save_model, the store, the audit log, the server and the
+    client each spelled out before ``dump``."""
+    return (json.dumps(value, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+WRITTEN = [
+    "model (random forest)", "model (decision tree)", "users.json snapshot", "users.log record",
+    "audit enroll", "audit begin", "audit decision", "enroll request", "begin request", "submit_scan request",
+    "status request", "enrolled response", "awaiting session response", "decided session response",
+    "first factor failed response", "error response", "unknown op response", "bad request response",
+]
+
+
+@pytest.fixture(scope="module")
+def written(tmp_path_factory) -> dict:
+    """One of each document proxauth writes, by name, from one round served in
+    process to a user with non-ASCII names."""
+    root = tmp_path_factory.mktemp("store")
+    encoder = FeatureEncoder({"Café": 1, "NetB": 2}, (2412000000.0, 5240000000.0))
+    rng = np.random.default_rng(3)
+    X = np.column_stack([rng.integers(0, 2, 60), rng.integers(0, 3, 60), rng.random(60), rng.integers(-90, -40, 60)])
+    y = (X[:, 3] > -65).astype(int)
+    forest = train_random_forest(X, y, ForestParams(n_trees=3, seed=4))
+    docs = {"model (random forest)": model_to_document(forest, encoder, train_seed=5),
+            "model (decision tree)": model_to_document(train_decision_tree(X, y), encoder)}
+    service = AuthService(UserStore(root), forest, encoder, PolicyConfig())
+
+    def send(op, request, response_name):
+        docs[f"{op} request"] = line = {"op": op, **encode(request)}  # the last of each op
+        docs[response_name] = handle_request_line(service, json.dumps(line))
+        return docs[response_name]
+
+    def scan(device_id, role):
+        return ScanSnapshot(device_id, role, 1000, (BeaconObservation("Café", 2437000000, -52, "aa:bb:cc:dd:ee:ff"),), "bürø")
+
+    send("enroll", EnrollRequest("zoë", "zoës-secret", "zoë-m", "zoë-l"), "enrolled response")
+    sid = send("begin", BeginRequest("zoë", "zoës-secret"), "awaiting session response")["session_id"]
+    send("submit_scan", SubmitScanRequest(sid, "zoë-m", scan("zoë-m", DeviceRole.MOBILE)), "awaiting session response")
+    send("submit_scan", SubmitScanRequest(sid, "zoë-l", scan("zoë-l", DeviceRole.LOGIN)), "decided session response")
+    send("status", StatusRequest(sid), "decided session response")
+    send("begin", BeginRequest("zoë", "not-zoës-secret"), "first factor failed response")
+    send("enroll", EnrollRequest("zoë", "zoës-secret", "x-m", "x-l"), "error response")
+    docs["unknown op response"] = handle_request_line(service, '{"op":"frobnicate"}')
+    docs["bad request response"] = handle_request_line(service, b'{"op":"begin","username":"al\xffice"}')
+    docs["users.log record"] = json.loads((root / "users.log").read_text(encoding="utf-8"))
+    for line in (root / "audit.log").read_text(encoding="utf-8").splitlines():
+        docs.setdefault(f"audit {json.loads(line)['event']}", json.loads(line))
+    UserStore(root)  # folds users.log into users.json
+    docs["users.json snapshot"] = json.loads((root / "users.json").read_text(encoding="utf-8"))
+    assert docs["decided session response"]["outcome"] == "Grant"
+    return docs
+
+
+class TestDump:
+    def test_the_round_wrote_each_kind_of_document(self, written):
+        assert sorted(written) == sorted(WRITTEN)
+
+    @pytest.mark.parametrize("name", WRITTEN)
+    def test_writes_the_bytes_the_old_writer_wrote(self, written, name):
+        assert dump(written[name]) == old_writer(written[name])
+
+    @pytest.mark.parametrize("name", WRITTEN)
+    def test_parse_reads_back_what_it_writes(self, written, name):
+        assert parse(dump(written[name])) == written[name]
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, np.float64("inf")])
+    def test_refuses_a_non_finite_float(self, value):
+        for doc in (value, [1.0, value], {"authentic_fraction": value}, {"trees": [{"threshold": [value]}]}):
+            with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+                dump(doc)
+
+    def test_is_one_ascii_line(self):
+        line = dump({"zoë": ["café", 1, 2.5, None, True]})
+        assert line == b'{"zo\\u00eb":["caf\\u00e9",1,2.5,null,true]}\n'
+        assert line.count(b"\n") == 1 and line.isascii()

@@ -329,3 +329,70 @@ class TestWireLimits:
             assert _closed(f)
         with client_for(server) as client:
             assert client.enroll("gil", "gils-secret", "g-m", "g-l")["ok"] is True
+
+
+def _enroll_line(username: bytes, mobile: bytes) -> bytes:
+    return (b'{"op":"enroll","username":"' + username + b'","secret":"alices-secret","mobile_device_id":"'
+            + mobile + b'","login_device_id":"' + mobile + b'-l"}')
+
+
+class TestRequestBytes:
+    def test_a_line_that_is_not_utf8_is_one_bad_request(self, server):
+        lines = [_enroll_line(b"al\xffice", b"a1"), _enroll_line(b"al\xfeice", b"a2")]
+        with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
+            for line in lines:
+                refused = _send_line(f, line)
+                assert refused["error"] == "BadRequest"
+                assert refused["message"].startswith("malformed JSON: 'utf-8' codec can't decode byte 0x")
+            assert _send_line(f, _enroll_line("alïce".encode(), b"a3"))["username"] == "alïce"
+            assert _send_line(f, _enroll_line(b"al\xffice", b"a4"))["error"] == "BadRequest"
+        enrolled = [server.service.store.username_for_device(d) for d in ("a1", "a2", "a3", "a4")]
+        assert enrolled == [None, None, "alïce", None]
+
+    def test_handle_request_line_reads_bytes_as_utf8(self):
+        service = AuthService(UserStore(), GRANT_ALL, ENCODER)
+        refused = handle_request_line(service, _enroll_line(b"al\xffice", b"a1"))
+        assert refused["error"] == "BadRequest" and "utf-8" in refused["message"]
+        assert handle_request_line(service, _enroll_line("alïce".encode(), b"a1"))["username"] == "alïce"
+
+    def test_blank_lines_are_skipped(self, server):
+        with socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
+            f.write(b"\n  \r\n\t\n")
+            assert _send_line(f, b'{"op":"status","session_id":"s"}')["error"] == "UnknownSession"
+
+
+class TestServer:
+    def test_serve_forever_serves_until_shutdown(self):
+        server = AuthWireServer(AuthService(UserStore(), GRANT_ALL, ENCODER), "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever)
+        thread.start()
+        try:
+            with client_for(server) as client:
+                assert client.status("s")["error"] == "UnknownSession"
+        finally:
+            server.shutdown()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(server.address, timeout=1).close()
+
+    def test_response_lines_keep_their_bytes(self):
+        """Each response shape, byte for byte as the server has always sent it."""
+        service = AuthService(UserStore(), GRANT_ALL, ENCODER, clock=lambda: 1_700_000_000_000)
+        with AuthWireServer(service, "127.0.0.1", 0) as server, \
+                socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
+            def reply(line: bytes) -> bytes:
+                f.write(line + b"\n")
+                f.flush()
+                return f.readline()
+
+            assert reply(json.dumps(ENROLL).encode()) == b'{"ok":true,"username":"gil","enrolled_at":1700000000000}\n'
+            begun = reply(b'{"op":"begin","username":"gil","secret":"gils-secret"}')
+            sid = json.loads(begun)["session_id"]
+            assert begun == b'{"ok":true,"session_id":"%s","state":"AwaitingScans"}\n' % sid.encode()
+            denied = reply(b'{"op":"begin","username":"gil","secret":"not-gils-secret"}')
+            assert denied == (b'{"ok":true,"session_id":"%s","state":"Decided","outcome":"Deny",'
+                              b'"reason":"FirstFactorFailed","authentic_fraction":null}\n' % json.loads(denied)["session_id"].encode())
+            assert reply(b'{"op":"status","session_id":"s"}') == (
+                b'{"ok":false,"error":"UnknownSession","message":"no such session \'s\'"}\n')
+            assert reply(b'{"op":"x"}') == b'{"ok":false,"error":"UnknownOp","message":"unknown op \'x\'"}\n'
