@@ -224,12 +224,12 @@ class UserStore:
     twice is indexed once), rewrites the snapshot atomically and empties the
     log. A snapshot envelope or record that does not hold exactly its
     type's fields, each of its annotated type, is a ValueError. A record
-    sharing a username or device id with another one is refused. Audit
-    entries append to ``audit.log``. Without a root, everything stays in
-    memory (useful in tests). Reads take no lock: records are
-    immutable and never removed, so AuthService looks users up and verifies
-    secrets outside its lock. Writes are serialized by the caller
-    (AuthService holds its lock across each ``add_user`` and ``audit``).
+    sharing a username or device id with another is refused with an error
+    naming where it was read. Audit entries append to ``audit.log``.
+    Without a root, everything stays in memory (useful in tests). Reads take
+    no lock: records are immutable and never removed, so AuthService looks
+    users up and verifies secrets outside its lock. Writes are serialized by
+    the caller (AuthService holds its lock across each ``add_user`` and ``audit``).
     """
 
     def __init__(self, root: str | Path | None = None):
@@ -244,17 +244,15 @@ class UserStore:
             self._compact()
 
     def _compact(self) -> None:
-        records = []
         if self._users_path.exists():
             with naming(self._users_path):
-                records += decode(StoreSnapshot, parse(self._users_path.read_bytes()), exact=True).users
+                for record in decode(StoreSnapshot, parse(self._users_path.read_bytes()), exact=True).users:
+                    self._index(record)
         log = self._log_path.read_bytes() if self._log_path.exists() else b""
         # bytes after the last newline are a torn append; a bad whole line raises ValueError
         for number, line in enumerate(log[: log.rfind(b"\n") + 1].splitlines(), 1):
             with naming(f"{self._log_path}:{number}"):
-                records.append(decode(UserRecord, parse(line), exact=True))
-        for record in records:
-            self._index(record)
+                self._index(decode(UserRecord, parse(line), exact=True))
         tmp = self._users_path.with_suffix(".json.tmp")
         tmp.write_bytes(dump(encode(StoreSnapshot(version=1, users=tuple(self._users.values())))))
         os.replace(tmp, self._users_path)

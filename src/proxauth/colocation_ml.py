@@ -15,10 +15,10 @@ Conventions
   feature at every node: one trainer grows both.
 * A tree is its preorder node table (:class:`DecisionTree`), four read-only
   numpy columns, routing ``feature <= threshold`` to the left child. The
-  trainer and the one column check, which both model-file versions pass,
-  feed one writer, which checks the shape and derives the right pointers; a
-  model is compiled once, when it is first used or when it is loaded, into
-  flat node arrays that one vectorized descent reads for every prediction.
+  trainer and the one column check of a model file's trees feed one writer,
+  which checks the shape and derives the right pointers; a model is compiled
+  once, when it is first used or when it is loaded, into flat node arrays
+  that one vectorized descent reads for every prediction.
 * All tie-breaks fail toward Unauthorized: leaf majorities and forest votes
   that end even predict Unauthorized.
 * Randomness comes from numpy's PCG64 generator seeded through
@@ -365,7 +365,7 @@ def best_split(
 
 def _nodes(feature, threshold, counts) -> tuple[np.ndarray, ...]:
     """The one writer of a node table, fed by the trainer and by
-    :func:`_columns_to_nodes`, the column check of both model-file versions:
+    :func:`_columns_to_nodes`, the column check of a model file's trees:
     preorder columns in, :class:`DecisionTree`'s typed columns out.
     A split adds 1 to a running sum and a leaf takes 1 away, so the rows make
     one full binary tree exactly when the sum stays >= 0 before the last row
@@ -530,50 +530,16 @@ def compute_metrics(cm: ConfusionMatrix) -> MetricsReport:
 # the fitted encoder, the hyperparameters, the trees and, when the trainer
 # records one, the ``train_seed`` of its held-out split. The encoder and the
 # hyperparameters are written by ``jsondoc.encode``, fields in declaration
-# order, so reordering a field changes the file bytes. Version 2, which
-# ``save_model`` writes, stores each tree as three equal-length preorder
-# columns: ``feature`` (-1 at a leaf), ``threshold`` (0.0 at a leaf) and
-# ``counts`` ([0, 0] at a split); a split's right child follows from the
-# preorder shape, so it is not stored. ``load_model`` reads one tree's lists
-# at a time. Version 1 nests split and leaf nodes and is still read: its trees
-# are flattened into the v2 columns, and every tree of either version passes
-# the one column check, ``_columns_to_nodes``, on its way to ``_nodes``. A
+# order, so reordering a field changes the file bytes. There is one version,
+# 2: each tree is three equal-length preorder columns, ``feature`` (-1 at a
+# leaf), ``threshold`` (0.0 at a leaf) and ``counts`` ([0, 0] at a split); a
+# split's right child follows from the preorder shape, so it is not stored.
+# ``load_model`` reads one tree's lists at a time, and every tree passes the
+# one column check, ``_columns_to_nodes``, on its way to ``_nodes``. A file of
+# any other version, the nested nodes of version 1 among them, is refused. A
 # threshold is a float64, so a hand-written int threshold is written back as a
 # float; otherwise the document round-trips losslessly and re-serializes
 # byte-identically. A malformed document is a ValueError.
-
-
-def _leaf_doc(unauthorized: int, authentic: int) -> dict:
-    label = Label.AUTHENTIC if authentic > unauthorized else Label.UNAUTHORIZED  # a tie fails closed
-    return {
-        "type": "leaf",
-        "label": label.value,
-        "class_counts": [unauthorized, authentic],
-    }
-
-
-_SPLIT_KEYS = {"type", "feature_index", "threshold", "left", "right"}
-
-
-def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
-    """The v1 tree reader: the nested nodes flattened into the v2 columns in
-    preorder, on an explicit stack, for :func:`_columns_to_nodes` to check and
-    pass to :func:`_nodes`. It checks only what is v1's own: a split has
-    exactly its keys and an int ``feature_index`` >= 0 (-1 would read as a
-    leaf), and a leaf is what ``_leaf_doc`` gives for its two counts."""
-    table, stack = [], [doc]
-    while stack:
-        node = stack.pop()
-        if (type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split"
-                and type(node["feature_index"]) is int and node["feature_index"] >= 0):
-            table.append((node["feature_index"], node["threshold"], [0, 0]))
-            stack += node["right"], node["left"]
-        elif (type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2
-              and node == _leaf_doc(*counts)):
-            table.append((-1, 0.0, counts))
-        else:
-            raise ValueError(f"bad tree node {node!r:.80}: not a split or leaf as the v1 format writes it")
-    return DecisionTree(*_columns_to_nodes(dict(zip(_COLUMNS, map(list, zip(*table))))), params)
 
 
 def _tree_to_columns(tree: DecisionTree) -> dict:
@@ -581,13 +547,12 @@ def _tree_to_columns(tree: DecisionTree) -> dict:
 
 
 def _columns_to_nodes(doc) -> tuple[np.ndarray, ...]:
-    """The one check of a tree's node values, for both model-file versions: a
-    v2 tree object, or the columns a v1 tree flattens to. Each column is
-    checked whole, in Python before numpy converts it (numpy 1.x wraps an
-    int32 overflow): features are ints in [-1, 2**31), thresholds finite ints
-    or floats, counts pairs of ints in [0, 2**63). Then splits (feature >= 0)
-    must have counts [0, 0] and leaves a float threshold 0.0, and
-    :func:`_nodes` checks the tree's shape."""
+    """The one check of a tree's node values, a model file's tree object.
+    Each column is checked whole, in Python before numpy converts it (numpy
+    1.x wraps an int32 overflow): features are ints in [-1, 2**31),
+    thresholds finite ints or floats, counts pairs of ints in [0, 2**63).
+    Then splits (feature >= 0) must have counts [0, 0] and leaves a float
+    threshold 0.0, and :func:`_nodes` checks the tree's shape."""
     if type(doc) is not dict or doc.keys() != set(_COLUMNS) or {type(doc[c]) for c in _COLUMNS} != {list}:
         raise ValueError(f"bad tree {doc!r:.80}: not an object of the columns {list(_COLUMNS)}")
     feature, threshold, counts = (doc[c] for c in _COLUMNS)
@@ -633,16 +598,14 @@ def model_to_document(
 
 def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
     """A document as ``json.loads`` or :func:`read_model_document` reads it,
-    to the model, compiled, and its encoder. A v2 tree is its object or the
-    columns (a tuple, which JSON never gives) that the latter made of it."""
+    to the model, compiled, and its encoder, of ``MODEL_FORMAT_VERSION`` only. A tree is
+    its object or the columns (a tuple, which JSON never gives) that the latter made of it."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
-    if type(version := doc.get("version")) is not int or version not in (1, 2):
+    if type(version := doc.get("version")) is not int or version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {version!r}")
 
     def read_tree(tree, params: TreeParams) -> DecisionTree:
-        if version == 1:
-            return _tree_from_doc(tree, params)
         return DecisionTree(*(tree if type(tree) is tuple else _columns_to_nodes(tree)), params)
 
     try:
@@ -678,7 +641,7 @@ def save_model(
 
 
 def read_model_document(path: str | Path):
-    """A model file's document, parsed one tree at a time: each v2 tree
+    """A model file's document, parsed one tree at a time: each tree
     object, one of exactly the stored columns, becomes its checked columns
     as the parser closes it."""
     return parse(Path(path).read_text(encoding="utf-8"), object_hook=lambda obj: (

@@ -33,6 +33,8 @@ import types
 import typing
 from enum import Enum
 
+from .errors import ProxauthError
+
 __all__ = ["decode", "dump", "encode", "naming", "parse"]
 
 _SCALARS = (int, str, bool)
@@ -50,11 +52,14 @@ def parse(text: str | bytes, object_hook=None):
 
 @contextlib.contextmanager
 def naming(where):
-    """A ValueError raised within it, its message led by ``where`` (a file, or file:line)."""
+    """A ValueError or ProxauthError raised within it, its message led by ``where`` (a file, or file:line)."""
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+    except ProxauthError as exc:  # keeps its type, so its code
+        exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def dump(value) -> bytes:

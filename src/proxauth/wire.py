@@ -146,6 +146,7 @@ class AuthWireServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _Handler)
         self.service = service
         self._thread: threading.Thread | None = None
+        self._looped = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -156,8 +157,13 @@ class AuthWireServer(socketserver.ThreadingTCPServer):
         self._thread.start()
         return self
 
+    def serve_forever(self, poll_interval: float = 0.5) -> None:
+        self._looped = True
+        super().serve_forever(poll_interval)
+
     def shutdown(self) -> None:
-        super().shutdown()
+        if self._looped or self._thread is not None:  # else BaseServer.shutdown waits forever for a loop
+            super().shutdown()
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

@@ -1,29 +1,65 @@
-"""The version-1 model file writer, which the tests keep since ``save_model``
-writes version 2: every tree as nested split and leaf nodes, the header as
-``model_to_document`` writes it. The v1 reader tests build their documents
-with it, and ``test_cli`` checks that it reproduces the v1 files the seed-5
-pipeline wrote, byte for byte. Below it are the v1 reader and the trainer
-as they were when both grew a tree through one ``_grow``: the references
-that the column-fed v1 reader and the trainer's own stack loop must agree
-with, tree for tree."""
+"""The version-1 model file, which ``load_model`` refuses since ``save_model``
+writes version 2, the one version it reads. The tests keep its writer, every
+tree as nested split and leaf nodes with the header as ``model_to_document``
+writes it: ``test_cli`` checks that it reproduces the v1 files the seed-5
+pipeline wrote, byte for byte, and the refusal tests write v1 files with it.
+Next to it is the v1 tree reader that ``colocation_ml`` kept until v1 was
+refused; the tests build hand-made trees with it from nested node documents.
+Below them are the v1 reader and the trainer as they were when both grew a
+tree through one ``_grow``: the references that the column-fed reader and the
+trainer's own stack loop must agree with, tree for tree."""
 
 import json
 import math
 
 import numpy as np
 
+from proxauth.beacon_model import Label
 from proxauth.colocation_ml import (
-    _SPLIT_KEYS,
+    _COLUMNS,
     DecisionTree,
     ForestParams,
     RandomForest,
     TreeParams,
-    _leaf_doc,
+    _columns_to_nodes,
     _nodes,
     best_split,
     derived_rng,
     model_to_document,
 )
+
+
+def _leaf_doc(unauthorized: int, authentic: int) -> dict:
+    label = Label.AUTHENTIC if authentic > unauthorized else Label.UNAUTHORIZED  # a tie fails closed
+    return {
+        "type": "leaf",
+        "label": label.value,
+        "class_counts": [unauthorized, authentic],
+    }
+
+
+_SPLIT_KEYS = {"type", "feature_index", "threshold", "left", "right"}
+
+
+def _tree_from_doc(doc, params: TreeParams) -> DecisionTree:
+    """The v1 tree reader: the nested nodes flattened into the v2 columns in
+    preorder, on an explicit stack, for :func:`_columns_to_nodes` to check and
+    pass to :func:`_nodes`. It checks only what is v1's own: a split has
+    exactly its keys and an int ``feature_index`` >= 0 (-1 would read as a
+    leaf), and a leaf is what ``_leaf_doc`` gives for its two counts."""
+    table, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        if (type(node) is dict and node.keys() == _SPLIT_KEYS and node["type"] == "split"
+                and type(node["feature_index"]) is int and node["feature_index"] >= 0):
+            table.append((node["feature_index"], node["threshold"], [0, 0]))
+            stack += node["right"], node["left"]
+        elif (type(node) is dict and type(counts := node.get("class_counts")) is list and len(counts) == 2
+              and node == _leaf_doc(*counts)):
+            table.append((-1, 0.0, counts))
+        else:
+            raise ValueError(f"bad tree node {node!r:.80}: not a split or leaf as the v1 format writes it")
+    return DecisionTree(*_columns_to_nodes(dict(zip(_COLUMNS, map(list, zip(*table))))), params)
 
 
 def node_doc(tree, i=0):

@@ -33,7 +33,6 @@ from proxauth.colocation_ml import (
     ConfusionMatrix,
     ForestParams,
     TreeParams,
-    _tree_from_doc,
     best_split,
     compute_metrics,
     derived_rng,
@@ -56,6 +55,8 @@ from proxauth.rf_simulator import (
     sessions_for_target_rows,
 )
 from proxauth.wire import AuthClient, AuthWireServer
+
+from model_v1 import _tree_from_doc
 
 
 @contextmanager

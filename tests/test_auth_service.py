@@ -40,7 +40,6 @@ from proxauth.beacon_model import (
 from proxauth.colocation_ml import (
     ForestParams,
     TreeParams,
-    _tree_from_doc,
     predict,
     train_random_forest,
 )
@@ -56,6 +55,8 @@ from proxauth.errors import (
     WeakSecret,
 )
 from proxauth.wire import AuthClient, AuthWireServer, handle_request_line
+
+from model_v1 import _tree_from_doc
 
 ENCODER = FeatureEncoder({"NetA": 1, "NetB": 2, "NetC": 3}, (2412000000.0, 5240000000.0))
 
@@ -661,12 +662,15 @@ class TestStore:
         other, error = CONFLICTS_WITH_ANN[conflict]
         if where == "users.json":
             (root / where).write_text(json.dumps({"version": 1, "users": [vars(ANN), vars(other)]}) + "\n")
+            named = root / where
         elif where == "users.log":
             (root / where).write_text(json.dumps(vars(ANN)) + "\n" + json.dumps(vars(other)) + "\n")
+            named = f"{root / where}:2"
         else:
             (root / "users.json").write_text(json.dumps({"version": 1, "users": [vars(ANN)]}) + "\n")
             (root / "users.log").write_text(json.dumps(vars(other)) + "\n")
-        with pytest.raises(error):
+            named = f"{root / 'users.log'}:1"
+        with pytest.raises(error, match=f"^{re.escape(str(named))}: "):  # the file holding the conflicting record
             UserStore(root)
 
     @pytest.mark.parametrize("persistent", [True, False])

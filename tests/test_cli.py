@@ -35,7 +35,6 @@ from proxauth.colocation_ml import (
     ForestParams,
     TreeParams,
     load_model,
-    predict_batch,
     save_model,
     stratified_split,
     train_decision_tree,
@@ -46,7 +45,7 @@ from proxauth.jsondoc import encode
 from proxauth.rf_simulator import CampaignConfig, EnvironmentConfig, PathLossConfig
 from proxauth.wire import AuthWireServer, BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest
 
-from model_v1 import grow_tree_from_doc, v1_bytes
+from model_v1 import _tree_from_doc, grow_tree_from_doc, v1_bytes
 from model_v2_rows import node_rows, trees_of
 
 
@@ -233,7 +232,8 @@ PIPELINE_V1_SHA256 = {
 
 
 class TestModelFormatV1:
-    """The tests' v1 writer is the old format, and v1 files still load."""
+    """The tests' v1 writer is the old format, which the tests' v1 reader
+    reads and every command refuses."""
 
     @pytest.mark.parametrize("name", list(PIPELINE_V1_SHA256))
     def test_the_v1_writer_reproduces_the_v1_pipeline_bytes(self, pipeline, name):
@@ -244,34 +244,34 @@ class TestModelFormatV1:
             f"{name} bytes changed under numpy {np.__version__}; the digest was pinned with numpy 2.4.6"
         )
 
-    @pytest.mark.parametrize("fixture, seed", [("pipeline", 5), ("pipeline_7", 7)])
+    @pytest.mark.parametrize("command", ["load_model", "evaluate", "serve"])
     @pytest.mark.parametrize("name", ["rf.model", "dt.model"])
-    def test_a_v1_file_loads_to_the_v2_files_model(self, request, tmp_path, fixture, seed, name):
-        root, csv, _, _ = request.getfixturevalue(fixture)
+    def test_a_v1_file_is_refused(self, pipeline, tmp_path, capsys, monkeypatch, command, name):
+        root, csv, _, _ = pipeline
         model, encoder = load_model(root / name)
-        train_seed = json.loads((root / name).read_text())["train_seed"]
         v1 = tmp_path / name
-        v1.write_bytes(v1_bytes(model, encoder, train_seed))
-        assert json.loads(v1.read_text())["version"] == 1
-        from_v1, encoder_from_v1 = load_model(v1)
-        assert (from_v1, encoder_from_v1) == (model, encoder)
-        _, held_out = stratified_split(parse_dataset_csv(csv.read_bytes()), 0.2, seed)
-        X, _ = encode_dataset(encoder, held_out)
-        assert predict_batch(from_v1, X).tobytes() == predict_batch(model, X).tobytes()
-        save_model(tmp_path / "again.model", from_v1, encoder_from_v1, train_seed)
-        assert (tmp_path / "again.model").read_bytes() == (root / name).read_bytes()
-
+        v1.write_bytes(v1_bytes(model, encoder, train_seed=5))
+        if command == "load_model":
+            with pytest.raises(ValueError, match="^unsupported model format version 1$"):
+                load_model(v1)
+            return
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
+        monkeypatch.setattr(AuthWireServer, "serve_forever", lambda self: None)  # if the model loaded
+        argv = [command, "--model", str(v1)]
+        argv += ["--data", str(csv)] if command == "evaluate" else ["--listen", "127.0.0.1:0"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {v1}: unsupported model format version 1\n"
 
     @pytest.mark.parametrize("fixture", ["pipeline", "pipeline_7"])
     @pytest.mark.parametrize("name", ["rf.model", "dt.model"])
-    def test_the_v1_pipeline_files_read_as_the_grow_reader_reads_them(self, request, tmp_path, fixture, name):
+    def test_the_v1_pipeline_files_read_by_the_tests_readers_as_the_v2_files(self, request, tmp_path, fixture, name):
         model, encoder = load_model(request.getfixturevalue(fixture)[0] / name)
         v1 = tmp_path / name
         v1.write_bytes(v1_bytes(model, encoder))
         doc = json.loads(v1.read_text())
         trees = [doc["tree"]] if "tree" in doc else doc["trees"]
-        reference = [node_rows(grow_tree_from_doc(t, TreeParams()))[0] for t in trees]
-        assert node_rows(load_model(v1)[0]) == reference
+        for read in (_tree_from_doc, grow_tree_from_doc):
+            assert [node_rows(read(t, TreeParams()))[0] for t in trees] == node_rows(model)
 
 
 class TestColumnReader:
@@ -370,7 +370,7 @@ class TestCommands:
         monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
         bad = tmp_path / "bad.model"
         bad.write_text(json.dumps(
-            {"format": "proxauth-colocation-model", "version": 1, "kind": "random_forest"}
+            {"format": "proxauth-colocation-model", "version": 2, "kind": "random_forest"}
         ))
         argv = [command, "--model", str(bad)]
         argv += ["--data", "d.csv"] if command == "evaluate" else ["--listen", "127.0.0.1:0"]
@@ -530,17 +530,6 @@ class TestCommands:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_evaluate_reads_a_v1_file_as_its_v2_file(self, pipeline, tmp_path, capsys):
-        _, csv, rf, _ = pipeline
-        model, encoder = load_model(rf)
-        v1 = tmp_path / "rf.v1.model"
-        v1.write_bytes(v1_bytes(model, encoder, train_seed=5))
-        reports = []
-        for path in (rf, v1):
-            assert main(["evaluate", "--model", str(path), "--data", str(csv), "--json"]) == 0
-            reports.append({**json.loads(capsys.readouterr().out), "model": None})
-        assert reports[0] == reports[1] and reports[0]["seed"] == 5
-
     def test_module_entry_point_runs_without_warnings(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -636,19 +625,25 @@ class TestCommands:
         assert re.match(rf"error: {re.escape(str(store / 'users.json'))}: (bad )?StoreSnapshot", capsys.readouterr().err)
 
 
-    def test_serve_with_conflicting_user_records_is_a_clean_error(self, pipeline, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("where", ["users.json", "users.log"])
+    def test_serve_with_conflicting_user_records_is_a_clean_error(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                                  where):
         _, _, rf, _ = pipeline
         store = tmp_path / "store"
         store.mkdir()
         users = [("ann", "m1", "l1"), ("bob", "m1", "l2"), ("ann", "m3", "l3")]
-        records = [UserRecord(name, f"h-{i}", mobile, login, i) for i, (name, mobile, login) in enumerate(users)]
-        text = json.dumps({"version": 1, "users": [vars(r) for r in records]}) + "\n"
-        (store / "users.json").write_text(text)
+        records = [vars(UserRecord(name, f"h-{i}", mobile, login, i)) for i, (name, mobile, login) in enumerate(users)]
+        if where == "users.json":
+            text, named = json.dumps({"version": 1, "users": records}) + "\n", store / where
+        else:
+            text, named = "".join(json.dumps(r) + "\n" for r in records), f"{store / where}:2"
+        (store / where).write_text(text)
         monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
         monkeypatch.setattr(AuthWireServer, "serve_forever", lambda self: None)  # if the store loaded
         assert main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"]) == 1
-        assert capsys.readouterr().err == "error: auth_service.DuplicateDeviceId: device 'm1' is already enrolled\n"
-        assert (store / "users.json").read_text() == text
+        assert capsys.readouterr().err == (
+            f"error: auth_service.DuplicateDeviceId: {named}: device 'm1' is already enrolled\n")
+        assert (store / where).read_text() == text
 
 
 class TestAttemptRoundTrip:

@@ -19,7 +19,7 @@ from proxauth.colocation_ml import (
     RandomForest,
     TreeParams,
     _nodes,
-    _tree_from_doc,
+    _tree_to_columns,
     best_split,
     compute_metrics,
     document_to_model,
@@ -42,7 +42,7 @@ from proxauth.errors import (
     EmptyTrainingSet,
 )
 
-from model_v1 import grow_random_forest, grow_tree_from_doc, node_doc, v1_document
+from model_v1 import _tree_from_doc, grow_random_forest, grow_tree_from_doc, node_doc, v1_document
 from model_v2_rows import node_rows, trees_of
 
 
@@ -55,7 +55,7 @@ def split(feature, threshold, left, right):
 
 
 def tree_of(node):
-    """A hand-made tree: a v1 node document read by the model-file reader."""
+    """A hand-made tree: a v1 node document read by the tests' v1 reader."""
     return _tree_from_doc(node, TreeParams())
 
 
@@ -802,17 +802,20 @@ class TestSerialization:
                                          tree_params=params.tree_params)
             assert train_decision_tree(X, y, params.tree_params) == grow_random_forest(X, y, every_feature).trees[0]
 
-    def test_trained_trees_read_from_v1_as_the_grow_reader_reads_them(self):
+    def test_trained_trees_read_from_v1_by_the_tests_reader_as_trained(self):
         rng = np.random.default_rng(89)
         for seed in range(4):
             X, y = random_consistent_data(rng, n_max=150)
             forest = train_random_forest(X, y, ForestParams(n_trees=3, seed=seed))
             doc = json.loads(json.dumps(v1_document(forest, self._encoder())))
-            reference = [grow_tree_from_doc(t, forest.params.tree_params) for t in doc["trees"]]
-            assert node_rows(document_to_model(doc)[0]) == node_rows(RandomForest(tuple(reference), forest.params))
+            params = forest.params.tree_params
+            read = [_tree_from_doc(t, params) for t in doc["trees"]]
+            reference = [grow_tree_from_doc(t, params) for t in doc["trees"]]
+            assert node_rows(RandomForest(tuple(read), forest.params)) == node_rows(forest)
+            assert node_rows(RandomForest(tuple(reference), forest.params)) == node_rows(forest)
 
     @pytest.mark.parametrize("kind", ["tree", "forest"])
-    def test_v1_document_loads_to_the_same_model(self, kind):
+    def test_a_v1_document_is_refused(self, kind, tmp_path):
         rng = np.random.default_rng(71)
         X, y = random_consistent_data(rng, n_max=150)
         if kind == "tree":
@@ -820,11 +823,10 @@ class TestSerialization:
         else:
             model = train_random_forest(X, y, ForestParams(n_trees=6, seed=4))
         v1 = json.loads(json.dumps(v1_document(model, self._encoder(), train_seed=3)))
-        assert v1["version"] == 1
-        again, encoder = document_to_model(v1)
-        assert (again, encoder) == (model, self._encoder())
-        assert np.array_equal(predict_batch(again, X), predict_batch(model, X))
-        assert model_to_document(again, self._encoder(), 3) == model_to_document(model, self._encoder(), 3)
+        (tmp_path / "v1.model").write_text(json.dumps(v1))
+        for load in (lambda: document_to_model(v1), lambda: load_model(tmp_path / "v1.model")):
+            with pytest.raises(ValueError, match="^unsupported model format version 1$"):
+                load()
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
@@ -842,10 +844,14 @@ def _split_forest_doc(version: int = 2) -> dict:
     """A one-tree forest, a split on feature 3 with two leaves, as a model
     document of ``version``; its v2 columns are feature [3, -1, -1],
     threshold [-60.0, 0.0, 0.0] and counts [[0, 0], [0, 3], [2, 1]]."""
+    write = model_to_document if version == 2 else v1_document
+    return write(*_split_forest())
+
+
+def _split_forest() -> tuple[RandomForest, FeatureEncoder]:
     a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (2, 1))
     forest = RandomForest(trees=(tree_of(split(3, -60.0, a, u)),), params=ForestParams(n_trees=1))
-    write = model_to_document if version == 2 else v1_document
-    return write(forest, FeatureEncoder({"A": 1}, (2412000000.0, 5240000000.0)))
+    return forest, FeatureEncoder({"A": 1}, (2412000000.0, 5240000000.0))
 
 
 _DROP = "<drop>"
@@ -1010,13 +1016,23 @@ class TestMalformedDocuments:
                                                       *_versioned(2, HEADER_EDITS + V2_EDITS)])
     def test_edited_document_is_value_error(self, version, path, value, tmp_path):
         doc = _split_forest_doc(version)
-        document_to_model(json.loads(json.dumps(doc)))  # the unedited document loads
+        if version == 1:  # the unedited tree reads, by the tests' v1 reader
+            assert _tree_from_doc(doc["trees"][0], TreeParams()) == _split_forest()[0].trees[0]
+        else:  # the unedited document loads
+            document_to_model(json.loads(json.dumps(doc)))
         edited = _edited(doc, path, value)
         (tmp_path / "edited.model").write_text(json.dumps(edited))
-        with pytest.raises(ValueError):  # never an OverflowError or TypeError
+        # never an OverflowError or TypeError; a v1 file is refused by its version before the edit is read
+        message = "^unsupported model format version 1$" if version == 1 else None
+        with pytest.raises(ValueError, match=message):
             load_model(tmp_path / "edited.model")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             document_to_model(edited)
+        if version == 1 and path.startswith("trees.0."):
+            # the tests' v1 reader refuses the edited tree, or the v2 document of the tree it reads is refused
+            with pytest.raises(ValueError):
+                tree = _tree_from_doc(edited["trees"][0], TreeParams())
+                document_to_model({**_split_forest_doc(), "trees": [_tree_to_columns(tree)]})
 
     def test_v2_nan_threshold_past_the_first_row_is_value_error(self, tmp_path):
         # min and max only see a NaN they start from, so the reader checks the column for one too
@@ -1056,7 +1072,7 @@ class TestMalformedDocuments:
 
     def test_header_only_document_is_value_error(self):
         with pytest.raises(ValueError, match="missing key 'encoder'"):
-            document_to_model({"format": "proxauth-colocation-model", "version": 1, "kind": "random_forest"})
+            document_to_model({"format": "proxauth-colocation-model", "version": 2, "kind": "random_forest"})
 
 
 class TestDocumentLayout:

@@ -10,6 +10,7 @@ import pytest
 from proxauth.auth_service import AuthService, PolicyConfig, UserStore
 from proxauth.beacon_model import BeaconObservation, DeviceRole, FeatureEncoder, ScanSnapshot
 from proxauth.colocation_ml import ForestParams, model_to_document, train_decision_tree, train_random_forest
+from proxauth.errors import DuplicateUser
 from proxauth.jsondoc import decode, dump, encode, naming, parse
 from proxauth.wire import BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest, handle_request_line
 
@@ -203,6 +204,12 @@ class TestNaming:
             with naming("users.log:3"):
                 parse("{")
         assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_a_proxauth_error_keeps_its_type_and_leads_with_the_input(self):
+        with pytest.raises(DuplicateUser, match=r"^users\.json: user 'ann' already enrolled$") as info:
+            with naming("users.json"):
+                raise DuplicateUser("user 'ann' already enrolled")
+        assert info.value.code == "DuplicateUser"
 
     def test_other_errors_pass_through(self):
         with pytest.raises(KeyError):

@@ -9,10 +9,9 @@ from proxauth.beacon_model import (
     BeaconObservation,
     DeviceRole,
     FeatureEncoder,
-    Label,
     ScanSnapshot,
 )
-from proxauth.colocation_ml import TreeParams, _tree_from_doc
+from proxauth.colocation_ml import TreeParams
 from proxauth.wire import (
     MAX_LINE_BYTES,
     AuthClient,
@@ -21,6 +20,8 @@ from proxauth.wire import (
     snapshot_from_doc,
     snapshot_to_doc,
 )
+
+from model_v1 import _tree_from_doc
 
 ENCODER = FeatureEncoder({"NetA": 1}, (2412000000.0, 5240000000.0))
 GRANT_ALL = _tree_from_doc({"type": "leaf", "label": "authentic", "class_counts": [0, 1]}, TreeParams())
@@ -364,7 +365,7 @@ class TestRequestBytes:
 class TestServer:
     def test_serve_forever_serves_until_shutdown(self):
         server = AuthWireServer(AuthService(UserStore(), GRANT_ALL, ENCODER), "127.0.0.1", 0)
-        thread = threading.Thread(target=server.serve_forever)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)  # a regression fails, not hangs the run
         thread.start()
         try:
             with client_for(server) as client:
@@ -372,6 +373,15 @@ class TestServer:
         finally:
             server.shutdown()
             thread.join(timeout=10)
+        assert not thread.is_alive()
+        with pytest.raises(OSError):
+            socket.create_connection(server.address, timeout=1).close()
+
+    def test_shutdown_of_a_server_whose_loop_never_ran_returns(self):
+        server = AuthWireServer(AuthService(UserStore(), GRANT_ALL, ENCODER), "127.0.0.1", 0)
+        thread = threading.Thread(target=server.shutdown, daemon=True)
+        thread.start()
+        thread.join(timeout=2)
         assert not thread.is_alive()
         with pytest.raises(OSError):
             socket.create_connection(server.address, timeout=1).close()
