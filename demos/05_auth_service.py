@@ -13,6 +13,7 @@ import dataclasses
 from proxauth import (
     AuthService,
     BeaconObservation,
+    Classifier,
     DeviceRole,
     EnvironmentConfig,
     ForestParams,
@@ -35,7 +36,7 @@ encoder = build_feature_encoder(dataset)
 X, y = encode_dataset(encoder, dataset)
 model = train_random_forest(X, y, ForestParams(seed=SEED))
 
-service = AuthService(UserStore(), model, encoder, PolicyConfig())
+service = AuthService(UserStore(), Classifier(model, encoder), PolicyConfig())
 service.enroll_user("alice", "correct-horse", "alice-phone", "alice-laptop")
 print("enrolled alice with devices alice-phone / alice-laptop")
 

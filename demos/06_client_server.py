@@ -9,6 +9,7 @@ from proxauth import (
     AuthClient,
     AuthService,
     AuthWireServer,
+    Classifier,
     EnvironmentConfig,
     ForestParams,
     PathLossConfig,
@@ -28,7 +29,7 @@ dataset = generate_dataset(ENV, LOSS, 240, 3, seed=SEED)
 encoder = build_feature_encoder(dataset)
 X, y = encode_dataset(encoder, dataset)
 model = train_random_forest(X, y, ForestParams(seed=SEED))
-service = AuthService(UserStore(), model, encoder, PolicyConfig())
+service = AuthService(UserStore(), Classifier(model, encoder), PolicyConfig())
 
 with AuthWireServer(service, "127.0.0.1", 0) as server:
     host, port = server.address

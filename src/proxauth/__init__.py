@@ -47,6 +47,7 @@ from .beacon_model import (
     parse_dataset_csv,
 )
 from .colocation_ml import (
+    Classifier,
     ConfusionMatrix,
     DecisionTree,
     ForestParams,

@@ -26,7 +26,7 @@ Concurrency: one service-wide lock is held only while shared state changes
 (a user added, a session created, a scan slot filled, a decision set) and
 around the audit and store writes that go with it. PBKDF2 hashing and
 verification and the classification of a session's scans run outside it,
-on immutable inputs: user records, the model, the encoder and the policy.
+on immutable inputs: user records, the classifier and the policy.
 When two threads decide one session, the first decision written wins.
 """
 
@@ -47,15 +47,8 @@ from pathlib import Path
 from typing import Callable
 
 # encode_observation and predict are unused here but stay: perfbench/spans.py wraps them by name
-from .beacon_model import (
-    BeaconObservation,
-    DeviceRole,
-    FeatureEncoder,
-    ScanSnapshot,
-    encode_observation,
-    encode_observations,
-)
-from .colocation_ml import DecisionTree, RandomForest, predict, predict_batch
+from .beacon_model import BeaconObservation, DeviceRole, ScanSnapshot, encode_observation
+from .colocation_ml import Classifier, predict
 from .errors import (
     DuplicateDeviceId,
     DuplicateRoleSubmission,
@@ -319,26 +312,25 @@ def overlap_observations(
 
 
 def decide(
-    model: DecisionTree | RandomForest, encoder: FeatureEncoder, policy: PolicyConfig,
-    mobile: ScanSnapshot, login: ScanSnapshot, now: int,
+    classifier: Classifier, policy: PolicyConfig, mobile: ScanSnapshot, login: ScanSnapshot, now: int
 ) -> AuthDecision:
     """The co-location rule, decided at ``now``: scans further apart than the
     pairing window are stale, fewer than ``min_overlap_aps`` shared APs is no
-    overlap, and otherwise the model classifies every overlap observation in
-    one batch and the authentic fraction grants when it reaches tau."""
+    overlap, and otherwise the classifier votes on every overlap observation
+    in one batch and the authentic fraction grants when it reaches tau."""
     if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
         return AuthDecision(DecisionReason.STALE_SCANS, None, now)
     pairs = overlap_observations(mobile, login, policy)
     if len(pairs) < 2 * policy.min_overlap_aps:
         return AuthDecision(DecisionReason.NO_OVERLAP, None, now)
-    fraction = int(predict_batch(model, encode_observations(encoder, pairs)).sum()) / len(pairs)
+    fraction = int(classifier.votes(pairs).sum()) / len(pairs)
     if fraction >= policy.vote_threshold_tau:
         return AuthDecision(DecisionReason.CLASSIFIER_AUTHENTIC, fraction, now)
     return AuthDecision(DecisionReason.CLASSIFIER_UNAUTHORIZED, fraction, now)
 
 
 class AuthService:
-    """Session state machine around an immutable trained model; every
+    """Session state machine around an immutable trained classifier; every
     decision comes from :func:`decide` or the first-factor check, and a
     session's decision never changes once set.
     """
@@ -346,14 +338,12 @@ class AuthService:
     def __init__(
         self,
         store: UserStore,
-        model: DecisionTree | RandomForest,
-        encoder: FeatureEncoder,
+        classifier: Classifier,
         policy: PolicyConfig = PolicyConfig(),
         clock: Callable[[], int] | None = None,
     ):
         self.store = store
-        self.model = model
-        self.encoder = encoder
+        self.classifier = classifier
         self.policy = policy
         self._clock = clock or (lambda: time.time_ns() // 1_000_000)
         self._lock = threading.Lock()
@@ -480,7 +470,7 @@ class AuthService:
             # read under the lock: a racing _finalize clears them
             mobile, login = session.mobile_scan, session.login_scan
 
-        decision = decide(self.model, self.encoder, self.policy, mobile, login, self._clock())
+        decision = decide(self.classifier, self.policy, mobile, login, self._clock())
         with self._lock:
             if session.decision is None:
                 self._finalize(session, decision)

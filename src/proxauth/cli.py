@@ -251,22 +251,24 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def build_service(model_path: str, policy_path: str | None, data_dir: str | None = None) -> AuthService:
     with naming(model_path):
-        model, encoder = load_model(model_path)
+        classifier = load_model(model_path)
     policy = _policy_config(policy_path)
     root = data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV, DEFAULT_DATA_DIR)
-    return AuthService(UserStore(root), model, encoder, policy)
+    return AuthService(UserStore(root), classifier, policy)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
     host, port = _parse_listen(args.listen)
     service = build_service(args.model, args.policy)
     server = AuthWireServer(service, host, port)
-    actual_host, actual_port = server.address
-    # flushed: on a pipe this line is the only way to learn a :0 port
-    print(f"serving on {actual_host}:{actual_port} (store: {service.store.root})", flush=True)
-    try:
+    try:  # from the bind on, a SIGINT stops the server and closes its socket
+        actual_host, actual_port = server.address
+        # flushed: on a pipe this line is the only way to learn a :0 port
+        print(f"serving on {actual_host}:{actual_port} (store: {service.store.root})", flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
+        pass
+    finally:
         server.shutdown()
     return 0
 

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .beacon_model import Dataset, FeatureEncoder, Label
+from .beacon_model import BeaconObservation, Dataset, DeviceRole, FeatureEncoder, Label, encode_observations
 from .errors import (
     DegenerateSplit,
     EmptyMatrix,
@@ -52,6 +52,7 @@ __all__ = [
     "ForestParams",
     "DecisionTree",
     "RandomForest",
+    "Classifier",
     "SplitCandidate",
     "ConfusionMatrix",
     "MetricsReport",
@@ -477,6 +478,18 @@ def predict_batch(model: DecisionTree | RandomForest, X: np.ndarray) -> np.ndarr
     return _vote(model._layout, np.asarray(X, dtype=np.float64))
 
 
+class Classifier(NamedTuple):
+    """A model and the encoder of its rows, as a model file holds them: the one
+    value that turns observations into votes. It unpacks as ``(model, encoder)``."""
+
+    model: DecisionTree | RandomForest
+    encoder: FeatureEncoder
+
+    def votes(self, pairs: Sequence[tuple[DeviceRole, BeaconObservation]]) -> np.ndarray:
+        """One int8 vote (1 = Authentic) per ``(role, observation)`` pair, encoded and classified in one batch."""
+        return _vote(self.model._layout, encode_observations(self.encoder, pairs))
+
+
 def evaluate(
     model: DecisionTree | RandomForest, X: np.ndarray, y: np.ndarray
 ) -> ConfusionMatrix:
@@ -596,10 +609,10 @@ def model_to_document(
     return doc
 
 
-def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
-    """A document as ``json.loads`` or :func:`read_model_document` reads it,
-    to the model, compiled, and its encoder, of ``MODEL_FORMAT_VERSION`` only. A tree is
-    its object or the columns (a tuple, which JSON never gives) that the latter made of it."""
+def document_to_model(doc: dict) -> Classifier:
+    """A document as ``json.loads`` or :func:`read_model_document` reads it, of
+    ``MODEL_FORMAT_VERSION`` only, to its :class:`Classifier`, the model compiled. A tree
+    is its object or the columns (a tuple, which JSON never gives) that the latter made of it."""
     if not isinstance(doc, dict) or doc.get("format") != MODEL_FORMAT:
         raise ValueError(f"not a {MODEL_FORMAT} document")
     if type(version := doc.get("version")) is not int or version != MODEL_FORMAT_VERSION:
@@ -628,7 +641,7 @@ def document_to_model(doc: dict) -> tuple[DecisionTree | RandomForest, FeatureEn
         raise ValueError(f"malformed {MODEL_FORMAT} document: missing key {exc}") from exc
     except (AttributeError, IndexError, OverflowError, RecursionError, TypeError) as exc:
         raise ValueError(f"malformed {MODEL_FORMAT} document: {exc}") from exc
-    return model, encoder
+    return Classifier(model, encoder)
 
 
 def save_model(
@@ -648,7 +661,7 @@ def read_model_document(path: str | Path):
         _columns_to_nodes(obj) if obj.keys() == set(_COLUMNS) else obj))
 
 
-def load_model(path: str | Path) -> tuple[DecisionTree | RandomForest, FeatureEncoder]:
-    """The model and encoder a file holds, the model compiled, so its first
+def load_model(path: str | Path) -> Classifier:
+    """The :class:`Classifier` a file holds, its model compiled, so its first
     prediction does not pay for the layout."""
     return document_to_model(read_model_document(path))

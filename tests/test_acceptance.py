@@ -30,6 +30,7 @@ from proxauth.beacon_model import (
     parse_dataset_csv,
 )
 from proxauth.colocation_ml import (
+    Classifier,
     ConfusionMatrix,
     ForestParams,
     TreeParams,
@@ -300,7 +301,7 @@ def test_criterion_6_end_to_end_soundness():
         Xtr, ytr = encode_dataset(encoder, train_set)
         forest = train_random_forest(Xtr, ytr, ForestParams(seed=env_seed))
 
-        service = AuthService(UserStore(), forest, encoder, PolicyConfig())
+        service = AuthService(UserStore(), Classifier(forest, encoder), PolicyConfig())
         grants = {"near": 0, "far": 0}
         denies = {"near": 0, "far": 0}
         bad_grant_reasons = []
@@ -394,7 +395,7 @@ def test_criterion_7_fail_closed_state_machine():
             TreeParams(),
         )
         policy = PolicyConfig()
-        svc = AuthService(UserStore(), gate, encoder, policy, clock=lambda: 999)
+        svc = AuthService(UserStore(), Classifier(gate, encoder), policy, clock=lambda: 999)
         svc.enroll_user("alice", "sesame-street", "a-m", "a-l")
 
         def scan(device, rssis, ts=1_000_000):

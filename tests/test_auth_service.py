@@ -35,12 +35,19 @@ from proxauth.beacon_model import (
     FeatureEncoder,
     Label,
     ScanSnapshot,
+    build_feature_encoder,
+    encode_dataset,
     encode_observation,
+    encode_observations,
 )
 from proxauth.colocation_ml import (
+    Classifier,
     ForestParams,
     TreeParams,
     predict,
+    predict_batch,
+    stratified_split,
+    train_decision_tree,
     train_random_forest,
 )
 from proxauth.errors import (
@@ -53,6 +60,14 @@ from proxauth.errors import (
     UnknownSession,
     UnknownUser,
     WeakSecret,
+)
+from proxauth.rf_simulator import (
+    EnvironmentConfig,
+    PathLossConfig,
+    Scenario,
+    generate_dataset,
+    scenario_session,
+    sessions_for_target_rows,
 )
 from proxauth.wire import AuthClient, AuthWireServer, handle_request_line
 
@@ -83,7 +98,7 @@ def snap(device_id, role, observations, ts=1_000_000):
 
 
 def service(model=ALWAYS_AUTHENTIC, policy=PolicyConfig(), store=None, clock=None):
-    return AuthService(store or UserStore(), model, ENCODER, policy, clock=clock or (lambda: 777))
+    return AuthService(store or UserStore(), Classifier(model, ENCODER), policy, clock=clock or (lambda: 777))
 
 
 def enrolled_service(**kwargs):
@@ -474,13 +489,66 @@ class TestBatchedDecision:
             login = random_snapshot(rng, DeviceRole.LOGIN)
             if rng.random() < 0.05:
                 login = replace(login, timestamp=login.timestamp + 20_000)
-            decision = decide(forest, encoder, policy, mobile, login, 777)
+            decision = decide(Classifier(forest, encoder), policy, mobile, login, 777)
             assert decision.decided_at == 777
             got = (decision.outcome, decision.reason, decision.authentic_fraction)
             assert got == reference_decision(forest, encoder, policy, mobile, login)
             reasons[decision.reason] += 1
         classified = reasons[DecisionReason.CLASSIFIER_AUTHENTIC] + reasons[DecisionReason.CLASSIFIER_UNAUTHORIZED]
         assert classified >= 200 and min(reasons.values()) > 0 and len(reasons) == 4, reasons
+
+
+NEAR, FAR = (0.1, 2.1336), (2.286, 10.0)
+# the four cases of the per-session co-location table: a near or a far pair,
+# standing at home (the authentic zone) or at the intruder zone
+SESSION_CASES = {
+    "near pair at home": Scenario(Label.AUTHENTIC, NEAR),
+    "far pair at home": Scenario(Label.AUTHENTIC, FAR),
+    "near pair at the intruder zone": Scenario(Label.UNAUTHORIZED, NEAR),
+    "far pair at the intruder zone": Scenario(Label.UNAUTHORIZED, FAR),
+}
+
+
+@pytest.fixture(scope="module")
+def session_table():
+    """Both model kinds trained on the 80% split (seed 7) of the seed-7
+    dataset, its encoder, and 300 sessions per case on that environment."""
+    env, loss = EnvironmentConfig(), PathLossConfig()
+    dataset = generate_dataset(env, loss, sessions_for_target_rows(env, loss, 4825, 3, 7), 3, 7)
+    assert len(dataset) == 4828
+    train, _ = stratified_split(dataset, 0.2, 7)
+    encoder = build_feature_encoder(train)
+    X, y = encode_dataset(encoder, train)
+    models = {"forest": train_random_forest(X, y, ForestParams(seed=7)), "tree": train_decision_tree(X, y)}
+    cases = {
+        name: [scenario_session(env, loss, scenario, env_seed=7, locations=3, location_index=i % 3,
+                                session_seed=10000 + i) for i in range(300)]
+        for name, scenario in SESSION_CASES.items()
+    }
+    return encoder, models, cases
+
+
+class TestSessionTable:
+    """The per-session co-location table, pinned: the granted count of each
+    case at tau 0.6, and each decision equal to the encode-then-predict it
+    stands for."""
+
+    @pytest.mark.parametrize("kind, granted", [("forest", [300, 291, 0, 0]), ("tree", [300, 289, 0, 0])])
+    def test_granted_counts_and_every_decision(self, session_table, kind, granted):
+        encoder, models, cases = session_table
+        classifier, policy = Classifier(models[kind], encoder), PolicyConfig(vote_threshold_tau=0.6)
+        counts = []
+        for sessions in cases.values():
+            decisions = [decide(classifier, policy, mobile, login, 777) for mobile, login in sessions]
+            for decision, (mobile, login) in zip(decisions, sessions):
+                pairs = overlap_observations(mobile, login, policy)
+                fraction = int(predict_batch(models[kind], encode_observations(encoder, pairs)).sum()) / len(pairs)
+                authentic = fraction >= policy.vote_threshold_tau
+                assert decision == AuthDecision(
+                    DecisionReason.CLASSIFIER_AUTHENTIC if authentic else DecisionReason.CLASSIFIER_UNAUTHORIZED,
+                    fraction, 777)
+            counts.append(sum(d.outcome is DecisionOutcome.GRANT for d in decisions))
+        assert counts == granted
 
 
 class TestAuthDecision:
@@ -519,15 +587,16 @@ class TestAuthDecision:
         svc = enrolled_service(clock=lambda: 4242)
         session = run_session(svc, [obs()], [obs()])
         assert session.decision == AuthDecision(DecisionReason.NO_OVERLAP, None, 4242)
-        [(model, encoder, policy, mobile, login, now)] = calls
-        assert (model, encoder, policy, now) == (svc.model, svc.encoder, svc.policy, 4242)
+        [(classifier, policy, mobile, login, now)] = calls
+        assert (classifier, policy, now) == (svc.classifier, svc.policy, 4242)
+        assert classifier is svc.classifier and not hasattr(svc, "model") and not hasattr(svc, "encoder")
         assert (mobile.device_id, login.device_id) == ("alice-m", "alice-l")
 
 
 class TestStore:
     def test_persistence_round_trip(self, tmp_path):
         store = UserStore(tmp_path / "data")
-        svc = AuthService(store, ALWAYS_AUTHENTIC, ENCODER)
+        svc = AuthService(store, Classifier(ALWAYS_AUTHENTIC, ENCODER))
         svc.enroll_user("carol", "carols-secret", "c-m", "c-l")
 
         reopened = UserStore(tmp_path / "data")
@@ -716,7 +785,7 @@ class TestStore:
 
     def test_no_secret_material_on_disk(self, tmp_path):
         store = UserStore(tmp_path / "data")
-        svc = AuthService(store, ALWAYS_AUTHENTIC, ENCODER)
+        svc = AuthService(store, Classifier(ALWAYS_AUTHENTIC, ENCODER))
         svc.enroll_user("carol", "carols-secret", "c-m", "c-l")
         session = svc.begin_session("carol", "carols-secret")
         svc.submit_scan(session.session_id, "c-m", snap("c-m", DeviceRole.MOBILE, [obs()]))
@@ -733,7 +802,7 @@ class TestStore:
 
     def test_audit_records_decisions(self, tmp_path):
         store = UserStore(tmp_path / "data")
-        svc = AuthService(store, ALWAYS_AUTHENTIC, ENCODER)
+        svc = AuthService(store, Classifier(ALWAYS_AUTHENTIC, ENCODER))
         svc.enroll_user("carol", "carols-secret", "c-m", "c-l")
         session = svc.begin_session("carol", "carols-secret")
         svc.submit_scan(session.session_id, "c-m", snap("c-m", DeviceRole.MOBILE, [obs()]))
@@ -909,7 +978,7 @@ class TestSessionExpiry:
     """A session lives for the pairing window after begin, by the server clock."""
 
     def _service(self, tmp_path, clock, **kwargs):
-        svc = AuthService(UserStore(tmp_path), ALWAYS_AUTHENTIC, ENCODER, clock=clock, **kwargs)
+        svc = AuthService(UserStore(tmp_path), Classifier(ALWAYS_AUTHENTIC, ENCODER), clock=clock, **kwargs)
         svc.enroll_user("alice", "sesame-street", "alice-m", "alice-l")
         return svc
 

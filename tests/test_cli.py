@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from proxauth import cli
 from proxauth.auth_service import MatchKey, PolicyConfig, StoreSnapshot, UserRecord
 from proxauth.beacon_model import (
     BeaconObservation,
@@ -644,6 +645,32 @@ class TestCommands:
         assert capsys.readouterr().err == (
             f"error: auth_service.DuplicateDeviceId: {named}: device 'm1' is already enrolled\n")
         assert (store / where).read_text() == text
+
+    def test_a_sigint_during_the_banner_stops_serve_and_closes_its_socket(self, pipeline, tmp_path, monkeypatch):
+        _, _, rf, _ = pipeline
+        servers = []
+
+        class Recorded(AuthWireServer):
+            def __init__(self, *args):
+                super().__init__(*args)
+                servers.append(self)
+
+            def serve_forever(self, poll_interval=0.5):
+                raise AssertionError("the loop started after the interrupt")
+
+        class Interrupted:  # a stdout that SIGINT interrupts mid-write
+            def write(self, text):
+                raise KeyboardInterrupt
+
+        monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
+        monkeypatch.setattr(cli, "AuthWireServer", Recorded)
+        monkeypatch.setattr(sys, "stdout", Interrupted())
+        try:
+            code = main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        [server] = servers
+        assert code == 0 and server.socket.fileno() == -1
 
 
 class TestAttemptRoundTrip:

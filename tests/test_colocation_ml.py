@@ -11,8 +11,10 @@ from proxauth.beacon_model import (
     FeatureEncoder,
     Label,
     LabeledSample,
+    encode_observations,
 )
 from proxauth.colocation_ml import (
+    Classifier,
     ConfusionMatrix,
     DecisionTree,
     ForestParams,
@@ -1105,3 +1107,29 @@ class TestDocumentLayout:
         assert list(doc)[-1] == "train_seed" and doc["train_seed"] == 5
         assert document_to_model(doc) == (tree, encoder)
         assert "train_seed" not in model_to_document(tree, encoder)
+
+
+class TestClassifier:
+    @pytest.mark.parametrize("kind", ["tree", "forest"])
+    def test_load_model_unpacks_to_its_fields_and_votes_as_predict_batch(self, tmp_path, kind):
+        rng = np.random.default_rng(83)
+        X, y = random_consistent_data(rng)
+        model = train_decision_tree(X, y) if kind == "tree" else train_random_forest(X, y, ForestParams(n_trees=5))
+        encoder = FeatureEncoder({s: i for i, s in enumerate("ABCDE", 1)}, (2412000000.0, 5240000000.0))
+        save_model(tmp_path / "m.model", model, encoder)
+        classifier = load_model(tmp_path / "m.model")
+        assert type(classifier) is Classifier
+        loaded, loaded_encoder = classifier
+        assert loaded is classifier.model and loaded_encoder is classifier.encoder
+        assert loaded == model and loaded_encoder == encoder
+        for n in (0, 1, 2, 7, 40):
+            pairs = [
+                (DeviceRole(rng.choice(["mobile", "login"])),
+                 BeaconObservation(str(rng.choice(list("ABCDEZ"))),
+                                   int(rng.choice([2412000000, 2437000000, 5240000000, 5800000000])),
+                                   int(rng.integers(-95, -20))))
+                for _ in range(n)
+            ]
+            votes = classifier.votes(pairs)
+            assert votes.shape == (n,) and votes.dtype == np.int8
+            np.testing.assert_array_equal(votes, predict_batch(loaded, encode_observations(encoder, pairs)))

@@ -9,7 +9,7 @@ import pytest
 
 from proxauth.auth_service import AuthService, PolicyConfig, UserStore
 from proxauth.beacon_model import BeaconObservation, DeviceRole, FeatureEncoder, ScanSnapshot
-from proxauth.colocation_ml import ForestParams, model_to_document, train_decision_tree, train_random_forest
+from proxauth.colocation_ml import Classifier, ForestParams, model_to_document, train_decision_tree, train_random_forest
 from proxauth.errors import DuplicateUser
 from proxauth.jsondoc import decode, dump, encode, naming, parse
 from proxauth.wire import BeginRequest, EnrollRequest, StatusRequest, SubmitScanRequest, handle_request_line
@@ -243,7 +243,7 @@ def written(tmp_path_factory) -> dict:
     forest = train_random_forest(X, y, ForestParams(n_trees=3, seed=4))
     docs = {"model (random forest)": model_to_document(forest, encoder, train_seed=5),
             "model (decision tree)": model_to_document(train_decision_tree(X, y), encoder)}
-    service = AuthService(UserStore(root), forest, encoder, PolicyConfig())
+    service = AuthService(UserStore(root), Classifier(forest, encoder), PolicyConfig())
 
     def send(op, request, response_name):
         docs[f"{op} request"] = line = {"op": op, **encode(request)}  # the last of each op

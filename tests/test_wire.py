@@ -11,7 +11,7 @@ from proxauth.beacon_model import (
     FeatureEncoder,
     ScanSnapshot,
 )
-from proxauth.colocation_ml import TreeParams
+from proxauth.colocation_ml import Classifier, TreeParams
 from proxauth.wire import (
     MAX_LINE_BYTES,
     AuthClient,
@@ -39,7 +39,7 @@ def make_snapshot(device_id="d1", role=DeviceRole.MOBILE, ts=1000):
 
 @pytest.fixture()
 def server():
-    service = AuthService(UserStore(), GRANT_ALL, ENCODER, PolicyConfig())
+    service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER), PolicyConfig())
     with AuthWireServer(service, "127.0.0.1", 0) as srv:
         yield srv
 
@@ -114,7 +114,7 @@ class TestTypedSnapshot:
         doc = _edited(path, value)
         with pytest.raises(ValueError, match=named):
             snapshot_from_doc(doc)
-        service = AuthService(UserStore(), GRANT_ALL, ENCODER)
+        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER))
         service.enroll_user("gil", "gils-secret", "g-m", "g-l")
         sid = service.begin_session("gil", "gils-secret").session_id
         request = {"op": "submit_scan", "session_id": sid, "device_id": "g-m", "snapshot": doc}
@@ -259,7 +259,7 @@ class TestIdentityFields:
         ],
     )
     def test_non_string_identity_field_is_bad_request(self, tmp_path, request_doc, key):
-        service = AuthService(UserStore(tmp_path / "data"), GRANT_ALL, ENCODER)
+        service = AuthService(UserStore(tmp_path / "data"), Classifier(GRANT_ALL, ENCODER))
         service.enroll_user("gil", "gils-secret", "g-m0", "g-l0")
         response = handle_request_line(service, json.dumps(request_doc))
         assert response["ok"] is False
@@ -268,7 +268,7 @@ class TestIdentityFields:
         assert len((tmp_path / "data" / "users.log").read_text().splitlines()) == 1
 
     def test_string_fields_still_enroll(self, tmp_path):
-        service = AuthService(UserStore(tmp_path / "data"), GRANT_ALL, ENCODER)
+        service = AuthService(UserStore(tmp_path / "data"), Classifier(GRANT_ALL, ENCODER))
         response = handle_request_line(service, json.dumps(ENROLL))
         assert response["ok"] is True and response["username"] == "gil"
 
@@ -294,7 +294,7 @@ def _status_line(size: int) -> bytes:
 
 class TestWireLimits:
     def test_deeply_nested_json_is_bad_request(self, server):
-        service = AuthService(UserStore(), GRANT_ALL, ENCODER)
+        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER))
         # one BadRequest per line, which says "malformed JSON" once
         refused = {"ok": False, "error": "BadRequest", "message": "malformed JSON: nested past the JSON parser's depth"}
         lines = ["[" * 100_000, '{"op":' * 100_000]
@@ -351,7 +351,7 @@ class TestRequestBytes:
         assert enrolled == [None, None, "alïce", None]
 
     def test_handle_request_line_reads_bytes_as_utf8(self):
-        service = AuthService(UserStore(), GRANT_ALL, ENCODER)
+        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER))
         refused = handle_request_line(service, _enroll_line(b"al\xffice", b"a1"))
         assert refused["error"] == "BadRequest" and "utf-8" in refused["message"]
         assert handle_request_line(service, _enroll_line("alïce".encode(), b"a1"))["username"] == "alïce"
@@ -364,7 +364,7 @@ class TestRequestBytes:
 
 class TestServer:
     def test_serve_forever_serves_until_shutdown(self):
-        server = AuthWireServer(AuthService(UserStore(), GRANT_ALL, ENCODER), "127.0.0.1", 0)
+        server = AuthWireServer(AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER)), "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)  # a regression fails, not hangs the run
         thread.start()
         try:
@@ -378,7 +378,7 @@ class TestServer:
             socket.create_connection(server.address, timeout=1).close()
 
     def test_shutdown_of_a_server_whose_loop_never_ran_returns(self):
-        server = AuthWireServer(AuthService(UserStore(), GRANT_ALL, ENCODER), "127.0.0.1", 0)
+        server = AuthWireServer(AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER)), "127.0.0.1", 0)
         thread = threading.Thread(target=server.shutdown, daemon=True)
         thread.start()
         thread.join(timeout=2)
@@ -388,7 +388,7 @@ class TestServer:
 
     def test_response_lines_keep_their_bytes(self):
         """Each response shape, byte for byte as the server has always sent it."""
-        service = AuthService(UserStore(), GRANT_ALL, ENCODER, clock=lambda: 1_700_000_000_000)
+        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER), clock=lambda: 1_700_000_000_000)
         with AuthWireServer(service, "127.0.0.1", 0) as server, \
                 socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
             def reply(line: bytes) -> bytes:
