@@ -9,6 +9,7 @@ vote.
 """
 
 import dataclasses
+import tempfile
 
 from proxauth import (
     AuthService,
@@ -36,10 +37,6 @@ encoder = build_feature_encoder(dataset)
 X, y = encode_dataset(encoder, dataset)
 model = train_random_forest(X, y, ForestParams(seed=SEED))
 
-service = AuthService(UserStore(), Classifier(model, encoder), PolicyConfig())
-service.enroll_user("alice", "correct-horse", "alice-phone", "alice-laptop")
-print("enrolled alice with devices alice-phone / alice-laptop")
-
 
 def attempt(title, scenario, mutate_login=None, secret="correct-horse"):
     session = service.begin_session("alice", secret)
@@ -58,24 +55,30 @@ def attempt(title, scenario, mutate_login=None, secret="correct-horse"):
     print(f"  {title:<28} -> {d.outcome.value:<5} ({d.reason.value}, fraction={fraction})")
 
 
-print("\nauthentication attempts:")
-attempt("devices together", Scenario.authentic())
-attempt("devices far apart", Scenario.unauthorized())
-attempt("wrong password", Scenario.authentic(), secret="wrong-horse")
-attempt(
-    "login scan 15s late",
-    Scenario.authentic(),
-    mutate_login=lambda s: dataclasses.replace(s, timestamp=s.timestamp + 15_000),
-)
-attempt(
-    "login sees other APs",
-    Scenario.authentic(),
-    mutate_login=lambda s: dataclasses.replace(
-        s,
-        observations=tuple(
-            BeaconObservation(f"Ghost-{i}", 2412000000, -70)
-            for i in range(len(s.observations))
+# a user store is a directory: users.json, users.log and audit.log
+with tempfile.TemporaryDirectory() as data_dir:
+    service = AuthService(UserStore(data_dir), Classifier(model, encoder), policy=PolicyConfig())
+    service.enroll_user("alice", "correct-horse", "alice-phone", "alice-laptop")
+    print("enrolled alice with devices alice-phone / alice-laptop")
+
+    print("\nauthentication attempts:")
+    attempt("devices together", Scenario.authentic())
+    attempt("devices far apart", Scenario.unauthorized())
+    attempt("wrong password", Scenario.authentic(), secret="wrong-horse")
+    attempt(
+        "login scan 15s late",
+        Scenario.authentic(),
+        mutate_login=lambda s: dataclasses.replace(s, timestamp=s.timestamp + 15_000),
+    )
+    attempt(
+        "login sees other APs",
+        Scenario.authentic(),
+        mutate_login=lambda s: dataclasses.replace(
+            s,
+            observations=tuple(
+                BeaconObservation(f"Ghost-{i}", 2412000000, -70)
+                for i in range(len(s.observations))
+            ),
         ),
-    ),
-)
-print("\nonly the co-located attempt is granted; everything else fails closed")
+    )
+    print("\nonly the co-located attempt is granted; everything else fails closed")

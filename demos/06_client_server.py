@@ -5,6 +5,8 @@ starts a session, and pushes one scan per device; the second submission
 triggers the decision, which comes back in the same response.
 """
 
+import tempfile
+
 from proxauth import (
     AuthClient,
     AuthService,
@@ -29,9 +31,11 @@ dataset = generate_dataset(ENV, LOSS, 240, 3, seed=SEED)
 encoder = build_feature_encoder(dataset)
 X, y = encode_dataset(encoder, dataset)
 model = train_random_forest(X, y, ForestParams(seed=SEED))
-service = AuthService(UserStore(), Classifier(model, encoder), PolicyConfig())
 
-with AuthWireServer(service, "127.0.0.1", 0) as server:
+# a user store is a directory: users.json, users.log and audit.log
+with tempfile.TemporaryDirectory() as data_dir, AuthWireServer(
+    AuthService(UserStore(data_dir), Classifier(model, encoder), policy=PolicyConfig()), "127.0.0.1", 0
+) as server:
     host, port = server.address
     print(f"server listening on {host}:{port}")
 

@@ -9,24 +9,25 @@ reason: only CLASSIFIER_AUTHENTIC, an authentic fraction of those
 per-observation predictions at or above the vote threshold, grants; every
 other reason denies.
 
-State and durability: an enrollment appends one JSON line to a user log,
-which opening the store folds into a JSON snapshot of every record, so it
-costs the same however many users exist; decisions are appended to a
-JSON-lines audit log. Secrets are stored only as salted PBKDF2 hashes and
-never appear in scan records, the audit log, or decisions. Sessions are
-in memory and live for the policy's pairing window after ``begin``, by the
-server clock; a decided session keeps only its id, user, creation time and
-decision, not its scans. A scan or a status request that comes after the
-window denies a session still open MissingScan, and each ``begin`` first
-forgets the sessions whose window has passed, denying MissingScan any still
-open, so the server holds about the request rate times the window of them
-however long it runs.
+State and durability: a user store is its data directory. An enrollment
+appends one JSON line to the user log there, which opening the store folds
+into a JSON snapshot of every record, so it costs the same however many
+users exist; decisions are appended to a JSON-lines audit log beside it.
+Secrets are stored only as salted PBKDF2 hashes and never appear in scan
+records, the audit log, or decisions. Sessions are in memory and live for
+the policy's pairing window after ``begin``, by the server clock; a decided
+session keeps only its id, user, creation time and decision, not its scans.
+A scan or a status request that comes after the window denies a session
+still open MissingScan, and each ``begin`` first forgets the sessions whose
+window has passed, denying MissingScan any still open, so the server holds
+about the request rate times the window of them however long it runs.
 
 Concurrency: one service-wide lock is held only while shared state changes
 (a user added, a session created, a scan slot filled, a decision set) and
 around the audit and store writes that go with it. PBKDF2 hashing and
 verification and the classification of a session's scans run outside it,
-on immutable inputs: user records, the classifier and the policy.
+on immutable inputs: user records, the classifier and the policy. An
+enrollment whose username or device id is taken is refused before it hashes.
 When two threads decide one session, the first decision written wins.
 """
 
@@ -209,32 +210,30 @@ def verify_secret(secret: str, stored: str) -> bool:
 
 
 class UserStore:
-    """Durable user records plus an append-only audit log.
+    """Durable user records plus an append-only audit log, kept in ``root``.
 
-    With a root directory, ``add_user`` appends one JSON line to
-    ``users.log``. Opening the store loads the v1 snapshot ``users.json``,
-    replays the log in order (a torn last line is dropped; a record loaded
-    twice is indexed once), rewrites the snapshot atomically and empties the
-    log. A snapshot envelope or record that does not hold exactly its
-    type's fields, each of its annotated type, is a ValueError. A record
-    sharing a username or device id with another is refused with an error
-    naming where it was read. Audit entries append to ``audit.log``.
-    Without a root, everything stays in memory (useful in tests). Reads take
-    no lock: records are immutable and never removed, so AuthService looks
-    users up and verifies secrets outside its lock. Writes are serialized by
+    ``add_user`` appends one JSON line to ``users.log``. Opening the store
+    loads the v1 snapshot ``users.json``, replays the log in order (a torn
+    last line is dropped; a record loaded twice is indexed once), rewrites
+    the snapshot atomically and empties the log. A snapshot envelope or
+    record that does not hold exactly its type's fields, each of its
+    annotated type, is a ValueError. A record sharing a username or device
+    id with another is refused with an error naming where it was read.
+    Audit entries append to ``audit.log``. Reads take no lock: records are
+    immutable and never removed, so AuthService looks users up, verifies
+    secrets and checks a claim outside its lock. Writes are serialized by
     the caller (AuthService holds its lock across each ``add_user`` and ``audit``).
     """
 
-    def __init__(self, root: str | Path | None = None):
-        self.root = Path(root) if root is not None else None
+    def __init__(self, root: str | Path):
+        self.root = Path(root)
         self._users: dict[str, UserRecord] = {}
-        self._devices: dict[str, str] = {}  # device_id -> username
-        if self.root is not None:
-            self._users_path = self.root / "users.json"
-            self._log_path = self.root / "users.log"
-            self._audit_path = self.root / "audit.log"
-            self.root.mkdir(parents=True, exist_ok=True)
-            self._compact()
+        self._devices: set[str] = set()  # every claimed device id
+        self._users_path = self.root / "users.json"
+        self._log_path = self.root / "users.log"
+        self._audit_path = self.root / "audit.log"
+        self.root.mkdir(parents=True, exist_ok=True)
+        self._compact()
 
     def _compact(self) -> None:
         if self._users_path.exists():
@@ -251,21 +250,24 @@ class UserStore:
         os.replace(tmp, self._users_path)
         self._log_path.write_bytes(b"")  # after the snapshot: a crash between replays a logged record
 
-    def _index(self, record: UserRecord, append: bool = False) -> None:
-        """The one uniqueness rule; ``append`` logs a new record once it passes."""
-        held = self._users.get(record.username)
-        if held == record:
-            return  # a replayed log line
-        if held is not None:
-            raise DuplicateUser(f"user {record.username!r} already enrolled")
-        for device_id in (record.mobile_device_id, record.login_device_id):
+    def check_unclaimed(self, username: str, *device_ids: str) -> None:
+        """The one claim rule: a username or a device id names one record."""
+        if username in self._users:
+            raise DuplicateUser(f"user {username!r} already enrolled")
+        for device_id in device_ids:
             if device_id in self._devices:
                 raise DuplicateDeviceId(f"device {device_id!r} is already enrolled")
-        if append and self.root is not None:
+
+    def _index(self, record: UserRecord, append: bool = False) -> None:
+        """Hold a record that passes the claim rule; ``append`` logs it first."""
+        if self._users.get(record.username) == record:
+            return  # a replayed log line
+        devices = (record.mobile_device_id, record.login_device_id)
+        self.check_unclaimed(record.username, *devices)
+        if append:
             _append_json_line(self._log_path, encode(record))
         self._users[record.username] = record
-        self._devices[record.mobile_device_id] = record.username
-        self._devices[record.login_device_id] = record.username
+        self._devices.update(devices)
 
     def add_user(self, record: UserRecord) -> None:
         self._index(record, append=True)
@@ -273,12 +275,8 @@ class UserStore:
     def get_user(self, username: str) -> UserRecord | None:
         return self._users.get(username)
 
-    def username_for_device(self, device_id: str) -> str | None:
-        return self._devices.get(device_id)
-
     def audit(self, entry: dict) -> None:
-        if self.root is not None:
-            _append_json_line(self._audit_path, entry)
+        _append_json_line(self._audit_path, entry)
 
 
 def _append_json_line(path: Path, doc: dict) -> None:
@@ -332,13 +330,15 @@ def decide(
 class AuthService:
     """Session state machine around an immutable trained classifier; every
     decision comes from :func:`decide` or the first-factor check, and a
-    session's decision never changes once set.
+    session's decision never changes once set. ``policy`` and ``clock``
+    (ms since epoch; the wall clock by default) are keyword-only.
     """
 
     def __init__(
         self,
         store: UserStore,
         classifier: Classifier,
+        *,
         policy: PolicyConfig = PolicyConfig(),
         clock: Callable[[], int] | None = None,
     ):
@@ -358,8 +358,10 @@ class AuthService:
             raise WeakSecret(f"secret must be at least {_MIN_SECRET_LENGTH} characters")
         if mobile_device_id == login_device_id:
             raise DuplicateDeviceId("mobile and login device ids must differ")
+        # a refusal costs no hash; a racing enrollment is refused by add_user under the lock
+        self.store.check_unclaimed(username, mobile_device_id, login_device_id)
         credential_hash = hash_secret(secret)
-        with self._lock:  # add_user refuses a taken username or device
+        with self._lock:
             record = UserRecord(
                 username=username,
                 credential_hash=credential_hash,

@@ -254,7 +254,7 @@ def build_service(model_path: str, policy_path: str | None, data_dir: str | None
         classifier = load_model(model_path)
     policy = _policy_config(policy_path)
     root = data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV, DEFAULT_DATA_DIR)
-    return AuthService(UserStore(root), classifier, policy)
+    return AuthService(UserStore(root), classifier, policy=policy)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:

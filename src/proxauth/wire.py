@@ -18,6 +18,7 @@ from __future__ import annotations
 import socket
 import socketserver
 import threading
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .auth_service import AuthService, AuthSession, UserRecord
@@ -27,6 +28,7 @@ from .jsondoc import decode, dump, encode, parse
 
 __all__ = [
     "MAX_LINE_BYTES",
+    "IDLE_TIMEOUT_S",
     "snapshot_to_doc",
     "snapshot_from_doc",
     "AuthWireServer",
@@ -35,6 +37,7 @@ __all__ = [
 
 
 MAX_LINE_BYTES = 1 << 20  # a request line's bytes before its newline; a 1,000-AP scan is ~90 KB
+IDLE_TIMEOUT_S = 60.0  # a connection idle this long is closed; above the default 10 s pairing window
 
 
 def snapshot_to_doc(snapshot: ScanSnapshot) -> dict:
@@ -121,14 +124,19 @@ def handle_request_line(service: AuthService, line: str | bytes) -> dict:
 class _Handler(socketserver.StreamRequestHandler):
     server: AuthWireServer
 
+    @property
+    def timeout(self) -> float:  # read by StreamRequestHandler.setup for the connection
+        return IDLE_TIMEOUT_S
+
     def handle(self):
-        while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
-            if len(raw.removesuffix(b"\n")) > MAX_LINE_BYTES:
-                self.wfile.write(dump({"ok": False, "error": "BadRequest",
-                                       "message": f"request line longer than {MAX_LINE_BYTES} bytes"}))
-                return
-            if line := raw.strip():
-                self.wfile.write(dump(handle_request_line(self.server.service, line)))
+        with suppress(TimeoutError):  # an idle client: finish() closes the connection
+            while raw := self.rfile.readline(MAX_LINE_BYTES + 1):
+                if len(raw.removesuffix(b"\n")) > MAX_LINE_BYTES:
+                    self.wfile.write(dump({"ok": False, "error": "BadRequest",
+                                           "message": f"request line longer than {MAX_LINE_BYTES} bytes"}))
+                    return
+                if line := raw.strip():
+                    self.wfile.write(dump(handle_request_line(self.server.service, line)))
 
 
 class AuthWireServer(socketserver.ThreadingTCPServer):
@@ -146,7 +154,8 @@ class AuthWireServer(socketserver.ThreadingTCPServer):
         super().__init__((host, port), _Handler)
         self.service = service
         self._thread: threading.Thread | None = None
-        self._looped = False
+        self._state_lock = threading.Lock()
+        self._looped = self._closed = False
 
     @property
     def address(self) -> tuple[str, int]:
@@ -158,11 +167,17 @@ class AuthWireServer(socketserver.ThreadingTCPServer):
         return self
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._looped = True
+        """Serve until ``shutdown()``; return at once if it came first."""
+        with self._state_lock:  # a racing shutdown() either stops this loop or keeps it from starting
+            if self._closed:
+                return
+            self._looped = True
         super().serve_forever(poll_interval)
 
     def shutdown(self) -> None:
-        if self._looped or self._thread is not None:  # else BaseServer.shutdown waits forever for a loop
+        with self._state_lock:
+            looped, self._closed = self._looped, True
+        if looped:  # else BaseServer.shutdown waits forever for a loop
             super().shutdown()
         self.server_close()
         if self._thread is not None:

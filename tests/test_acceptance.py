@@ -288,7 +288,7 @@ def test_criterion_5_simulator_physics():
 
 # -- criterion 6: end-to-end protocol soundness ---------------------------------
 
-def test_criterion_6_end_to_end_soundness():
+def test_criterion_6_end_to_end_soundness(tmp_path):
     with criterion(6, "end-to-end protocol soundness"):
         started = time.perf_counter()
         env, loss = EnvironmentConfig(), PathLossConfig()
@@ -301,7 +301,7 @@ def test_criterion_6_end_to_end_soundness():
         Xtr, ytr = encode_dataset(encoder, train_set)
         forest = train_random_forest(Xtr, ytr, ForestParams(seed=env_seed))
 
-        service = AuthService(UserStore(), Classifier(forest, encoder), PolicyConfig())
+        service = AuthService(UserStore(tmp_path / "data"), Classifier(forest, encoder), policy=PolicyConfig())
         grants = {"near": 0, "far": 0}
         denies = {"near": 0, "far": 0}
         bad_grant_reasons = []
@@ -385,7 +385,7 @@ DECLARED_REASONS = {
 }
 
 
-def test_criterion_7_fail_closed_state_machine():
+def test_criterion_7_fail_closed_state_machine(tmp_path):
     with criterion(7, "fail-closed exhaustiveness"):
         encoder = FeatureEncoder({"NetA": 1, "NetB": 2}, (2412000000.0, 5240000000.0))
         gate = _tree_from_doc(
@@ -395,7 +395,7 @@ def test_criterion_7_fail_closed_state_machine():
             TreeParams(),
         )
         policy = PolicyConfig()
-        svc = AuthService(UserStore(), Classifier(gate, encoder), policy, clock=lambda: 999)
+        svc = AuthService(UserStore(tmp_path / "data"), Classifier(gate, encoder), policy=policy, clock=lambda: 999)
         svc.enroll_user("alice", "sesame-street", "a-m", "a-l")
 
         def scan(device, rssis, ts=1_000_000):

@@ -2,6 +2,7 @@ import itertools
 import json
 import re
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
@@ -97,8 +98,15 @@ def snap(device_id, role, observations, ts=1_000_000):
     return ScanSnapshot(device_id, role, ts, tuple(observations))
 
 
+@pytest.fixture(autouse=True)
+def _in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own directory, where ``service`` opens its stores."""
+    monkeypatch.chdir(tmp_path)
+
+
 def service(model=ALWAYS_AUTHENTIC, policy=PolicyConfig(), store=None, clock=None):
-    return AuthService(store or UserStore(), Classifier(model, ENCODER), policy, clock=clock or (lambda: 777))
+    store = store or UserStore(tempfile.mkdtemp(dir="."))
+    return AuthService(store, Classifier(model, ENCODER), policy=policy, clock=clock or (lambda: 777))
 
 
 def enrolled_service(**kwargs):
@@ -147,6 +155,40 @@ class TestEnroll:
         svc = service()
         with pytest.raises(WeakSecret):
             svc.enroll_user("bob", "short", "b1", "b2")
+
+    @pytest.mark.parametrize(
+        "enrollment, error",
+        [
+            (("alice", "another-pw", "x1", "x2"), DuplicateUser),
+            (("bob", "password1", "alice-m", "bob-l"), DuplicateDeviceId),
+            (("bob", "password1", "bob-m", "alice-l"), DuplicateDeviceId),
+        ],
+        ids=["taken-username", "taken-mobile", "taken-login"],
+    )
+    def test_a_refused_enrollment_hashes_nothing(self, monkeypatch, enrollment, error):
+        svc = enrolled_service()
+        hashed = []
+        monkeypatch.setattr(auth_service, "hash_secret", lambda secret: hashed.append(secret) or "unused")
+        with pytest.raises(error):
+            svc.enroll_user(*enrollment)
+        assert hashed == []
+        assert svc.store.get_user("bob") is None
+
+
+class TestConstruction:
+    def test_a_store_needs_its_directory(self):
+        with pytest.raises(TypeError):
+            UserStore()
+
+    def test_policy_and_clock_are_keyword_only(self):
+        store = UserStore("store")
+        with pytest.raises(TypeError):
+            AuthService(store, ALWAYS_AUTHENTIC, ENCODER, PolicyConfig())  # the call before Classifier
+        with pytest.raises(TypeError):
+            AuthService(store, Classifier(ALWAYS_AUTHENTIC, ENCODER), PolicyConfig())
+        policy = PolicyConfig(vote_threshold_tau=0.5)
+        svc = AuthService(store, Classifier(ALWAYS_AUTHENTIC, ENCODER), policy=policy, clock=lambda: 5)
+        assert svc.policy is policy and svc.enroll_user("bob", "password1", "b1", "b2").enrolled_at == 5
 
 
 class TestBeginSession:
@@ -433,6 +475,19 @@ CONFLICTS_WITH_ANN = {
 }
 
 
+def claimed(store, *device_ids):
+    """Whether the store refuses each device id to a new user, tried in
+    order; a device it does not refuse is enrolled to a probe user."""
+    def refuses(device_id):
+        probe = UserRecord(f"probe-{device_id}", "pbkdf2-sha256$20000$05$e0", device_id, f"{device_id}-probe", 790)
+        try:
+            store.add_user(probe)
+        except DuplicateDeviceId:
+            return True
+        return False
+    return [refuses(d) for d in device_ids]
+
+
 def where_read(root, where):
     """How a store error names the file at fault: users.json, or users.log's first line."""
     return str(root / where) + (":1" if where == "users.log" else "")
@@ -603,7 +658,7 @@ class TestStore:
         record = reopened.get_user("carol")
         assert record is not None
         assert record.login_device_id == "c-l"
-        assert reopened.username_for_device("c-m") == "carol"
+        assert claimed(reopened, "c-m", "c-l", "e-m") == [True, True, False]
 
     def test_pretty_printed_users_json_still_loads(self, tmp_path):
         root = tmp_path / "data"
@@ -614,7 +669,7 @@ class TestStore:
 
         store = UserStore(root)
         assert [store.get_user("carol"), store.get_user("dave")] == [carol, dave]
-        assert store.username_for_device("d-l") == "dave"
+        assert claimed(store, "c-m", "d-l", "e-m") == [True, True, False]
         assert (root / "users.json").read_text() == STORE_SNAPSHOT
 
     def test_reopen_folds_the_log_into_the_snapshot(self, tmp_path):
@@ -742,21 +797,17 @@ class TestStore:
         with pytest.raises(error, match=f"^{re.escape(str(named))}: "):  # the file holding the conflicting record
             UserStore(root)
 
-    @pytest.mark.parametrize("persistent", [True, False])
     @pytest.mark.parametrize("conflict", list(CONFLICTS_WITH_ANN))
-    def test_add_user_refuses_a_conflict_before_appending(self, tmp_path, persistent, conflict):
+    def test_add_user_refuses_a_conflict_before_appending(self, tmp_path, conflict):
         root = tmp_path / "data"
-        store = UserStore(root if persistent else None)
+        store = UserStore(root)
         store.add_user(ANN)
         other, error = CONFLICTS_WITH_ANN[conflict]
         with pytest.raises(error):
             store.add_user(other)
         assert store.get_user("ann") == ANN and store.get_user("bob") is None
-        assert [store.username_for_device(d) for d in ("m1", "l1", "m2", "l2", "m3", "l3")] == [
-            "ann", "ann", None, None, None, None
-        ]
-        if persistent:
-            assert (root / "users.log").read_text() == json.dumps(vars(ANN), separators=(",", ":")) + "\n"
+        assert (root / "users.log").read_text() == json.dumps(vars(ANN), separators=(",", ":")) + "\n"
+        assert claimed(store, "m1", "l1", "m2", "l2", "m3", "l3") == [True, True, False, False, False, False]
 
     def test_identical_record_in_snapshot_and_log_loads(self, tmp_path):
         root = tmp_path / "data"
@@ -767,7 +818,7 @@ class TestStore:
         store.add_user(ANN)  # an identical record is held already, so it is not logged again
         assert (root / "users.log").read_bytes() == b""
         assert json.loads((root / "users.json").read_text())["users"] == [vars(ANN)]
-        assert store.username_for_device("l1") == "ann"
+        assert claimed(store, "m1", "l1", "m2") == [True, True, False]
 
     def test_record_in_snapshot_and_log_loads_once(self, tmp_path):
         # a crash after the snapshot was written but before the log was emptied
@@ -781,7 +832,8 @@ class TestStore:
 
         reopened = UserStore(root)
         assert (root / "users.json").read_text() == STORE_SNAPSHOT
-        assert reopened.username_for_device("c-m") == "carol"
+        assert reopened.get_user("carol") == STORE_RECORDS[0]
+        assert claimed(reopened, "c-m", "d-l", "e-m") == [True, True, False]
 
     def test_no_secret_material_on_disk(self, tmp_path):
         store = UserStore(tmp_path / "data")
@@ -858,6 +910,19 @@ class TestConcurrency:
         )
         assert verify_secret("bobs-secret", svc.store.get_user("bob").credential_hash)
         assert verify_secret("carols-secret", svc.store.get_user("carol").credential_hash)
+
+    def test_racing_enrollments_of_one_device_enroll_one(self, monkeypatch):
+        svc = service()
+        meet_first(monkeypatch, "hash_secret")  # both pass the claim check before either holds the lock
+
+        def enroll(username):
+            try:
+                return svc.enroll_user(username, f"{username}-secret", "shared-m", f"{username}-l").username
+            except DuplicateDeviceId:
+                return None
+
+        [enrolled] = filter(None, in_threads(lambda: enroll("bob"), lambda: enroll("carol")))
+        assert [svc.store.get_user(u) is not None for u in ("bob", "carol")] == [enrolled == "bob", enrolled == "carol"]
 
     def test_racing_deciders_agree_and_audit_once(self, monkeypatch, tmp_path):
         svc = enrolled_service(model=RSSI_GATE, store=UserStore(tmp_path))

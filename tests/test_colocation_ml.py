@@ -438,6 +438,8 @@ class TestRandomForest:
             train_random_forest(X, np.array([1, 0], np.int8), ForestParams(features_per_split=5))
         with pytest.raises(ValueError):
             ForestParams(n_trees=0)
+        with pytest.raises(ValueError, match="features_per_split must be >= 1"):
+            ForestParams(features_per_split=0)
 
 
 def leaf_tree(label):

@@ -243,7 +243,7 @@ def written(tmp_path_factory) -> dict:
     forest = train_random_forest(X, y, ForestParams(n_trees=3, seed=4))
     docs = {"model (random forest)": model_to_document(forest, encoder, train_seed=5),
             "model (decision tree)": model_to_document(train_decision_tree(X, y), encoder)}
-    service = AuthService(UserStore(root), Classifier(forest, encoder), PolicyConfig())
+    service = AuthService(UserStore(root), Classifier(forest, encoder), policy=PolicyConfig())
 
     def send(op, request, response_name):
         docs[f"{op} request"] = line = {"op": op, **encode(request)}  # the last of each op

@@ -267,6 +267,18 @@ class TestGeometry:
         with pytest.raises(ConfigurationError, match="n_locations must be >= 1"):
             location_geometry(ENV, LOSS, CampaignConfig(), 1, 0, 0)
 
+    @pytest.mark.parametrize(
+        "env, camp, zone",
+        [
+            (EnvironmentConfig(detection_radius_m=0.001), CampaignConfig(), "a home spot"),
+            (ENV, CampaignConfig(intruder_offset_m=(1000.0, 2000.0)), "an intruder zone"),
+        ],
+        ids=["radius-1mm", "intruder-offset-past-the-area"],
+    )
+    def test_a_zone_that_sees_no_ap_is_refused(self, env, camp, zone):
+        with pytest.raises(ConfigurationError, match=f"^could not place {zone} that sees any AP$"):
+            location_geometry(env, LOSS, camp, 1, 0, 3)
+
     def test_margin_past_the_radius_falls_back_to_the_radius(self):
         # a margin that leaves no strict radius picks zones as a zero margin does
         wide = location_geometry(ENV, LOSS, CampaignConfig(zone_visibility_margin_m=ENV.detection_radius_m), 5, 0, 3)

@@ -1,9 +1,11 @@
 import json
 import socket
+import sys
 import threading
 
 import pytest
 
+from proxauth import wire
 from proxauth.auth_service import AuthService, PolicyConfig, UserStore
 from proxauth.beacon_model import (
     BeaconObservation,
@@ -37,10 +39,14 @@ def make_snapshot(device_id="d1", role=DeviceRole.MOBILE, ts=1000):
     )
 
 
+def grant_all(root, **options):
+    """A service that grants every paired session, with its store in ``root``."""
+    return AuthService(UserStore(root), Classifier(GRANT_ALL, ENCODER), **options)
+
+
 @pytest.fixture()
-def server():
-    service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER), PolicyConfig())
-    with AuthWireServer(service, "127.0.0.1", 0) as srv:
+def server(tmp_path):
+    with AuthWireServer(grant_all(tmp_path / "data", policy=PolicyConfig()), "127.0.0.1", 0) as srv:
         yield srv
 
 
@@ -110,11 +116,11 @@ class TestTypedSnapshot:
             pytest.param("observations.0.frequency", 2**53 + 1, "frequency", id="frequency-above-2**53"),
         ],
     )
-    def test_wrongly_typed_or_unknown_field_is_refused(self, path, value, named):
+    def test_wrongly_typed_or_unknown_field_is_refused(self, tmp_path, path, value, named):
         doc = _edited(path, value)
         with pytest.raises(ValueError, match=named):
             snapshot_from_doc(doc)
-        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER))
+        service = grant_all(tmp_path / "data")
         service.enroll_user("gil", "gils-secret", "g-m", "g-l")
         sid = service.begin_session("gil", "gils-secret").session_id
         request = {"op": "submit_scan", "session_id": sid, "device_id": "g-m", "snapshot": doc}
@@ -259,7 +265,7 @@ class TestIdentityFields:
         ],
     )
     def test_non_string_identity_field_is_bad_request(self, tmp_path, request_doc, key):
-        service = AuthService(UserStore(tmp_path / "data"), Classifier(GRANT_ALL, ENCODER))
+        service = grant_all(tmp_path / "data")
         service.enroll_user("gil", "gils-secret", "g-m0", "g-l0")
         response = handle_request_line(service, json.dumps(request_doc))
         assert response["ok"] is False
@@ -268,7 +274,7 @@ class TestIdentityFields:
         assert len((tmp_path / "data" / "users.log").read_text().splitlines()) == 1
 
     def test_string_fields_still_enroll(self, tmp_path):
-        service = AuthService(UserStore(tmp_path / "data"), Classifier(GRANT_ALL, ENCODER))
+        service = grant_all(tmp_path / "data")
         response = handle_request_line(service, json.dumps(ENROLL))
         assert response["ok"] is True and response["username"] == "gil"
 
@@ -293,8 +299,8 @@ def _status_line(size: int) -> bytes:
 
 
 class TestWireLimits:
-    def test_deeply_nested_json_is_bad_request(self, server):
-        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER))
+    def test_deeply_nested_json_is_bad_request(self, server, tmp_path):
+        service = grant_all(tmp_path / "other")
         # one BadRequest per line, which says "malformed JSON" once
         refused = {"ok": False, "error": "BadRequest", "message": "malformed JSON: nested past the JSON parser's depth"}
         lines = ["[" * 100_000, '{"op":' * 100_000]
@@ -347,11 +353,13 @@ class TestRequestBytes:
                 assert refused["message"].startswith("malformed JSON: 'utf-8' codec can't decode byte 0x")
             assert _send_line(f, _enroll_line("alïce".encode(), b"a3"))["username"] == "alïce"
             assert _send_line(f, _enroll_line(b"al\xffice", b"a4"))["error"] == "BadRequest"
-        enrolled = [server.service.store.username_for_device(d) for d in ("a1", "a2", "a3", "a4")]
-        assert enrolled == [None, None, "alïce", None]
+        store = server.service.store
+        assert store.get_user("alïce").mobile_device_id == "a3"
+        logged = (store.root / "users.log").read_bytes().splitlines()
+        assert [json.loads(line)["mobile_device_id"] for line in logged] == ["a3"]
 
-    def test_handle_request_line_reads_bytes_as_utf8(self):
-        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER))
+    def test_handle_request_line_reads_bytes_as_utf8(self, tmp_path):
+        service = grant_all(tmp_path / "data")
         refused = handle_request_line(service, _enroll_line(b"al\xffice", b"a1"))
         assert refused["error"] == "BadRequest" and "utf-8" in refused["message"]
         assert handle_request_line(service, _enroll_line("alïce".encode(), b"a1"))["username"] == "alïce"
@@ -362,9 +370,33 @@ class TestRequestBytes:
             assert _send_line(f, b'{"op":"status","session_id":"s"}')["error"] == "UnknownSession"
 
 
+def assert_shutdown_stops_a_starting_loop(service, order):
+    """``shutdown()`` on this thread while another starts ``serve_forever``:
+    after the shutdown returned ("shutdown-first"), or at once ("racing")."""
+    server = AuthWireServer(service, "127.0.0.1", 0)
+    shut_down, go, errors = threading.Event(), threading.Barrier(2, timeout=5), []
+
+    def loop():
+        go.wait()
+        if order == "shutdown-first":
+            shut_down.wait(timeout=5)
+        try:
+            server.serve_forever(poll_interval=0.01)
+        except Exception as exc:
+            errors.append(exc)
+
+    thread = threading.Thread(target=loop, daemon=True)
+    thread.start()
+    go.wait()
+    server.shutdown()
+    shut_down.set()
+    thread.join(timeout=5)
+    assert not thread.is_alive() and errors == []
+
+
 class TestServer:
-    def test_serve_forever_serves_until_shutdown(self):
-        server = AuthWireServer(AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER)), "127.0.0.1", 0)
+    def test_serve_forever_serves_until_shutdown(self, tmp_path):
+        server = AuthWireServer(grant_all(tmp_path / "data"), "127.0.0.1", 0)
         thread = threading.Thread(target=server.serve_forever, daemon=True)  # a regression fails, not hangs the run
         thread.start()
         try:
@@ -377,8 +409,8 @@ class TestServer:
         with pytest.raises(OSError):
             socket.create_connection(server.address, timeout=1).close()
 
-    def test_shutdown_of_a_server_whose_loop_never_ran_returns(self):
-        server = AuthWireServer(AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER)), "127.0.0.1", 0)
+    def test_shutdown_of_a_server_whose_loop_never_ran_returns(self, tmp_path):
+        server = AuthWireServer(grant_all(tmp_path / "data"), "127.0.0.1", 0)
         thread = threading.Thread(target=server.shutdown, daemon=True)
         thread.start()
         thread.join(timeout=2)
@@ -386,9 +418,33 @@ class TestServer:
         with pytest.raises(OSError):
             socket.create_connection(server.address, timeout=1).close()
 
-    def test_response_lines_keep_their_bytes(self):
+    def test_serve_forever_after_shutdown_returns_at_once(self, tmp_path):
+        server = AuthWireServer(grant_all(tmp_path / "data"), "127.0.0.1", 0)
+        server.shutdown()
+        server.serve_forever(poll_interval=0.01)
+
+    @pytest.mark.parametrize("order", ["shutdown-first", "racing"])
+    def test_a_shutdown_racing_a_starting_loop_stops_it_or_keeps_it_from_starting(self, tmp_path, order):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so the racing order varies
+        try:
+            for attempt in range(1 if order == "shutdown-first" else 50):
+                assert_shutdown_stops_a_starting_loop(grant_all(tmp_path / f"data{attempt}"), order)
+        finally:
+            sys.setswitchinterval(interval)
+    def test_an_idle_connection_is_closed_quietly(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(wire, "IDLE_TIMEOUT_S", 0.2)
+        service = grant_all(tmp_path / "data")
+        with AuthWireServer(service, "127.0.0.1", 0) as server:
+            with socket.create_connection(server.address, timeout=10) as idle:
+                assert idle.recv(1) == b""  # the server closed it
+            with client_for(server) as client:
+                assert client.status("s")["error"] == "UnknownSession"
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_response_lines_keep_their_bytes(self, tmp_path):
         """Each response shape, byte for byte as the server has always sent it."""
-        service = AuthService(UserStore(), Classifier(GRANT_ALL, ENCODER), clock=lambda: 1_700_000_000_000)
+        service = grant_all(tmp_path / "data", clock=lambda: 1_700_000_000_000)
         with AuthWireServer(service, "127.0.0.1", 0) as server, \
                 socket.create_connection(server.address, timeout=10) as sock, sock.makefile("rwb") as f:
             def reply(line: bytes) -> bytes:
