@@ -178,8 +178,11 @@ class AuthDecision:
 
 @dataclass(slots=True)
 class AuthSession:
+    """One attempt. ``user`` is the record ``begin`` verified; records are
+    immutable and never removed, so a scan's device is checked against it."""
+
     session_id: str
-    username: str
+    user: UserRecord
     created_at: int
     mobile_scan: ScanSnapshot | None = None
     login_scan: ScanSnapshot | None = None
@@ -309,6 +312,15 @@ def overlap_observations(
     return pairs
 
 
+def _shared_aps(pairs: list[tuple[DeviceRole, BeaconObservation]], policy: PolicyConfig) -> int:
+    """The APs the overlap pairs show, each counted once: a mobile observation
+    names the BSSID it shares with a login observation, or else its SSID."""
+    by_bssid = policy.match_key is MatchKey.BSSID_THEN_SSID
+    login_bssids = {o.bssid for role, o in pairs if by_bssid and role is DeviceRole.LOGIN} - {None}
+    return len({("bssid", o.bssid) if o.bssid in login_bssids else ("ssid", o.ssid)
+                for role, o in pairs if role is DeviceRole.MOBILE})
+
+
 def decide(
     classifier: Classifier, policy: PolicyConfig, mobile: ScanSnapshot, login: ScanSnapshot, now: int
 ) -> AuthDecision:
@@ -319,7 +331,7 @@ def decide(
     if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
         return AuthDecision(DecisionReason.STALE_SCANS, None, now)
     pairs = overlap_observations(mobile, login, policy)
-    if len(pairs) < 2 * policy.min_overlap_aps:
+    if _shared_aps(pairs, policy) < policy.min_overlap_aps:
         return AuthDecision(DecisionReason.NO_OVERLAP, None, now)
     fraction = int(classifier.votes(pairs).sum()) / len(pairs)
     if fraction >= policy.vote_threshold_tau:
@@ -383,7 +395,7 @@ class AuthService:
         with self._lock:
             now = self._clock()
             self._evict(now)
-            session = AuthSession(session_id=uuid.uuid4().hex, username=username, created_at=now)
+            session = AuthSession(session_id=uuid.uuid4().hex, user=record, created_at=now)
             self._sessions[session.session_id] = session
             self.store.audit(
                 {"ts": now, "event": "begin", "session_id": session.session_id, "username": username}
@@ -422,24 +434,21 @@ class AuthService:
     def submit_scan(
         self, session_id: str, device_id: str, snapshot: ScanSnapshot
     ) -> AuthSession:
-        """Store one device's scan; the submission that completes the pair
-        decides the session. A scan after the session's window denies it
-        MissingScan instead."""
+        """Store one device's scan in the role that the session's user record
+        gives its id (any other id is ForeignDevice); the submission that
+        completes the pair decides the session. A scan after the session's
+        window denies it MissingScan instead."""
         with self._lock:
             session = self._session(session_id)
-            if session.state is SessionState.DECIDED:
+            if session.decision is not None:
                 raise SessionDecided(f"session {session_id!r} already decided")
             if self._expired(session, now := self._clock()):
                 self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
                 return session
-            record = self.store.get_user(session.username)
-            assert record is not None
-            if device_id == record.mobile_device_id:
-                role = DeviceRole.MOBILE
-            elif device_id == record.login_device_id:
-                role = DeviceRole.LOGIN
-            else:
-                raise ForeignDevice(f"device {device_id!r} is not enrolled to {session.username!r}")
+            user = session.user
+            role = {user.mobile_device_id: DeviceRole.MOBILE, user.login_device_id: DeviceRole.LOGIN}.get(device_id)
+            if role is None:
+                raise ForeignDevice(f"device {device_id!r} is not enrolled to {user.username!r}")
 
             # the enrollment binding is authoritative for role and identity
             snapshot = replace(snapshot, device_id=device_id, role=role)
@@ -483,5 +492,5 @@ class AuthService:
         session.mobile_scan = session.login_scan = None  # a decided session needs no scans
         self.store.audit(
             {"ts": decision.decided_at, "event": "decision", "session_id": session.session_id,
-             "username": session.username, **decision.as_dict()}
+             "username": session.user.username, **decision.as_dict()}
         )

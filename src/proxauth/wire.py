@@ -21,7 +21,7 @@ import threading
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .auth_service import AuthService, AuthSession, UserRecord
+from .auth_service import AuthService, AuthSession, SessionState, UserRecord
 from .beacon_model import ScanSnapshot
 from .errors import ProxauthError
 from .jsondoc import decode, dump, encode, parse
@@ -53,8 +53,10 @@ def _enrolled_doc(record: UserRecord) -> dict:
 
 
 def _session_doc(session: AuthSession) -> dict:
-    doc = {"session_id": session.session_id, "state": session.state.value}
-    return doc if session.decision is None else {**doc, **session.decision.as_dict()}
+    decision = session.decision  # read once: the other device's submission may decide the session meanwhile
+    if decision is None:
+        return {"session_id": session.session_id, "state": SessionState.AWAITING_SCANS.value}
+    return {"session_id": session.session_id, "state": SessionState.DECIDED.value, **decision.as_dict()}
 
 
 # One request type per op, named after the service method's parameters.
@@ -95,14 +97,6 @@ _OPS = {
 }
 
 
-def _dispatch(service: AuthService, request: dict) -> dict:
-    op = request.pop("op", None)
-    if type(op) is not str or op not in _OPS:
-        return {"ok": False, "error": "UnknownOp", "message": f"unknown op {op!r}"}
-    request_type, method, shape = _OPS[op]
-    return {"ok": True, **shape(getattr(service, method)(**vars(decode(request_type, request))))}
-
-
 def handle_request_line(service: AuthService, line: str | bytes) -> dict:
     """Parse and execute one request line, UTF-8 if bytes; never raises."""
     try:
@@ -111,8 +105,12 @@ def handle_request_line(service: AuthService, line: str | bytes) -> dict:
             raise ValueError("request must be a JSON object")
     except ValueError as exc:
         return {"ok": False, "error": "BadRequest", "message": f"malformed JSON: {exc}"}
+    op = request.pop("op", None)
+    if type(op) is not str or op not in _OPS:
+        return {"ok": False, "error": "UnknownOp", "message": f"unknown op {op!r}"}
+    request_type, method, shape = _OPS[op]
     try:
-        return _dispatch(service, request)
+        return {"ok": True, **shape(getattr(service, method)(**vars(decode(request_type, request))))}
     except ProxauthError as exc:
         return {"ok": False, "error": exc.code, "message": str(exc)}
     except (KeyError, TypeError, ValueError) as exc:

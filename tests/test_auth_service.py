@@ -94,6 +94,9 @@ def obs(ssid="NetA", rssi=-60, bssid=None, freq=2437000000):
     return BeaconObservation(ssid=ssid, frequency=freq, rssi=rssi, bssid=bssid)
 
 
+BSSIDS = ("aa:bb:cc:dd:ee:00", "aa:bb:cc:dd:ee:01", "aa:bb:cc:dd:ee:02")
+
+
 def snap(device_id, role, observations, ts=1_000_000):
     return ScanSnapshot(device_id, role, ts, tuple(observations))
 
@@ -255,6 +258,22 @@ class TestSubmitScan:
         assert session.mobile_scan is not None
         assert session.mobile_scan.role is DeviceRole.MOBILE
         assert session.login_scan is None
+
+    def test_a_round_reads_no_record_after_begin(self, monkeypatch):
+        svc = enrolled_service()
+        svc.enroll_user("bob", "bobs-password", "bob-m", "bob-l")
+        session = svc.begin_session("alice", "sesame-street")
+        assert session.user is svc.store.get_user("alice")
+
+        def no_reads(username):
+            raise AssertionError(f"store read for {username!r} after begin")
+
+        monkeypatch.setattr(svc.store, "get_user", no_reads)
+        with pytest.raises(ForeignDevice, match="^device 'bob-m' is not enrolled to 'alice'$"):
+            svc.submit_scan(session.session_id, "bob-m", snap("bob-m", DeviceRole.MOBILE, [obs()]))
+        svc.submit_scan(session.session_id, "alice-m", snap("alice-m", DeviceRole.MOBILE, [obs()]))
+        svc.submit_scan(session.session_id, "alice-l", snap("alice-l", DeviceRole.LOGIN, [obs()]))
+        assert session.decision.outcome is DecisionOutcome.GRANT
 
 
 class TestOverlap:
@@ -423,6 +442,28 @@ class TestDecision:
         session = run_session(svc, [obs("NetA")], [obs("NetA")])
         assert session.decision.reason is DecisionReason.NO_OVERLAP
 
+    @pytest.mark.parametrize(
+        "match_key, mobile_obs, login_obs",
+        [
+            (MatchKey.BSSID_THEN_SSID, [obs(ssid, bssid=BSSIDS[0]) for ssid in ("NetA", "NetB", "NetC")],
+             [obs("NetA", bssid=BSSIDS[0])]),
+            (MatchKey.BSSID_THEN_SSID, [obs("NetA", bssid=b) for b in BSSIDS], [obs("NetA")]),
+            (MatchKey.SSID_ONLY, [obs("NetA", bssid=b) for b in BSSIDS], [obs("NetA", bssid=BSSIDS[0])]),
+        ],
+        ids=["one-bssid-under-three-ssids", "three-bssids-of-one-ssid", "ssid-only-three-bssids-of-one-ssid"],
+    )
+    def test_min_overlap_aps_counts_aps_not_observations(self, match_key, mobile_obs, login_obs):
+        """One shared AP seen in four observations is one AP, whichever key matched it."""
+        policy = PolicyConfig(min_overlap_aps=2, match_key=match_key)
+        mobile, login = snap("m", DeviceRole.MOBILE, mobile_obs), snap("l", DeviceRole.LOGIN, login_obs)
+        assert len(overlap_observations(mobile, login, policy)) == 4
+        classifier = Classifier(ALWAYS_AUTHENTIC, ENCODER)
+        assert decide(classifier, policy, mobile, login, 5) == AuthDecision(DecisionReason.NO_OVERLAP, None, 5)
+        # a second shared AP, seen once by each device, reaches the minimum
+        mobile, login = (replace(s, observations=s.observations + (obs("NetB", bssid="bb:bb:cc:dd:ee:02"),))
+                         for s in (mobile, login))
+        assert decide(classifier, policy, mobile, login, 5).reason is DecisionReason.CLASSIFIER_AUTHENTIC
+
     def test_missing_scan_error_keeps_session_open(self):
         svc = enrolled_service()
         session = svc.begin_session("alice", "sesame-street")
@@ -498,9 +539,13 @@ def reference_decision(model, encoder, policy, mobile, login):
     replaced, kept as the reference: (outcome, reason, authentic fraction)."""
     if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
         return DecisionOutcome.DENY, DecisionReason.STALE_SCANS, None
-    pairs = overlap_observations(mobile, login, policy)
-    if len(pairs) < 2 * policy.min_overlap_aps:
+    bssids = set()
+    if policy.match_key is MatchKey.BSSID_THEN_SSID:
+        bssids = {o.bssid for o in mobile.observations} & {o.bssid for o in login.observations} - {None}
+    ssids = set.intersection(*({o.ssid for o in s.observations if o.bssid not in bssids} for s in (mobile, login)))
+    if len(bssids) + len(ssids) < policy.min_overlap_aps:  # shared APs, each counted once
         return DecisionOutcome.DENY, DecisionReason.NO_OVERLAP, None
+    pairs = overlap_observations(mobile, login, policy)
     authentic = 0
     for role, o in pairs:
         if predict(model, encode_observation(encoder, role, o)) is Label.AUTHENTIC:
@@ -625,7 +670,8 @@ class TestAuthDecision:
     def test_sessions_and_decisions_hold_no_instance_dict(self):
         # one is held per session in the window, so each keeps only its slots
         decision = AuthDecision(DecisionReason.NO_OVERLAP, None, 777)
-        session = AuthSession("s", "alice", 777, decision=decision)
+        record = UserRecord("alice", "pbkdf2-sha256$1$00$00", "alice-m", "alice-l", 777)
+        session = AuthSession("s", record, 777, decision=decision)
         for value in (decision, session):
             assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError):

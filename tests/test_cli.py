@@ -739,7 +739,12 @@ class TestAttemptRoundTrip:
             assert code == 0
             assert json.loads(capsys.readouterr().out)["outcome"] == "Grant"
             proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
+            try:
+                returncode = proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.send_signal(signal.SIGABRT)  # -X dev's faulthandler writes every thread's stack
+                pytest.fail(f"serve still ran 10 s after SIGINT; its stderr:\n{proc.communicate(timeout=10)[1]}")
+            assert returncode == 0
             assert proc.stderr.read() == ""
         finally:
             if proc.poll() is None:

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from proxauth import wire
-from proxauth.auth_service import AuthService, PolicyConfig, UserStore
+from proxauth.auth_service import AuthDecision, AuthService, AuthSession, DecisionReason, PolicyConfig, UserStore
 from proxauth.beacon_model import (
     BeaconObservation,
     DeviceRole,
@@ -162,6 +162,30 @@ class TestWireProtocol:
 
             status = client.status(sid)
             assert status["outcome"] == "Grant"
+
+    @pytest.mark.parametrize("reads", [0, 1, 2, 3])
+    def test_a_response_comes_from_one_read_of_the_decision(self, reads):
+        """The other device's submission may decide a session while its
+        response is built; the state and the outcome still agree."""
+        decided = AuthDecision(DecisionReason.NO_OVERLAP, None, 5)
+
+        class DecidedAfterReads:
+            session_id = "s1"
+            state = AuthSession.state  # derived from a read of decision, as a real session's is
+            left = reads
+
+            @property
+            def decision(self):
+                self.left -= 1
+                return None if self.left >= 0 else decided
+
+        class Service:
+            def get_session(self, session_id):
+                return DecidedAfterReads()
+
+        doc = handle_request_line(Service(), '{"op":"status","session_id":"s1"}')
+        awaiting = {"ok": True, "session_id": "s1", "state": "AwaitingScans"}
+        assert doc == (awaiting if reads else {**awaiting, "state": "Decided", **decided.as_dict()})
 
     def test_first_factor_failure_on_wire(self, server):
         with client_for(server) as client:
