@@ -30,6 +30,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .beacon_model import (
+    _FLOAT64_EXACT,
     BeaconObservation,
     Dataset,
     DeviceRole,
@@ -94,6 +95,8 @@ class PathLossConfig:
             raise ValueError("noise_sigma_dbm must be >= 0")
         if self.clamp_dbm[0] >= self.clamp_dbm[1]:
             raise ValueError("clamp min must be below clamp max")
+        if self.clamp_dbm[0] < -_FLOAT64_EXACT or self.clamp_dbm[1] > 0:  # the range an RSSI may take
+            raise ValueError(f"clamp_dbm must lie within [-2**53, 0] dBm, got {list(self.clamp_dbm)}")
 
 
 @dataclass(frozen=True)
@@ -113,10 +116,22 @@ class EnvironmentConfig:
     def __post_init__(self):
         if self.n_aps < 1:
             raise ValueError("n_aps must be >= 1")
+        if not self.frequency_set_hz:
+            raise ValueError("frequency_set_hz must be non-empty")
         if any(f <= 0 for f in self.frequency_set_hz):
             raise ValueError("frequencies must be positive")
+        if any(f > _FLOAT64_EXACT for f in self.frequency_set_hz):
+            raise ValueError("frequencies must be <= 2**53 Hz")
         if self.area_m <= 0 or self.detection_radius_m <= 0:
             raise ValueError("area and detection radius must be positive")
+        for i in range(self.n_aps):  # repeated SSIDs stay legal: many APs may share one network's name
+            try:
+                ssid = self.ssid_pattern.format(i=i)
+            except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"ssid_pattern {self.ssid_pattern!r} must format with i alone: "
+                                 f"{type(exc).__name__}: {exc}") from None
+            if not ssid:
+                raise ValueError(f"ssid_pattern {self.ssid_pattern!r} gives an empty SSID for AP {i}")
 
 
 @dataclass(frozen=True)

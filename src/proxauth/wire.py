@@ -29,6 +29,7 @@ from .jsondoc import decode, dump, encode, parse
 __all__ = [
     "MAX_LINE_BYTES",
     "IDLE_TIMEOUT_S",
+    "POLL_S",
     "snapshot_to_doc",
     "snapshot_from_doc",
     "AuthWireServer",
@@ -38,6 +39,7 @@ __all__ = [
 
 MAX_LINE_BYTES = 1 << 20  # a request line's bytes before its newline; a 1,000-AP scan is ~90 KB
 IDLE_TIMEOUT_S = 60.0  # a connection idle this long is closed; above the default 10 s pairing window
+POLL_S = 0.05  # how often the loop checks for shutdown() and serve_forever() for a SIGINT
 
 
 def snapshot_to_doc(snapshot: ScanSnapshot) -> dict:
@@ -142,7 +144,8 @@ class AuthWireServer(socketserver.ThreadingTCPServer):
 
     ``port=0`` binds an ephemeral port; read the actual one from ``address``.
     Use ``start()``/``shutdown()`` for a background server or
-    ``serve_forever()`` to block.
+    ``serve_forever()`` to block. Either way the accept loop runs on the one
+    thread that ``start()`` makes, and ``shutdown()`` stops it within ``POLL_S``.
     """
 
     allow_reuse_address = True
@@ -153,33 +156,34 @@ class AuthWireServer(socketserver.ThreadingTCPServer):
         self.service = service
         self._thread: threading.Thread | None = None
         self._state_lock = threading.Lock()
-        self._looped = self._closed = False
+        self._closed = False
 
     @property
     def address(self) -> tuple[str, int]:
         return self.server_address[:2]
 
     def start(self) -> AuthWireServer:
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
-        self._thread.start()
+        with self._state_lock:  # a racing shutdown() either stops this loop or keeps it from starting
+            if not self._closed and self._thread is None:
+                thread = threading.Thread(target=super().serve_forever, args=(POLL_S,), daemon=True)
+                thread.start()
+                self._thread = thread  # only once started, so shutdown() never waits for a loop that cannot run
         return self
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        """Serve until ``shutdown()``; return at once if it came first."""
-        with self._state_lock:  # a racing shutdown() either stops this loop or keeps it from starting
-            if self._closed:
-                return
-            self._looped = True
-        super().serve_forever(poll_interval)
+    def serve_forever(self) -> None:
+        """``start()``, then wait for the loop thread until ``shutdown()``; return at once if it came first.
+        The wait wakes every ``POLL_S``, so a SIGINT raises here, never inside the loop's set-up."""
+        self.start()
+        while self._thread is not None and self._thread.is_alive():
+            self._thread.join(POLL_S)
 
     def shutdown(self) -> None:
         with self._state_lock:
-            looped, self._closed = self._looped, True
-        if looped:  # else BaseServer.shutdown waits forever for a loop
+            self._closed, thread = True, self._thread
+        if thread is not None:
             super().shutdown()
+            thread.join()
         self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
     def __enter__(self) -> AuthWireServer:
         return self.start()

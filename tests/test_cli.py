@@ -580,6 +580,43 @@ class TestCommands:
                         capsys.readouterr().err)
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "attempt"])
+    @pytest.mark.parametrize("content, message", [
+        ({"environment": {"frequency_set_hz": []}},
+         "bad EnvironmentConfig value: frequency_set_hz must be non-empty"),
+        ({"environment": {"frequency_set_hz": [2412000000, 2**53 + 1]}},
+         "bad EnvironmentConfig value: frequencies must be <= 2**53 Hz"),
+        ({"environment": {"ssid_pattern": "AP-{j}"}},
+         "bad EnvironmentConfig value: ssid_pattern 'AP-{j}' must format with i alone: KeyError: 'j'"),
+        ({"environment": {"ssid_pattern": "AP-{0}"}},
+         "bad EnvironmentConfig value: ssid_pattern 'AP-{0}' must format with i alone: "
+         "IndexError: Replacement index 0 out of range for positional args tuple"),
+        ({"environment": {"ssid_pattern": ""}},
+         "bad EnvironmentConfig value: ssid_pattern '' gives an empty SSID for AP 0"),
+        ({"path_loss": {"clamp_dbm": [-100, 10], "p0_dbm": 30}},
+         "bad PathLossConfig value: clamp_dbm must lie within [-2**53, 0] dBm, got [-100, 10]"),
+    ], ids=["no-frequency", "frequency-past-2**53", "unknown-field", "positional-field", "empty-ssid",
+            "clamp-above-0-dbm"])
+    def test_a_config_that_would_fail_mid_run_is_one_error_line(self, tmp_path, capsys, command, content, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        argv = ["--config", str(config), "--seed", "1"]
+        if command == "simulate":
+            argv = ["simulate", "--rows", "50", "--out", str(tmp_path / "s.csv"), *argv]
+        else:
+            argv = ["attempt", "--server", "127.0.0.1:9", "--username", "u", "--secret", "s" * 8,
+                    "--scenario", "near", *argv]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    def test_aps_may_share_one_ssid(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"environment": {"ssid_pattern": "corp"}}))
+        out = tmp_path / "s.csv"
+        assert main(["simulate", "--rows", "50", "--seed", "1", "--config", str(config), "--out", str(out)]) == 0
+        assert {row.split(",")[1] for row in out.read_text().splitlines()[1:]} == {"corp"}
+
     @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
     def test_simulate_refuses_a_non_finite_config_number(self, tmp_path, capsys, literal):
         config = tmp_path / "config.json"

@@ -1,5 +1,7 @@
+import _thread
 import json
 import socket
+import socketserver
 import sys
 import threading
 
@@ -405,7 +407,7 @@ def assert_shutdown_stops_a_starting_loop(service, order):
         if order == "shutdown-first":
             shut_down.wait(timeout=5)
         try:
-            server.serve_forever(poll_interval=0.01)
+            server.serve_forever()
         except Exception as exc:
             errors.append(exc)
 
@@ -445,7 +447,48 @@ class TestServer:
     def test_serve_forever_after_shutdown_returns_at_once(self, tmp_path):
         server = AuthWireServer(grant_all(tmp_path / "data"), "127.0.0.1", 0)
         server.shutdown()
-        server.serve_forever(poll_interval=0.01)
+        server.serve_forever()
+
+    def test_start_after_shutdown_starts_no_thread(self, tmp_path, monkeypatch):
+        server = AuthWireServer(grant_all(tmp_path / "data"), "127.0.0.1", 0)
+        server.shutdown()
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        assert server.start() is server and started == []
+        assert server.socket.fileno() == -1
+
+    @pytest.mark.parametrize("ran", [False, True], ids=["never-started", "started"])
+    def test_a_second_shutdown_returns_at_once(self, tmp_path, ran):
+        server = AuthWireServer(grant_all(tmp_path / "data"), "127.0.0.1", 0)
+        if ran:
+            server.start()
+        server.shutdown()
+        thread = threading.Thread(target=server.shutdown, daemon=True)
+        thread.start()
+        thread.join(timeout=2)
+        assert not thread.is_alive()
+
+    def test_an_interrupt_in_serve_forever_leaves_shutdown_working(self, tmp_path, monkeypatch):
+        real = socketserver.BaseServer.serve_forever
+
+        def serve_forever(self, *args):
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt  # a SIGINT that lands before the loop's try/finally
+            real(self, *args)
+
+        monkeypatch.setattr(socketserver.BaseServer, "serve_forever", serve_forever)
+        server = AuthWireServer(grant_all(tmp_path / "data"), "127.0.0.1", 0)
+        timer = threading.Timer(0.5, _thread.interrupt_main)  # the SIGINT, if no loop runs on this thread
+        timer.start()
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                server.serve_forever()
+        finally:
+            timer.cancel()
+        thread = threading.Thread(target=server.shutdown, daemon=True)
+        thread.start()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
     @pytest.mark.parametrize("order", ["shutdown-first", "racing"])
     def test_a_shutdown_racing_a_starting_loop_stops_it_or_keeps_it_from_starting(self, tmp_path, order):
