@@ -23,7 +23,8 @@ Conventions
   that end even predict Unauthorized.
 * Randomness comes from numpy's PCG64 generator seeded through
   ``SeedSequence``; per-tree streams derive only from (seed, tree_index),
-  so serial and concurrent forest builds produce identical models.
+  so tree i depends only on the seed, i and the training data: the n trees
+  of a forest are the first n trees of any larger forest with that seed.
 """
 
 from __future__ import annotations
@@ -283,20 +284,16 @@ def stratified_split(
     return train, test
 
 
-def gini_impurity(class_counts: Sequence[int]) -> float:
-    """Gini impurity 1 - sum(p_c^2) for a two-class count pair."""
-    total = int(class_counts[0]) + int(class_counts[1])
-    if total == 0:
-        raise EmptyNode("gini impurity is undefined for an empty node")
-    p0 = class_counts[0] / total
-    p1 = class_counts[1] / total
-    return 1.0 - (p0 * p0 + p1 * p1)
-
-
-def _gini_from_arrays(neg: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def gini_impurity(class_counts: Sequence) -> float | np.ndarray:
+    """Gini impurity 1 - sum(p_c^2) of two-class (unauthorized, authentic)
+    counts: a pair of ints gives one node's float, a pair of equal-length
+    arrays one impurity per element. An empty node raises :class:`EmptyNode`."""
+    neg, pos = np.asarray(class_counts[0], np.float64), np.asarray(class_counts[1], np.float64)
     total = neg + pos
-    with np.errstate(invalid="ignore"):
-        return 1.0 - ((neg / total) ** 2 + (pos / total) ** 2)
+    if not total.all():
+        raise EmptyNode("gini impurity is undefined for an empty node")
+    gini = 1.0 - ((neg / total) ** 2 + (pos / total) ** 2)
+    return float(gini) if gini.ndim == 0 else gini
 
 
 def best_split(
@@ -306,13 +303,16 @@ def best_split(
     min_child: int = 1,
     require_improvement: bool = True,
 ) -> SplitCandidate | None:
-    """Exhaustively evaluate midpoint thresholds on each candidate feature and
-    return the split minimizing child-size-weighted Gini impurity.
+    """The split minimizing child-size-weighted Gini impurity over every
+    midpoint threshold of every candidate feature, found in one pass: one
+    sort of the candidate columns, one mask of the legal cuts (between
+    distinct values, leaving each child at least ``min_child`` rows), and the
+    impurity at those cuts only. One tie rule: the lowest impurity wins, then
+    the lowest feature index, then the lowest threshold. A feature listed
+    twice counts once.
 
-    Returns None when no threshold exists or (with ``require_improvement``)
-    no split strictly reduces the parent impurity. Ties break toward the
-    lowest feature index, then the lowest threshold. ``min_child`` rejects
-    splits that would leave a child smaller than the minimum leaf size.
+    Returns None when no legal cut exists or (with ``require_improvement``)
+    no split strictly reduces the parent impurity.
     ``require_improvement=False`` serves the tree builder's deadlock-breaker:
     exactly balanced mixed-label nodes (XOR-like) can have every candidate
     split tie the parent impurity, yet still separate perfectly one level
@@ -321,47 +321,27 @@ def best_split(
     n = len(y)
     if n < 2:
         return None
+    features = np.unique(np.asarray(candidate_features, np.intp))
+    columns = X.T[features]  # one row per candidate feature
+    # no stable sort is needed: a legal cut never falls between equal values
+    sx, sy = np.sort(columns, axis=1), y[np.argsort(columns, axis=1)]
+    left_sizes = np.arange(1, n)  # a cut after sorted row i leaves i + 1 rows on the left
+    legal = (sx[:, 1:] != sx[:, :-1]) & (left_sizes >= min_child) & (n - left_sizes >= min_child)
+    column, row = np.nonzero(legal)  # in (feature, threshold) order, so argmin breaks ties as documented
+    if not row.size:
+        return None
     total_pos = int(y.sum())
-    total_neg = n - total_pos
-    parent = gini_impurity((total_neg, total_pos))
-
-    best: tuple[float, int, float] | None = None  # (impurity, feature, threshold)
-    for f in sorted(set(int(f) for f in candidate_features)):
-        xs = X[:, f]
-        order = np.argsort(xs, kind="stable")
-        sx = xs[order]
-        sy = y[order]
-        # candidate boundaries between consecutive distinct values
-        cut = np.nonzero(sx[1:] != sx[:-1])[0] + 1  # left sizes
-        if cut.size == 0:
-            continue
-        if min_child > 1:
-            cut = cut[(cut >= min_child) & (n - cut >= min_child)]
-            if cut.size == 0:
-                continue
-        csum = np.cumsum(sy)
-        left_pos = csum[cut - 1].astype(np.float64)
-        left_n = cut.astype(np.float64)
-        left_neg = left_n - left_pos
-        right_pos = total_pos - left_pos
-        right_n = n - left_n
-        right_neg = right_n - right_pos
-        weighted = (
-            left_n * _gini_from_arrays(left_neg, left_pos)
-            + right_n * _gini_from_arrays(right_neg, right_pos)
-        ) / n
-        thresholds = (sx[cut - 1] + sx[cut]) / 2.0
-        # lowest threshold wins among equal impurities within this feature
-        i = int(np.lexsort((thresholds, weighted))[0])
-        cand = (float(weighted[i]), f, float(thresholds[i]))
-        if best is None or cand < best:
-            best = cand
-
-    if best is None:
+    left_pos = np.cumsum(sy, axis=1)[column, row].astype(np.float64)
+    left_n = row + 1.0
+    right_pos = total_pos - left_pos
+    right_n = n - left_n
+    weighted = (left_n * gini_impurity((left_n - left_pos, left_pos))
+                + right_n * gini_impurity((right_n - right_pos, right_pos))) / n
+    i = int(np.argmin(weighted))
+    if require_improvement and weighted[i] >= gini_impurity((n - total_pos, total_pos)):
         return None
-    if require_improvement and best[0] >= parent:
-        return None
-    return SplitCandidate(feature_index=best[1], threshold=best[2], weighted_impurity=best[0])
+    c, r = column[i], row[i]
+    return SplitCandidate(int(features[c]), float((sx[c, r] + sx[c, r + 1]) / 2.0), float(weighted[i]))
 
 
 def _nodes(feature, threshold, counts) -> tuple[np.ndarray, ...]:
@@ -408,14 +388,17 @@ def train_random_forest(
     derived from (seed, i)) and considers ``features_per_split`` features,
     drawn without replacement, at each node. Nodes grow in preorder on an
     explicit stack, so a tree of any depth trains, and its rows go to
-    :func:`_nodes`. A NaN or infinite value in X is a ValueError."""
-    n = len(y)
-    if n == 0:
+    :func:`_nodes`. A NaN or infinite value in X is a ValueError, and so is a
+    y that is not one label, 0 or 1, per row of X."""
+    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
+    if y.shape != (len(X),):
+        raise ValueError(f"y must hold one label per row of X: X has {len(X)} rows, y the shape {y.shape}")
+    if (n := len(y)) == 0:
         raise EmptyTrainingSet("cannot train on zero samples")
-    X = np.asarray(X, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("X holds a NaN or an infinite value")
-    y = np.asarray(y)
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("y holds a label other than 0 or 1")
     n_features, k, tree_params = X.shape[1], params.features_per_split, params.tree_params
     if k > n_features:
         raise ValueError(f"features_per_split {k} exceeds the {n_features} columns of X")
@@ -432,7 +415,7 @@ def train_random_forest(
             cand = None
             if (pos and neg and len(y_node) >= tree_params.min_samples_split
                     and (tree_params.max_depth is None or depth < tree_params.max_depth)):
-                features = np.sort(rng.choice(n_features, size=k, replace=False))
+                features = rng.choice(n_features, size=k, replace=False)
                 # Deadlock-breaker: without require_improvement, a mixed node whose every
                 # split ties the parent impurity still takes the best tie split, which
                 # separates deeper down, so consistent data always trains to purity.

@@ -73,6 +73,11 @@ _SESSION_STREAM = 202
 _PROBE_STREAM = 303
 _ATTEMPT_STREAM = 404
 _PROBE_SESSIONS_PER_CLASS = 30
+# Config bounds that keep every float the simulator forms finite: lengths up
+# to 1,000 km, and the path-loss exponent and every dB spread or gap up to
+# 2**53, as the clamp's range is. A distance is never below 1 mm, nor d0_m.
+_MIN_DISTANCE_M = 1e-3
+_MAX_LENGTH_M = 1e6
 
 
 @dataclass(frozen=True)
@@ -87,12 +92,12 @@ class PathLossConfig:
     clamp_dbm: tuple[int, int] = (-100, -20)
 
     def __post_init__(self):
-        if self.d0_m <= 0:
-            raise ValueError("d0_m must be positive")
-        if self.exponent_n <= 0:
-            raise ValueError("exponent_n must be positive")
-        if self.noise_sigma_dbm < 0:
-            raise ValueError("noise_sigma_dbm must be >= 0")
+        if not _MIN_DISTANCE_M <= self.d0_m <= _MAX_LENGTH_M:
+            raise ValueError(f"d0_m must lie within [1e-3, 1e6] m, got {self.d0_m!r}")
+        if not 0 < self.exponent_n <= _FLOAT64_EXACT:
+            raise ValueError(f"exponent_n must be positive and at most 2**53, got {self.exponent_n!r}")
+        if not 0 <= self.noise_sigma_dbm <= _FLOAT64_EXACT:
+            raise ValueError(f"noise_sigma_dbm must be >= 0 and at most 2**53 dB, got {self.noise_sigma_dbm!r}")
         if self.clamp_dbm[0] >= self.clamp_dbm[1]:
             raise ValueError("clamp min must be below clamp max")
         if self.clamp_dbm[0] < -_FLOAT64_EXACT or self.clamp_dbm[1] > 0:  # the range an RSSI may take
@@ -122,8 +127,8 @@ class EnvironmentConfig:
             raise ValueError("frequencies must be positive")
         if any(f > _FLOAT64_EXACT for f in self.frequency_set_hz):
             raise ValueError("frequencies must be <= 2**53 Hz")
-        if self.area_m <= 0 or self.detection_radius_m <= 0:
-            raise ValueError("area and detection radius must be positive")
+        if not (0 < self.area_m <= _MAX_LENGTH_M and 0 < self.detection_radius_m <= _MAX_LENGTH_M):
+            raise ValueError("area and detection radius must be positive and at most 1e6 m")
         for i in range(self.n_aps):  # repeated SSIDs stay legal: many APs may share one network's name
             try:
                 ssid = self.ssid_pattern.format(i=i)
@@ -159,16 +164,16 @@ class CampaignConfig:
     min_band_gap_dbm: float = 2.0
 
     def __post_init__(self):
-        if self.anchor_jitter_m < 0:
-            raise ValueError("anchor_jitter_m must be >= 0")
-        if not 0 < self.intruder_offset_m[0] < self.intruder_offset_m[1]:
-            raise ValueError("intruder_offset_m must be an increasing positive pair")
-        if self.shadow_sigma_dbm < 0:
-            raise ValueError("shadow_sigma_dbm must be >= 0")
+        if not 0 <= self.anchor_jitter_m <= _MAX_LENGTH_M:
+            raise ValueError(f"anchor_jitter_m must be >= 0 and at most 1e6 m, got {self.anchor_jitter_m!r}")
+        if not 0 < self.intruder_offset_m[0] < self.intruder_offset_m[1] <= _MAX_LENGTH_M:
+            raise ValueError("intruder_offset_m must be an increasing positive pair of at most 1e6 m")
+        if not 0 <= self.shadow_sigma_dbm <= _FLOAT64_EXACT:
+            raise ValueError(f"shadow_sigma_dbm must be >= 0 and at most 2**53 dB, got {self.shadow_sigma_dbm!r}")
         if self.zone_visibility_margin_m < 0:
             raise ValueError("zone_visibility_margin_m must be >= 0")
-        if self.min_band_gap_dbm < 0:
-            raise ValueError("min_band_gap_dbm must be >= 0")
+        if not 0 <= self.min_band_gap_dbm <= _FLOAT64_EXACT:
+            raise ValueError(f"min_band_gap_dbm must be >= 0 and at most 2**53 dB, got {self.min_band_gap_dbm!r}")
 
 
 @dataclass(frozen=True)
@@ -299,7 +304,7 @@ def _det_rssi_interval(
     a = anchor + t_range[0] * bearing
     b = anchor + t_range[1] * bearing
     slop = jitter * math.sqrt(2.0)
-    d_min = max(_point_segment_distance(ap.pos, a, b) - slop, 1e-3)
+    d_min = max(_point_segment_distance(ap.pos, a, b) - slop, _MIN_DISTANCE_M)
     d_max = max(math.hypot(*(ap.pos - a)), math.hypot(*(ap.pos - b))) + slop
     return _mean_rssi_dbm(loss, d_max), _mean_rssi_dbm(loss, d_min)
 
@@ -451,7 +456,7 @@ def generate_session(
         anchor = geometry.spots[zone] + rng.uniform(-campaign.anchor_jitter_m, campaign.anchor_jitter_m, size=2)
         positions = (anchor - 0.5 * separation * bearing, anchor + 0.5 * separation * bearing)
         visible = [
-            [(k, max(d, 1e-3)) for k, d in enumerate(_ap_distances(pos, geometry.aps))
+            [(k, max(d, _MIN_DISTANCE_M)) for k, d in enumerate(_ap_distances(pos, geometry.aps))
              if d <= env.detection_radius_m]
             for pos in positions
         ]

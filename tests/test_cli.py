@@ -595,8 +595,22 @@ class TestCommands:
          "bad EnvironmentConfig value: ssid_pattern '' gives an empty SSID for AP 0"),
         ({"path_loss": {"clamp_dbm": [-100, 10], "p0_dbm": 30}},
          "bad PathLossConfig value: clamp_dbm must lie within [-2**53, 0] dBm, got [-100, 10]"),
+        ({"path_loss": {"exponent_n": 1e308}},
+         "bad PathLossConfig value: exponent_n must be positive and at most 2**53, got 1e+308"),
+        ({"path_loss": {"noise_sigma_dbm": 1e308}},
+         "bad PathLossConfig value: noise_sigma_dbm must be >= 0 and at most 2**53 dB, got 1e+308"),
+        ({"path_loss": {"d0_m": 1e-320}}, "bad PathLossConfig value: d0_m must lie within [1e-3, 1e6] m, got 1e-320"),
+        ({"campaign": {"shadow_sigma_dbm": 1e308}},
+         "bad CampaignConfig value: shadow_sigma_dbm must be >= 0 and at most 2**53 dB, got 1e+308"),
+        ({"campaign": {"anchor_jitter_m": 1e308}},
+         "bad CampaignConfig value: anchor_jitter_m must be >= 0 and at most 1e6 m, got 1e+308"),
+        ({"environment": {"area_m": 1e308, "detection_radius_m": 1e308}},
+         "bad EnvironmentConfig value: area and detection radius must be positive and at most 1e6 m"),
+        ({"path_loss": {"p0_dbm": 1e308}, "campaign": {"min_band_gap_dbm": 1e308}},
+         "bad CampaignConfig value: min_band_gap_dbm must be >= 0 and at most 2**53 dB, got 1e+308"),
     ], ids=["no-frequency", "frequency-past-2**53", "unknown-field", "positional-field", "empty-ssid",
-            "clamp-above-0-dbm"])
+            "clamp-above-0-dbm", "exponent-overflows", "noise-overflows", "d0-underflows", "shadow-overflows",
+            "jitter-overflows", "area-overflows", "band-gap-overflows"])
     def test_a_config_that_would_fail_mid_run_is_one_error_line(self, tmp_path, capsys, command, content, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(content))

@@ -159,9 +159,14 @@ class TestGini:
     def test_three_one(self):
         assert gini_impurity((3, 1)) == pytest.approx(0.375)
 
-    def test_empty_node(self):
+    def test_a_pair_of_arrays_gives_one_impurity_per_node(self):
+        neg, pos = np.array([10, 5, 3]), np.array([0, 5, 1])
+        assert gini_impurity((neg, pos)).tolist() == [gini_impurity(pair) for pair in zip(neg, pos)]
+
+    @pytest.mark.parametrize("counts", [(0, 0), (np.array([3, 0]), np.array([1, 0]))], ids=["pair", "arrays"])
+    def test_empty_node(self, counts):
         with pytest.raises(EmptyNode):
-            gini_impurity((0, 0))
+            gini_impurity(counts)
 
 
 def brute_force_best_split(X, y, features, min_child=1):
@@ -188,6 +193,24 @@ def brute_force_best_split(X, y, features, min_child=1):
     return best
 
 
+def brute_force_least_impurity(X, y, features, min_child=1):
+    """The oracle without its parent check: the least (weighted impurity,
+    feature, threshold) over every legal midpoint, or None when there is none."""
+    n = len(y)
+    splits = []
+    for f in sorted(set(features)):
+        values = sorted(set(X[:, f]))
+        for lo, hi in zip(values, values[1:]):
+            thr = (lo + hi) / 2.0
+            mask = X[:, f] <= thr
+            nl, nr = int(mask.sum()), int((~mask).sum())
+            if nl >= min_child and nr >= min_child:
+                gl = gini_impurity((int(np.sum(y[mask] == 0)), int(np.sum(y[mask] == 1))))
+                gr = gini_impurity((int(np.sum(y[~mask] == 0)), int(np.sum(y[~mask] == 1))))
+                splits.append(((nl * gl + nr * gr) / n, f, thr))
+    return min(splits, default=None)
+
+
 class TestBestSplit:
     def test_perfect_separation_on_rssi(self):
         X = np.array([[0, 1, 0.5, -70], [0, 1, 0.5, -72], [0, 1, 0.5, -50], [0, 1, 0.5, -52]], float)
@@ -203,12 +226,22 @@ class TestBestSplit:
         y = np.array([0, 1, 0, 1, 0, 1], np.int8)
         assert best_split(X, y, [0, 1, 2, 3]) is None
 
-    def test_tie_prefers_lowest_feature_index(self):
+    @pytest.mark.parametrize("features", [[0, 1, 2, 3], [3, 1, 3, 2, 1]], ids=["sorted", "unsorted-repeated"])
+    def test_tie_prefers_lowest_feature_index(self, features):
         # features 1 and 3 both separate perfectly
         X = np.array([[0, 0, 0.0, -80], [0, 0, 0.0, -80], [0, 5, 0.0, -40], [0, 5, 0.0, -40]], float)
         y = np.array([0, 0, 1, 1], np.int8)
-        cand = best_split(X, y, [0, 1, 2, 3])
+        cand = best_split(X, y, features)
         assert cand.feature_index == 1
+
+    def test_tie_prefers_lowest_threshold(self):
+        # cutting off either end's lone 0 leaves the same impurity; mirroring the
+        # values makes the other cut the lower threshold
+        X = np.array([[0, 0, 0, -90], [0, 0, 0, -80], [0, 0, 0, -70], [0, 0, 0, -60]], float)
+        y = np.array([0, 1, 1, 0], np.int8)
+        cand, mirrored = best_split(X, y, [3]), best_split(-X, y, [3])
+        assert (cand.threshold, mirrored.threshold) == (-85.0, 65.0)
+        assert cand.weighted_impurity == mirrored.weighted_impurity
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_rows_returns_none(self, n):
@@ -228,6 +261,7 @@ class TestBestSplit:
         assert free.threshold == pytest.approx(-75.0)  # isolates the single 0
         bounded = best_split(X, y, [3], min_child=2)
         assert bounded.threshold == pytest.approx(-59.5)  # smallest legal children
+        assert best_split(X, y, [3], min_child=3, require_improvement=False) is None  # no cut leaves 3 a side
 
     def test_xor_balance_requires_fallback(self):
         # every split ties the parent impurity; strict mode must return None
@@ -238,7 +272,9 @@ class TestBestSplit:
         assert tied is not None
         assert tied.weighted_impurity == pytest.approx(0.5)
 
-    def test_matches_brute_force_oracle(self):
+    @pytest.mark.parametrize("require_improvement", [True, False])
+    @pytest.mark.parametrize("reorder", [False, True], ids=["sorted", "unsorted-repeated"])
+    def test_matches_brute_force_oracle(self, require_improvement, reorder):
         rng = np.random.default_rng(123)
         for _ in range(150):
             n = int(rng.integers(2, 40))
@@ -253,8 +289,12 @@ class TestBestSplit:
             y = rng.integers(0, 2, n).astype(np.int8)
             feats = sorted(rng.choice(4, size=int(rng.integers(1, 5)), replace=False).tolist())
             min_child = int(rng.integers(1, 3))
-            ours = best_split(X, y, feats, min_child=min_child)
-            oracle = brute_force_best_split(X, y, feats, min_child=min_child)
+            passed = feats[::-1] + feats[:1] if reorder else feats
+            ours = best_split(X, y, passed, min_child=min_child, require_improvement=require_improvement)
+            if require_improvement:
+                oracle = brute_force_best_split(X, y, feats, min_child=min_child)
+            else:
+                oracle = brute_force_least_impurity(X, y, feats, min_child=min_child)
             if oracle is None:
                 assert ours is None
             else:
@@ -431,6 +471,26 @@ class TestRandomForest:
     def test_empty_training_set(self):
         with pytest.raises(EmptyTrainingSet):
             train_random_forest(np.empty((0, 4)), np.empty(0, np.int8))
+
+    def test_a_smaller_forest_is_the_first_trees_of_a_larger_one(self):
+        X, y = random_consistent_data(np.random.default_rng(37), n_max=150)
+        three = train_random_forest(X, y, ForestParams(n_trees=3, seed=41))
+        five = train_random_forest(X, y, ForestParams(n_trees=5, seed=41))
+        assert three.trees == five.trees[:3]
+
+    @pytest.mark.parametrize("trainer", ["forest", "tree"])
+    @pytest.mark.parametrize("y, message", [
+        ([0, 2, 0, 2], "^y holds a label other than 0 or 1$"),
+        ([0, 1, 0], r"^y must hold one label per row of X: X has 4 rows, y the shape \(3,\)$"),
+        ([[0], [1], [0], [1]], r"^y must hold one label per row of X: X has 4 rows, y the shape \(4, 1\)$"),
+    ], ids=["label-2", "one-label-short", "a-column"])
+    def test_training_refuses_labels_that_are_not_one_0_or_1_per_row(self, trainer, y, message):
+        X = np.array([[0.0, 0.0, 0.5, -50.0], [1.0, 1.0, 0.5, -60.0], [0.0, 2.0, 0.5, -70.0], [1.0, 3.0, 0.5, -80.0]])
+        with pytest.raises(ValueError, match=message):
+            if trainer == "forest":
+                train_random_forest(X, y, ForestParams(n_trees=3, features_per_split=2))
+            else:
+                train_decision_tree(X, y)
 
     def test_params_validation(self):
         X = np.array([[0, 1, 0.5, -50], [0, 1, 0.5, -80]], float)
