@@ -18,7 +18,9 @@ informative about the label; device pairs dropped uniformly at random would
 produce statistically indistinguishable classes, so every session is drawn at
 a location's geometry: there is no uniform placement mode.
 
-Everything is a pure function of (configs, seed).
+The physics is array code with one path-loss formula: a session's readings
+are one expression over its (device, AP) distances, a location's band gaps one
+over its (zone, role, AP) bands. Everything is a pure function of (configs, seed).
 """
 
 from __future__ import annotations
@@ -78,6 +80,8 @@ _PROBE_SESSIONS_PER_CLASS = 30
 # 2**53, as the clamp's range is. A distance is never below 1 mm, nor d0_m.
 _MIN_DISTANCE_M = 1e-3
 _MAX_LENGTH_M = 1e6
+# a BSSID holds 16 bits of its AP's index, so more APs would repeat BSSIDs
+_MAX_APS = 65_536
 
 
 @dataclass(frozen=True)
@@ -119,8 +123,10 @@ class EnvironmentConfig:
     detection_radius_m: float = 25.0
 
     def __post_init__(self):
-        if self.n_aps < 1:
-            raise ValueError("n_aps must be >= 1")
+        if not 1 <= self.n_aps <= _MAX_APS:
+            raise ValueError(
+                f"n_aps must be >= 1 and at most {_MAX_APS}, one BSSID per 16-bit index, got {self.n_aps!r}"
+            )
         if not self.frequency_set_hz:
             raise ValueError("frequency_set_hz must be non-empty")
         if any(f <= 0 for f in self.frequency_set_hz):
@@ -213,10 +219,6 @@ class AccessPoint:
     x: float
     y: float
 
-    @property
-    def pos(self) -> np.ndarray:
-        return np.array([self.x, self.y])
-
 
 @dataclass(frozen=True)
 class LocationGeometry:
@@ -237,31 +239,43 @@ def rssi_at_distance(
     cfg: PathLossConfig,
     distance_m: float,
     rng: np.random.Generator | None = None,
-    extra_offset_dbm: float = 0.0,
 ) -> int:
     """Integer dBm at a given transmitter distance: deterministic path loss
-    plus Gaussian noise, rounded then clamped. ``extra_offset_dbm`` lets a
-    caller fold in a persistent shadowing term before round-and-clamp."""
+    plus Gaussian noise, rounded then clamped."""
     if distance_m <= 0:
         raise NonPositiveDistance(f"distance must be positive, got {distance_m}")
-    value = _mean_rssi_dbm(cfg, distance_m) + extra_offset_dbm
-    if cfg.noise_sigma_dbm > 0:
+    return int(_read(cfg, _mean_rssi_dbm(cfg, distance_m), rng))
+
+
+def _mean_rssi_dbm(loss: PathLossConfig, distance_m):
+    """The log-distance path loss, before noise and shadowing, at a distance or an array of them."""
+    return loss.p0_dbm - 10.0 * loss.exponent_n * np.log10(distance_m / loss.d0_m)
+
+
+def _read(loss: PathLossConfig, mean_dbm, rng: np.random.Generator | None):
+    """Read noise-free RSSI, one value or an array: a noise draw per value in order, rint, clamp."""
+    if loss.noise_sigma_dbm > 0:
         if rng is None:
             raise ValueError("an rng is required when noise_sigma_dbm > 0")
-        value += rng.normal(0.0, cfg.noise_sigma_dbm)
-    lo, hi = cfg.clamp_dbm
-    return int(min(max(round(value), lo), hi))
+        mean_dbm = mean_dbm + rng.normal(0.0, loss.noise_sigma_dbm, size=np.shape(mean_dbm))
+    return np.rint(mean_dbm).clip(*loss.clamp_dbm)
 
 
-def _mean_rssi_dbm(loss: PathLossConfig, distance_m: float) -> float:
-    """The deterministic log-distance path loss, before noise and shadowing."""
-    return loss.p0_dbm - 10.0 * loss.exponent_n * math.log10(distance_m / loss.d0_m)
+def _coordinates(aps: Sequence[AccessPoint]) -> np.ndarray:
+    return np.array([(ap.x, ap.y) for ap in aps])
+
+
+def _length(offsets: np.ndarray) -> np.ndarray:
+    """The length of each 2-d vector of a (..., 2) array, as a (...) array."""
+    return np.hypot(offsets[..., 0], offsets[..., 1])
 
 
 def _ap_identity(env: EnvironmentConfig, i: int) -> tuple[str, int, str]:
+    if not 0 <= i < _MAX_APS:
+        raise ValueError(f"an AP index must be in [0, {_MAX_APS}), one BSSID per 16-bit index, got {i!r}")
     ssid = env.ssid_pattern.format(i=i)
     frequency = env.frequency_set_hz[i % len(env.frequency_set_hz)]
-    bssid = f"02:00:5e:00:{(i >> 8) & 0xFF:02x}:{i & 0xFF:02x}"
+    bssid = f"02:00:5e:00:{i >> 8:02x}:{i & 0xFF:02x}"
     return ssid, frequency, bssid
 
 
@@ -280,46 +294,10 @@ def place_access_points(
     return tuple(aps)
 
 
-def _ap_distances(point: np.ndarray, aps: Sequence[AccessPoint]) -> list[float]:
-    return [math.hypot(point[0] - ap.x, point[1] - ap.y) for ap in aps]
-
-
-def _point_segment_distance(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    ab = b - a
-    denom = float(ab @ ab)  # > 0: callers pass the ends of a t range lo < hi along a unit bearing
-    t = min(max(float((p - a) @ ab) / denom, 0.0), 1.0)
-    return float(np.hypot(*(p - (a + t * ab))))
-
-
-def _det_rssi_interval(
-    loss: PathLossConfig,
-    ap: AccessPoint,
-    anchor: np.ndarray,
-    bearing: np.ndarray,
-    t_range: tuple[float, float],
-    jitter: float,
-) -> tuple[float, float]:
-    """Deterministic (noise-free) RSSI interval a device sweeps while sliding
-    along ``anchor + t * bearing`` for t in t_range, inflated by anchor jitter."""
-    a = anchor + t_range[0] * bearing
-    b = anchor + t_range[1] * bearing
-    slop = jitter * math.sqrt(2.0)
-    d_min = max(_point_segment_distance(ap.pos, a, b) - slop, _MIN_DISTANCE_M)
-    d_max = max(math.hypot(*(ap.pos - a)), math.hypot(*(ap.pos - b))) + slop
-    return _mean_rssi_dbm(loss, d_max), _mean_rssi_dbm(loss, d_min)
-
-
-def _role_t_range(role_idx: int, separation_range: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = separation_range
-    if role_idx == 0:  # mobile sits at anchor - sep/2 * bearing
-        return (-hi / 2.0, -lo / 2.0)
-    return (lo / 2.0, hi / 2.0)
-
-
 def _enforce_band_gaps(
     loss: PathLossConfig,
     campaign: CampaignConfig,
-    aps: Sequence[AccessPoint],
+    ap_xy: np.ndarray,
     spots: tuple[np.ndarray, np.ndarray],
     bearings: tuple[np.ndarray, np.ndarray],
     shadows: np.ndarray,
@@ -329,33 +307,29 @@ def _enforce_band_gaps(
     band; ``spots`` and ``bearings`` are indexed by zone like ``shadows``.
     Position geometry alone leaves some AP/zone combinations nearly
     indistinguishable; a guaranteed contrast models the reality that two
-    separate spots see each AP through different obstructions."""
+    separate spots see each AP through different obstructions.
+
+    A (zone, role, AP) band is the noise-free RSSI plus shadow offset along
+    ``spot + t * bearing``, t over -sep/2 (mobile) or +sep/2 (login) for the
+    zone scenario's separations, its distances widened by the anchor jitter."""
+    half = np.array([s.separation_range_m for s in _SCENARIOS]) / 2.0  # (zone, lo|hi)
+    t = np.stack([-half[:, ::-1], half], axis=1)  # (zone, role, segment end)
+    ends = np.array(spots)[:, None, None] + t[..., None] * np.array(bearings)[:, None, None]  # (zone, role, end, 2)
+    a, ab = ends[:, :, :1], ends[:, :, 1:] - ends[:, :, :1]
+    along = np.clip(((ap_xy - a) * ab).sum(axis=-1) / (ab * ab).sum(axis=-1), 0.0, 1.0)  # (zone, role, AP)
+    slop = campaign.anchor_jitter_m * math.sqrt(2.0)
+    d_min = np.maximum(_length(ap_xy - (a + along[..., None] * ab)) - slop, _MIN_DISTANCE_M)
+    d_max = _length(ends[..., None, :] - ap_xy).max(axis=2) + slop
+    low, high = _mean_rssi_dbm(loss, d_max) + shadows, _mean_rssi_dbm(loss, d_min) + shadows
+    above = low[1] - high[0]  # (role, AP): separation when the intruder band sits higher
+    below = low[0] - high[1]
     gap = campaign.min_band_gap_dbm
-    for role_idx in (0, 1):
-        for k, ap in enumerate(aps):
-            (a_lo, a_hi), (u_lo, u_hi) = (
-                np.add(
-                    _det_rssi_interval(
-                        loss, ap, spots[z], bearings[z],
-                        _role_t_range(role_idx, _SCENARIOS[z].separation_range_m), campaign.anchor_jitter_m,
-                    ),
-                    shadows[z, role_idx, k],
-                )
-                for z in (0, 1)
-            )
-            above = u_lo - a_hi  # separation when the intruder band sits higher
-            below = a_lo - u_hi
-            if max(above, below) >= gap:
-                continue
-            if above >= below:
-                shadows[1, role_idx, k] += gap - above
-            else:
-                shadows[1, role_idx, k] -= gap - below
+    shadows[1] += np.where(above >= below, np.maximum(gap - above, 0.0), np.minimum(below - gap, 0.0))
 
 
 def _pick_zone(
     rng: np.random.Generator,
-    aps: Sequence[AccessPoint],
+    ap_xy: np.ndarray,
     env: EnvironmentConfig,
     strict_radius: float,
     propose,
@@ -367,10 +341,10 @@ def _pick_zone(
         candidate = propose(rng)
         if not (0.0 <= candidate[0] <= env.area_m and 0.0 <= candidate[1] <= env.area_m):
             continue
-        distances = _ap_distances(candidate, aps)
-        if all(d <= strict_radius for d in distances):
+        distances = _length(candidate - ap_xy)
+        if (distances <= strict_radius).all():
             return candidate
-        if fallback is None and any(d <= env.detection_radius_m for d in distances):
+        if fallback is None and (distances <= env.detection_radius_m).any():
             fallback = candidate
     return fallback
 
@@ -399,13 +373,14 @@ def location_geometry(
     rng = derived_rng(seed, _GEOMETRY_STREAM, location_index)
     indices = [i for i in range(env.n_aps) if i % n_locations == location_index]
     aps = place_access_points(env, rng, indices)
+    ap_xy = _coordinates(aps)
 
     strict_radius = env.detection_radius_m - campaign.zone_visibility_margin_m
     if strict_radius <= 0:
         strict_radius = env.detection_radius_m
 
     home = _pick_zone(
-        rng, aps, env, strict_radius, lambda r: r.uniform(0.0, env.area_m, size=2)
+        rng, ap_xy, env, strict_radius, lambda r: r.uniform(0.0, env.area_m, size=2)
     )
     if home is None:
         raise ConfigurationError("could not place a home spot that sees any AP")
@@ -415,7 +390,7 @@ def location_geometry(
         angle = r.uniform(0.0, 2.0 * math.pi)
         return home + radius * np.array([math.cos(angle), math.sin(angle)])
 
-    intruder = _pick_zone(rng, aps, env, strict_radius, propose_intruder)
+    intruder = _pick_zone(rng, ap_xy, env, strict_radius, propose_intruder)
     if intruder is None:
         raise ConfigurationError("could not place an intruder zone that sees any AP")
 
@@ -423,7 +398,7 @@ def location_geometry(
     angles = rng.uniform(0.0, 2.0 * math.pi, size=2)
     bearings = tuple(np.array([math.cos(a), math.sin(a)]) for a in angles)
     shadows = rng.normal(0.0, campaign.shadow_sigma_dbm, size=(2, 2, len(aps)))
-    _enforce_band_gaps(loss, campaign, aps, spots, bearings, shadows)
+    _enforce_band_gaps(loss, campaign, ap_xy, spots, bearings, shadows)
     return LocationGeometry(f"loc-{location_index}", aps, spots, bearings, shadows)
 
 
@@ -450,17 +425,14 @@ def generate_session(
     one second.
     """
     zone = 0 if scenario.label is Label.AUTHENTIC else 1
-    bearing = geometry.bearings[zone]
+    bearing, ap_xy = geometry.bearings[zone], _coordinates(geometry.aps)
     for _ in range(101):  # the first draw plus 100 retries
         separation = scenario.draw_separation(rng)
         anchor = geometry.spots[zone] + rng.uniform(-campaign.anchor_jitter_m, campaign.anchor_jitter_m, size=2)
-        positions = (anchor - 0.5 * separation * bearing, anchor + 0.5 * separation * bearing)
-        visible = [
-            [(k, max(d, _MIN_DISTANCE_M)) for k, d in enumerate(_ap_distances(pos, geometry.aps))
-             if d <= env.detection_radius_m]
-            for pos in positions
-        ]
-        if visible[0] and visible[1]:
+        offset = 0.5 * separation * bearing
+        distances = _length(np.array([anchor - offset, anchor + offset])[:, None] - ap_xy)  # (role, AP)
+        visible = distances <= env.detection_radius_m
+        if all(map(any, visible.tolist())):
             break
     else:
         raise NoVisibleAp(f"101 placements each left a device with no AP within {env.detection_radius_m} m")
@@ -469,26 +441,24 @@ def generate_session(
         base_timestamp_ms = int(rng.integers(1_600_000_000_000, 1_900_000_000_000))
     login_delay_ms = int(rng.integers(0, 1001))
 
-    snapshots = []
-    for role_idx, role in enumerate((DeviceRole.MOBILE, DeviceRole.LOGIN)):
-        observations = []
-        for k, d in visible[role_idx]:
-            ap = geometry.aps[k]
-            extra = float(geometry.shadows[zone, role_idx, k])
-            rssi = rssi_at_distance(loss, d, rng, extra_offset_dbm=extra)
-            observations.append(
-                BeaconObservation(ssid=ap.ssid, frequency=ap.frequency, rssi=rssi, bssid=ap.bssid)
-            )
-        snapshots.append(
-            ScanSnapshot(
-                device_id=device_ids[role_idx],
-                role=role,
-                timestamp=base_timestamp_ms + (login_delay_ms if role is DeviceRole.LOGIN else 0),
-                observations=tuple(observations),
-                location_tag=geometry.tag,
-            )
+    # the visible (role, AP) cells in order, the mobile device's first: one reading each
+    value = _mean_rssi_dbm(loss, np.maximum(distances[visible], _MIN_DISTANCE_M)) + geometry.shadows[zone][visible]
+    readings = iter(_read(loss, value, rng).astype(np.int64).tolist())
+
+    mobile, login = (
+        ScanSnapshot(
+            device_id=device_ids[role_idx],
+            role=role,
+            timestamp=base_timestamp_ms + (login_delay_ms if role is DeviceRole.LOGIN else 0),
+            observations=tuple(
+                BeaconObservation(ssid=ap.ssid, frequency=ap.frequency, rssi=next(readings), bssid=ap.bssid)
+                for ap, seen in zip(geometry.aps, visible[role_idx]) if seen
+            ),
+            location_tag=geometry.tag,
         )
-    return snapshots[0], snapshots[1], scenario.label
+        for role_idx, role in enumerate((DeviceRole.MOBILE, DeviceRole.LOGIN))
+    )
+    return mobile, login, scenario.label
 
 
 def _campaign_sessions(

@@ -608,9 +608,11 @@ class TestCommands:
          "bad EnvironmentConfig value: area and detection radius must be positive and at most 1e6 m"),
         ({"path_loss": {"p0_dbm": 1e308}, "campaign": {"min_band_gap_dbm": 1e308}},
          "bad CampaignConfig value: min_band_gap_dbm must be >= 0 and at most 2**53 dB, got 1e+308"),
+        ({"environment": {"n_aps": 65537}},
+         "bad EnvironmentConfig value: n_aps must be >= 1 and at most 65536, one BSSID per 16-bit index, got 65537"),
     ], ids=["no-frequency", "frequency-past-2**53", "unknown-field", "positional-field", "empty-ssid",
             "clamp-above-0-dbm", "exponent-overflows", "noise-overflows", "d0-underflows", "shadow-overflows",
-            "jitter-overflows", "area-overflows", "band-gap-overflows"])
+            "jitter-overflows", "area-overflows", "band-gap-overflows", "bssids-repeat"])
     def test_a_config_that_would_fail_mid_run_is_one_error_line(self, tmp_path, capsys, command, content, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(content))

@@ -16,8 +16,7 @@ from proxauth.rf_simulator import (
     LocationGeometry,
     PathLossConfig,
     Scenario,
-    _det_rssi_interval,
-    _role_t_range,
+    _GEOMETRY_STREAM,
     generate_dataset,
     generate_session,
     location_geometry,
@@ -39,6 +38,106 @@ SPARSE_SHA256 = {
     2: "b35bb12b3f630e9de915b1170ddf4d98781330130f430e668dcc1f0d73108c9e",
     3: "5bfdc7d91aeecea34c9cdb28ad3c5c4619ac32e7450586b7f9e6c6d2f0abff8a",
 }
+# sha256 of the CSV that `proxauth simulate --seed S` writes with the defaults: 4,828 rows, whose
+# path loss and distances go through numpy's log10 and hypot; taken with numpy 2.4.6
+DEFAULT_SHA256 = {
+    5: "02865be875eaefc5ca98f5252dcd7afacef15b70304d1536fc5e6b48fb3fc867",
+    7: "a5212a9e2c539d7e562cf80123e9ab5f5dab6123c85fbe96c5ba44d6f14ff627",
+    11: "8b7ee7f0e9ec74697e579777bd834f60017d706dc1ced74fe9f45b2cfc54b6cd",
+    12: "c094bccd777d607d7813367c2f440d30d9ed8adc913fc6d8fe5ad11c184ab6f6",
+    1010: "8f282c7b496b2be67e1c71067dd2608f5a84fefe5f4bf92bce078a10e3e9ee04",
+}
+SCENARIOS = (Scenario.authentic(), Scenario.unauthorized())
+
+
+# A scalar reference for the simulator's array code: one (zone, role, AP) band
+# at a time, every distance by math.hypot and every path loss by math.log10.
+def mean_rssi(loss, distance_m):
+    return loss.p0_dbm - 10.0 * loss.exponent_n * math.log10(distance_m / loss.d0_m)
+
+
+def _point_segment_distance(p, a, b):
+    ab = b - a
+    denom = float(ab @ ab)  # > 0: callers pass the ends of a t range lo < hi along a unit bearing
+    t = min(max(float((p - a) @ ab) / denom, 0.0), 1.0)
+    return float(np.hypot(*(p - (a + t * ab))))
+
+
+def _det_rssi_interval(loss, ap, anchor, bearing, t_range, jitter):
+    """Deterministic (noise-free) RSSI interval a device sweeps while sliding
+    along ``anchor + t * bearing`` for t in t_range, inflated by anchor jitter."""
+    pos = np.array([ap.x, ap.y])
+    a = anchor + t_range[0] * bearing
+    b = anchor + t_range[1] * bearing
+    slop = jitter * math.sqrt(2.0)
+    d_min = max(_point_segment_distance(pos, a, b) - slop, 1e-3)
+    d_max = max(math.hypot(*(pos - a)), math.hypot(*(pos - b))) + slop
+    return mean_rssi(loss, d_max), mean_rssi(loss, d_min)
+
+
+def _role_t_range(role_idx, separation_range):
+    lo, hi = separation_range
+    if role_idx == 0:  # mobile sits at anchor - sep/2 * bearing
+        return (-hi / 2.0, -lo / 2.0)
+    return (lo / 2.0, hi / 2.0)
+
+
+def shadowed_bands(loss, camp, aps, spots, bearings, shadows, role_idx, k):
+    """The (home, intruder) bands of one (role, AP): each zone's interval plus its shadow offset."""
+    return tuple(
+        np.add(
+            _det_rssi_interval(
+                loss, aps[k], spots[z], bearings[z],
+                _role_t_range(role_idx, SCENARIOS[z].separation_range_m), camp.anchor_jitter_m,
+            ),
+            shadows[z, role_idx, k],
+        )
+        for z in (0, 1)
+    )
+
+
+def reference_geometry(env, loss, camp, seed, location_index, n_locations):
+    """``location_geometry``'s spots, bearings and shadows, one AP and one band at a time."""
+    rng = derived_rng(seed, _GEOMETRY_STREAM, location_index)
+    aps = place_access_points(env, rng, range(location_index, env.n_aps, n_locations))
+    strict_radius = env.detection_radius_m - camp.zone_visibility_margin_m
+    if strict_radius <= 0:
+        strict_radius = env.detection_radius_m
+
+    def pick_zone(propose):
+        fallback = None
+        for _ in range(100):
+            candidate = propose(rng)
+            if not (0.0 <= candidate[0] <= env.area_m and 0.0 <= candidate[1] <= env.area_m):
+                continue
+            distances = [math.hypot(candidate[0] - ap.x, candidate[1] - ap.y) for ap in aps]
+            if all(d <= strict_radius for d in distances):
+                return candidate
+            if fallback is None and any(d <= env.detection_radius_m for d in distances):
+                fallback = candidate
+        return fallback
+
+    def propose_intruder(r):
+        radius = r.uniform(*camp.intruder_offset_m)
+        angle = r.uniform(0.0, 2.0 * math.pi)
+        return home + radius * np.array([math.cos(angle), math.sin(angle)])
+
+    home = pick_zone(lambda r: r.uniform(0.0, env.area_m, size=2))
+    spots = (home, pick_zone(propose_intruder))
+    bearings = tuple(np.array([math.cos(a), math.sin(a)]) for a in rng.uniform(0.0, 2.0 * math.pi, size=2))
+    shadows = rng.normal(0.0, camp.shadow_sigma_dbm, size=(2, 2, len(aps)))
+    for role_idx in (0, 1):
+        for k in range(len(aps)):
+            (a_lo, a_hi), (u_lo, u_hi) = shadowed_bands(loss, camp, aps, spots, bearings, shadows, role_idx, k)
+            above = u_lo - a_hi  # separation when the intruder band sits higher
+            below = a_lo - u_hi
+            if max(above, below) >= camp.min_band_gap_dbm:
+                continue
+            if above >= below:
+                shadows[1, role_idx, k] += camp.min_band_gap_dbm - above
+            else:
+                shadows[1, role_idx, k] -= camp.min_band_gap_dbm - below
+    return spots, bearings, shadows
 
 
 def center_geometry(n_aps=1, area=30.0, shadow=0.0):
@@ -87,9 +186,6 @@ class TestPathLoss:
         values = [rssi_at_distance(QUIET, d) for d in distances]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    def test_extra_offset_shifts_value(self):
-        assert rssi_at_distance(QUIET, 10.0, extra_offset_dbm=7.0) == -58
-
     def test_noise_statistics(self):
         rng = derived_rng(99)
         draws = np.array([rssi_at_distance(LOSS, 10.0, rng) for _ in range(10_000)])
@@ -109,6 +205,7 @@ class TestPathLoss:
         [
             (PathLossConfig, {"exponent_n": 0.0}, "exponent_n must be positive"),
             (EnvironmentConfig, {"n_aps": 0}, "n_aps must be >= 1"),
+            (EnvironmentConfig, {"n_aps": 65_537}, "at most 65536, one BSSID per 16-bit index, got 65537"),
             (EnvironmentConfig, {"frequency_set_hz": (2412000000, 0)}, "frequencies must be positive"),
             (EnvironmentConfig, {"area_m": 0.0}, "area and detection radius must be positive"),
             (EnvironmentConfig, {"detection_radius_m": -1.0}, "area and detection radius must be positive"),
@@ -302,17 +399,18 @@ class TestGeometry:
                 for k, ap in enumerate(geo.aps):
                     home_rssi = (
                         loss.p0_dbm
-                        - 25.0 * math.log10(max(math.hypot(*(geo.spots[0] - ap.pos)), 1e-3))
+                        - 25.0 * math.log10(max(math.hypot(*(geo.spots[0] - (ap.x, ap.y))), 1e-3))
                         + geo.shadows[0, role_idx, k]
                     )
                     intruder_rssi = (
                         loss.p0_dbm
-                        - 25.0 * math.log10(max(math.hypot(*(geo.spots[1] - ap.pos)), 1e-3))
+                        - 25.0 * math.log10(max(math.hypot(*(geo.spots[1] - (ap.x, ap.y))), 1e-3))
                         + geo.shadows[1, role_idx, k]
                     )
-                    # zone centers differ by at least the configured contrast
-                    # (the guard works on whole position envelopes, which
-                    # include the zone spots themselves)
+                    # the zone spots' readings differ, but need not by min_band_gap_dbm:
+                    # the guard keeps apart the bands of the positions each role takes,
+                    # and the intruder spot is none of them (its devices sit 1.14 m or
+                    # more either side of it, past the 0.71 m jitter slop)
                     assert abs(home_rssi - intruder_rssi) > 0.0
 
     @pytest.mark.parametrize("seed", range(20))
@@ -320,24 +418,27 @@ class TestGeometry:
         # the noise-free interval each zone's devices sweep, plus that zone's
         # shadow offset, keeps min_band_gap_dbm apart from the other zone's
         camp = CampaignConfig()
-        scenarios = (Scenario.authentic(), Scenario.unauthorized())
         for n_locations in (1, 2, 3):
             for j in range(n_locations):
                 geo = location_geometry(ENV, LOSS, camp, seed, j, n_locations)
                 for role_idx in (0, 1):
-                    for k, ap in enumerate(geo.aps):
-                        (a_lo, a_hi), (u_lo, u_hi) = (
-                            np.add(
-                                _det_rssi_interval(
-                                    LOSS, ap, geo.spots[z], geo.bearings[z],
-                                    _role_t_range(role_idx, scenarios[z].separation_range_m),
-                                    camp.anchor_jitter_m,
-                                ),
-                                geo.shadows[z, role_idx, k],
-                            )
-                            for z in (0, 1)
+                    for k in range(len(geo.aps)):
+                        (a_lo, a_hi), (u_lo, u_hi) = shadowed_bands(
+                            LOSS, camp, geo.aps, geo.spots, geo.bearings, geo.shadows, role_idx, k
                         )
                         assert max(u_lo - a_hi, a_lo - u_hi) >= camp.min_band_gap_dbm - 1e-9
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_geometry_matches_the_scalar_reference(self, seed):
+        # numpy's log10 and hypot may differ from math's in the last bit, so the
+        # shadows agree to 1e-9 dB; the spots and bearings come out exactly
+        camp = CampaignConfig()
+        for n_locations in (1, 2, 3):
+            for j in range(n_locations):
+                geo = location_geometry(ENV, LOSS, camp, seed, j, n_locations)
+                spots, bearings, shadows = reference_geometry(ENV, LOSS, camp, seed, j, n_locations)
+                assert all(np.array_equal(a, b) for a, b in zip(geo.spots + geo.bearings, spots + bearings))
+                np.testing.assert_allclose(geo.shadows, shadows, rtol=0.0, atol=1e-9)
 
     def test_place_access_points_identities(self):
         rng = derived_rng(30)
@@ -347,6 +448,14 @@ class TestGeometry:
         assert aps[5].frequency == 2412000000  # round-robin wraps at 5
         assert all(0 <= ap.x <= ENV.area_m and 0 <= ap.y <= ENV.area_m for ap in aps)
         assert len({ap.bssid for ap in aps}) == 10
+
+    def test_the_last_of_65536_aps_has_its_own_bssid(self):
+        env = EnvironmentConfig(n_aps=65_536)  # one more is refused: its BSSID would repeat AP 0's
+        first, last = place_access_points(env, derived_rng(31), [0, 65_535])
+        assert (first.bssid, last.bssid) == ("02:00:5e:00:00:00", "02:00:5e:00:ff:ff")
+        for index in (65_536, -1):  # no BSSID of 16 bits names it
+            with pytest.raises(ValueError, match=rf"\[0, 65536\), one BSSID per 16-bit index, got {index}$"):
+                place_access_points(env, derived_rng(31), [index])
 
 
 class TestGenerateDataset:
@@ -372,6 +481,14 @@ class TestGenerateDataset:
     def test_redrawn_placements_write_pinned_bytes(self, seed):
         csv = dataset_to_csv_bytes(generate_dataset(SPARSE, LOSS, 60, 1, seed))
         assert hashlib.sha256(csv).hexdigest() == SPARSE_SHA256[seed], (
+            f"seed {seed} bytes changed under numpy {np.__version__}; the digest was pinned with numpy 2.4.6"
+        )
+
+    @pytest.mark.parametrize("seed", list(DEFAULT_SHA256))
+    def test_default_datasets_write_pinned_bytes(self, seed):
+        n = sessions_for_target_rows(ENV, LOSS, 4825, 3, seed)
+        csv = dataset_to_csv_bytes(generate_dataset(ENV, LOSS, n, 3, seed))
+        assert hashlib.sha256(csv).hexdigest() == DEFAULT_SHA256[seed], (
             f"seed {seed} bytes changed under numpy {np.__version__}; the digest was pinned with numpy 2.4.6"
         )
 
