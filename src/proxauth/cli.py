@@ -253,7 +253,7 @@ def build_service(model_path: str, policy_path: str | None, data_dir: str | None
     with naming(model_path):
         classifier = load_model(model_path)
     policy = _policy_config(policy_path)
-    root = data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV, DEFAULT_DATA_DIR)
+    root = data_dir if data_dir is not None else os.environ.get(DATA_DIR_ENV) or DEFAULT_DATA_DIR
     return AuthService(UserStore(root), classifier, policy=policy)
 
 

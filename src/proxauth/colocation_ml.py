@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, compress
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -249,39 +249,21 @@ class MetricsReport:
 def stratified_split(
     dataset: Dataset, test_fraction: float, seed: int
 ) -> tuple[Dataset, Dataset]:
-    """Split per class: the test side receives round-half-up(fraction * count)
-    samples of each class, chosen by a seeded uniform shuffle. Deterministic
-    for a fixed seed. Raises :class:`DegenerateSplit` when either class would
-    leave one partition empty."""
+    """Split per class, Authentic first: a seeded shuffle of each class's rows
+    marks round-half-up(fraction * count) of them in one boolean test mask, and
+    both sides keep the samples' order, so a seed fixes the split. Raises
+    :class:`DegenerateSplit` when a class (an empty one too) would leave one partition empty."""
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"test_fraction must be in (0, 1), got {test_fraction}")
-    by_label: dict[Label, list[int]] = {Label.AUTHENTIC: [], Label.UNAUTHORIZED: []}
-    for i, s in enumerate(dataset.samples):
-        by_label[s.label].append(i)
-    for label, idxs in by_label.items():
-        if not idxs:
-            raise DegenerateSplit(f"class {label.value!r} has no samples")
-
-    rng = derived_rng(seed)
-    test_idx: list[int] = []
-    train_idx: list[int] = []
-    for label in (Label.AUTHENTIC, Label.UNAUTHORIZED):
-        idxs = np.array(by_label[label], dtype=np.int64)
-        k = _round_half_up(test_fraction * len(idxs))
-        if k == 0 or k == len(idxs):
-            raise DegenerateSplit(
-                f"class {label.value!r} would contribute 0 samples to one partition"
-            )
-        perm = rng.permutation(idxs)
-        test_idx.extend(perm[:k].tolist())
-        train_idx.extend(perm[k:].tolist())
-
-    test_idx.sort()
-    train_idx.sort()
-    samples = dataset.samples
-    train = Dataset(tuple(samples[i] for i in train_idx))
-    test = Dataset(tuple(samples[i] for i in test_idx))
-    return train, test
+    samples, rng = dataset.samples, derived_rng(seed)
+    authentic = np.fromiter((s.label is Label.AUTHENTIC for s in samples), bool, len(samples))
+    test = np.zeros(len(samples), bool)
+    for label, members in ((Label.AUTHENTIC, authentic), (Label.UNAUTHORIZED, ~authentic)):
+        idxs = np.flatnonzero(members)
+        if (k := _round_half_up(test_fraction * len(idxs))) in (0, len(idxs)):
+            raise DegenerateSplit(f"class {label.value!r} would contribute 0 samples to one partition")
+        test[rng.permutation(idxs)[:k]] = True
+    return Dataset(tuple(compress(samples, ~test))), Dataset(tuple(compress(samples, test)))
 
 
 def gini_impurity(class_counts: Sequence) -> float | np.ndarray:
@@ -368,6 +350,16 @@ def _nodes(feature, threshold, counts) -> tuple[np.ndarray, ...]:
     return feature, threshold, right, counts
 
 
+def _labels(X, y) -> np.ndarray:
+    """The one label rule of training and scoring: one label, 0 or 1, per row of X, or a ValueError."""
+    y = np.asarray(y)
+    if y.shape != (len(X),):
+        raise ValueError(f"y must hold one label per row of X: X has {len(X)} rows, y the shape {y.shape}")
+    if not np.isin(y, (0, 1)).all():
+        raise ValueError("y holds a label other than 0 or 1")
+    return y
+
+
 def train_decision_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -390,15 +382,11 @@ def train_random_forest(
     explicit stack, so a tree of any depth trains, and its rows go to
     :func:`_nodes`. A NaN or infinite value in X is a ValueError, and so is a
     y that is not one label, 0 or 1, per row of X."""
-    X, y = np.asarray(X, dtype=np.float64), np.asarray(y)
-    if y.shape != (len(X),):
-        raise ValueError(f"y must hold one label per row of X: X has {len(X)} rows, y the shape {y.shape}")
+    X, y = np.asarray(X, dtype=np.float64), _labels(X, y)
     if (n := len(y)) == 0:
         raise EmptyTrainingSet("cannot train on zero samples")
     if not np.isfinite(X).all():
         raise ValueError("X holds a NaN or an infinite value")
-    if not np.isin(y, (0, 1)).all():
-        raise ValueError("y holds a label other than 0 or 1")
     n_features, k, tree_params = X.shape[1], params.features_per_split, params.tree_params
     if k > n_features:
         raise ValueError(f"features_per_split {k} exceeds the {n_features} columns of X")
@@ -476,15 +464,13 @@ class Classifier(NamedTuple):
 def evaluate(
     model: DecisionTree | RandomForest, X: np.ndarray, y: np.ndarray
 ) -> ConfusionMatrix:
-    """Confusion matrix of the model over an encoded test set."""
+    """Confusion matrix of the model over an encoded test set, one ``bincount`` of
+    ``2 * prediction + label``. ``y`` is refused as in training unless it holds one
+    label, 0 or 1, per row of X; a float or bool ``y`` of 0s and 1s reads as ints."""
+    y = _labels(X, y)
     if len(y) == 0:
         raise EmptyTestSet("cannot evaluate on zero samples")
-    pred = predict_batch(model, X)
-    y = np.asarray(y)
-    tp = int(np.sum((pred == 1) & (y == 1)))
-    tn = int(np.sum((pred == 0) & (y == 0)))
-    fp = int(np.sum((pred == 1) & (y == 0)))
-    fn = int(np.sum((pred == 0) & (y == 1)))
+    tn, fn, fp, tp = np.bincount(2 * predict_batch(model, X) + y.astype(np.int64), minlength=4).tolist()
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn)
 
 

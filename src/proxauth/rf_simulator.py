@@ -242,7 +242,7 @@ def rssi_at_distance(
 ) -> int:
     """Integer dBm at a given transmitter distance: deterministic path loss
     plus Gaussian noise, rounded then clamped."""
-    if distance_m <= 0:
+    if not distance_m > 0:
         raise NonPositiveDistance(f"distance must be positive, got {distance_m}")
     return int(_read(cfg, _mean_rssi_dbm(cfg, distance_m), rng))
 

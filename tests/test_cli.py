@@ -725,6 +725,17 @@ class TestCommands:
         [server] = servers
         assert code == 0 and server.socket.fileno() == -1
 
+    @pytest.mark.parametrize("value", [None, ""], ids=["unset", "empty"])
+    def test_an_unset_or_empty_data_dir_is_the_default_store(self, pipeline, tmp_path, monkeypatch, value):
+        _, _, rf, _ = pipeline
+        monkeypatch.chdir(tmp_path)
+        if value is None:
+            monkeypatch.delenv("PROXAUTH_DATA_DIR", raising=False)
+        else:
+            monkeypatch.setenv("PROXAUTH_DATA_DIR", value)
+        assert build_service(str(rf), None).store.root == Path("proxauth_data")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["proxauth_data"]
+
 
 class TestAttemptRoundTrip:
     def test_attempt_against_served_model(self, pipeline, tmp_path, capsys, monkeypatch):

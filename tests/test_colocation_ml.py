@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
@@ -11,6 +12,7 @@ from proxauth.beacon_model import (
     FeatureEncoder,
     Label,
     LabeledSample,
+    dataset_to_csv_bytes,
     encode_observations,
 )
 from proxauth.colocation_ml import (
@@ -43,6 +45,7 @@ from proxauth.errors import (
     EmptyTestSet,
     EmptyTrainingSet,
 )
+from proxauth.rf_simulator import EnvironmentConfig, PathLossConfig, generate_dataset, sessions_for_target_rows
 
 from model_v1 import _tree_from_doc, grow_random_forest, grow_tree_from_doc, node_doc, v1_document
 from model_v2_rows import node_rows, trees_of
@@ -98,7 +101,27 @@ def random_consistent_data(rng, n_max=200):
     return X, y
 
 
+# sha256 of the (train, test) CSVs of stratified_split(D, 0.2, S), D the default 4,828-row dataset
+# that `proxauth simulate --seed S` writes; taken with numpy 2.4.6 from the split that kept
+# per-class index lists and sorted them, before the split became one boolean mask
+SPLIT_SHA256 = {
+    5: ("9793cadee1e769692ccbce9f570f4ca3445e38ed042b663bf2c553e4d9609270",
+        "fb351175bd6bbd1db6274c8934c4f4b0384b9f5cf141a625a69bd38ab33d45c1"),
+    7: ("7c776da21fd9638b337ce32519242e394f63fe235a949d17701947634ded2a2d",
+        "8584ab4f14ad1f1cdc6443b7103f89e2571700f6b5f70638c602aeecf4ca77d6"),
+    11: ("c682fb16e92a03354c0c60a58c68ed404a4321da44742874e5c95ccceda9677a",
+         "c69951fc70fc38a28d2eab60ac00a5eb58f87a89d6a16aff93bc8e5727a38158"),
+}
+
+
 class TestStratifiedSplit:
+    @pytest.mark.parametrize("seed", list(SPLIT_SHA256))
+    def test_default_splits_write_pinned_bytes(self, seed):
+        env, loss = EnvironmentConfig(), PathLossConfig()
+        dataset = generate_dataset(env, loss, sessions_for_target_rows(env, loss, 4825, 3, seed), 3, seed)
+        sides = stratified_split(dataset, 0.2, seed)
+        assert tuple(hashlib.sha256(dataset_to_csv_bytes(side)).hexdigest() for side in sides) == SPLIT_SHA256[seed]
+
     def test_field_collection_counts_round_half_up(self):
         ds = make_dataset(2442, 2383)
         train, test = stratified_split(ds, 0.2, seed=9)
@@ -478,7 +501,7 @@ class TestRandomForest:
         five = train_random_forest(X, y, ForestParams(n_trees=5, seed=41))
         assert three.trees == five.trees[:3]
 
-    @pytest.mark.parametrize("trainer", ["forest", "tree"])
+    @pytest.mark.parametrize("trainer", ["forest", "tree", "evaluate"])
     @pytest.mark.parametrize("y, message", [
         ([0, 2, 0, 2], "^y holds a label other than 0 or 1$"),
         ([0, 1, 0], r"^y must hold one label per row of X: X has 4 rows, y the shape \(3,\)$"),
@@ -489,8 +512,10 @@ class TestRandomForest:
         with pytest.raises(ValueError, match=message):
             if trainer == "forest":
                 train_random_forest(X, y, ForestParams(n_trees=3, features_per_split=2))
-            else:
+            elif trainer == "tree":
                 train_decision_tree(X, y)
+            else:
+                evaluate(train_decision_tree(X, [0, 1, 0, 1]), X, y)
 
     def test_params_validation(self):
         X = np.array([[0, 1, 0.5, -50], [0, 1, 0.5, -80]], float)
@@ -519,8 +544,10 @@ class TestNonFiniteInput:
         with pytest.raises(ValueError, match="^X holds a NaN or an infinite value$"):
             if trainer == "forest":
                 train_random_forest(X, y, ForestParams(n_trees=3, features_per_split=2))
-            else:
+            elif trainer == "tree":
                 train_decision_tree(X, y)
+            else:
+                evaluate(train_decision_tree(X, [0, 1, 0, 1]), X, y)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_save_model_refuses_a_non_finite_threshold_and_writes_no_file(self, tmp_path, value):
@@ -718,10 +745,22 @@ class TestEvaluate:
         forest = train_random_forest(X, y, ForestParams(n_trees=5, seed=1))
         cm = evaluate(forest, X, y)
         assert cm.total == len(y)
+        pred = predict_batch(forest, X)  # each cell counted on its own, as a reference
+        cells = [int(np.sum((pred == p) & (y == t))) for p, t in ((1, 1), (0, 0), (1, 0), (0, 1))]
+        assert [cm.tp, cm.tn, cm.fp, cm.fn] == cells
 
     def test_empty_test_set(self):
         with pytest.raises(EmptyTestSet):
             evaluate(leaf_tree(Label.AUTHENTIC), np.empty((0, 4)), np.empty(0, np.int8))
+
+    @pytest.mark.parametrize("dtype", [np.float64, bool])
+    def test_a_float_or_bool_y_of_0s_and_1s_scores_as_ints(self, dtype):
+        X = np.array([[0, 1, 0.5, -50]] * 3 + [[0, 1, 0.5, -90]] * 3, float)
+        y = np.array([1, 1, 0, 0, 0, 1], np.int8)  # one fp and one fn under the tree below
+        tree = train_decision_tree(X, np.array([1] * 3 + [0] * 3, np.int8))
+        cm = evaluate(tree, X, y.astype(dtype))
+        assert cm == evaluate(tree, X, y) == ConfusionMatrix(tp=2, tn=2, fp=1, fn=1)
+        assert {type(n) for n in (cm.tp, cm.tn, cm.fp, cm.fn)} == {int}
 
 
 class TestMetrics:

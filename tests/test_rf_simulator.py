@@ -175,6 +175,8 @@ class TestPathLoss:
             rssi_at_distance(QUIET, 0.0)
         with pytest.raises(NonPositiveDistance):
             rssi_at_distance(QUIET, -3.0)
+        with pytest.raises(NonPositiveDistance):
+            rssi_at_distance(QUIET, float("nan"))
 
     def test_noise_requires_rng(self):
         with pytest.raises(ValueError):
