@@ -218,7 +218,9 @@ class UserStore:
     ``add_user`` appends one JSON line to ``users.log``. Opening the store
     loads the v1 snapshot ``users.json``, replays the log in order (a torn
     last line is dropped; a record loaded twice is indexed once), rewrites
-    the snapshot atomically and empties the log. A snapshot envelope or
+    the snapshot atomically and empties the log, only once the new
+    snapshot and its rename are fsynced; an appended line is not fsynced,
+    so a power loss may drop the last enrollments. A snapshot envelope or
     record that does not hold exactly its type's fields, each of its
     annotated type, is a ValueError. A record sharing a username or device
     id with another is refused with an error naming where it was read.
@@ -249,8 +251,16 @@ class UserStore:
             with naming(f"{self._log_path}:{number}"):
                 self._index(decode(UserRecord, parse(line), exact=True))
         tmp = self._users_path.with_suffix(".json.tmp")
-        tmp.write_bytes(dump(encode(StoreSnapshot(version=1, users=tuple(self._users.values())))))
+        with tmp.open("wb") as f:
+            f.write(dump(encode(StoreSnapshot(version=1, users=tuple(self._users.values())))))
+            f.flush()
+            os.fsync(f.fileno())  # the snapshot's bytes are on disk before its name is
         os.replace(tmp, self._users_path)
+        directory = os.open(self.root, os.O_RDONLY)
+        try:
+            os.fsync(directory)  # the rename is on disk before the log is emptied
+        finally:
+            os.close(directory)
         self._log_path.write_bytes(b"")  # after the snapshot: a crash between replays a logged record
 
     def check_unclaimed(self, username: str, *device_ids: str) -> None:

@@ -7,6 +7,9 @@ The on-disk dataset format is a six-column CSV with the header
 Each row is one device's reading of one access point during one scan,
 labeled ``authentic`` (devices were co-located) or ``unauthorized``. The
 CSV is read from bytes and written to bytes, with one rule for the RPI column.
+An observation's value rules (a non-empty SSID, a frequency in (0, 2**53] Hz,
+an RSSI in [-2**53, 0] dBm) are one table that :class:`BeaconObservation`
+and the CSV reader both apply, so a scan and a CSV row obey the same rules.
 Observations are turned into numeric rows of the encoder's ``width``
 
     [role_code, ssid_index, frequency_normalized, rssi_dbm]
@@ -52,6 +55,16 @@ CSV_COLUMNS = ("RPI", "SSID", "Frequency (Hz)", "RSSI (dBm)", "Location", "Label
 _BSSID_RE = re.compile(r"^[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}$")
 _FLOAT64_EXACT = 2**53  # float64 holds every integer up to this; frequency and |RSSI| stay within it
 
+# An observation's value rules, each written once as (field, CSV column, test, rule text);
+# BeaconObservation and parse_dataset_csv apply them in this order.
+_OBSERVATION_RULES = (
+    ("ssid", "SSID", bool, "must be non-empty"),
+    ("frequency", "Frequency (Hz)", lambda hz: hz > 0, "must be positive"),
+    ("frequency", "Frequency (Hz)", lambda hz: hz <= _FLOAT64_EXACT, "must be <= 2**53 Hz"),
+    ("rssi", "RSSI (dBm)", lambda dbm: dbm <= 0, "must be <= 0 dBm"),
+    ("rssi", "RSSI (dBm)", lambda dbm: dbm >= -_FLOAT64_EXACT, "must be >= -2**53 dBm"),
+)
+
 
 class DeviceRole(Enum):
     MOBILE = "mobile"
@@ -77,16 +90,10 @@ class BeaconObservation:
     bssid: str | None = None
 
     def __post_init__(self):
-        if not self.ssid:
-            raise ValueError("ssid must be non-empty")
-        if self.frequency <= 0:
-            raise ValueError(f"frequency must be positive, got {self.frequency}")
-        if self.frequency > _FLOAT64_EXACT:
-            raise ValueError(f"frequency must be <= 2**53 Hz, got {self.frequency}")
-        if self.rssi > 0:
-            raise ValueError(f"rssi must be <= 0 dBm, got {self.rssi}")
-        if self.rssi < -_FLOAT64_EXACT:
-            raise ValueError(f"rssi must be >= -2**53 dBm, got {self.rssi}")
+        for field, _column, test, rule in _OBSERVATION_RULES:
+            value = getattr(self, field)
+            if not test(value):
+                raise ValueError(f"{field} {rule}: {value!r}")
         if self.bssid is not None and not _BSSID_RE.match(self.bssid):
             raise ValueError(f"bssid must be six colon-separated hex octets, got {self.bssid!r}")
 
@@ -209,27 +216,16 @@ def parse_dataset_csv(raw: bytes) -> Dataset:
         if role is None:
             raise RowParseError(row_number, "RPI", f"cannot map value {rpi!r} to a device role")
 
-        ssid = row[col["ssid"]]
-        if not ssid:
-            raise RowParseError(row_number, "SSID", "empty SSID")
-
-        try:
-            frequency = int(row[col["frequency"]].strip())
-        except ValueError:
-            raise RowParseError(row_number, "Frequency (Hz)", f"not an integer: {row[col['frequency']]!r}") from None
-        if frequency <= 0:
-            raise RowParseError(row_number, "Frequency (Hz)", f"must be positive: {frequency}")
-        if frequency > _FLOAT64_EXACT:
-            raise RowParseError(row_number, "Frequency (Hz)", f"must be <= 2**53 Hz: {frequency}")
-
-        try:
-            rssi = int(row[col["rssi"]].strip())
-        except ValueError:
-            raise RowParseError(row_number, "RSSI (dBm)", f"not an integer: {row[col['rssi']]!r}") from None
-        if rssi > 0:
-            raise RowParseError(row_number, "RSSI (dBm)", f"must be <= 0 dBm: {rssi}")
-        if rssi < -_FLOAT64_EXACT:
-            raise RowParseError(row_number, "RSSI (dBm)", f"must be >= -2**53 dBm: {rssi}")
+        # col is keyed by the normalized column names, which are the observation's field names
+        values = {"ssid": row[col["ssid"]]}
+        for field, column, test, rule in _OBSERVATION_RULES:
+            if field not in values:  # an integer cell, read just before its first rule
+                try:
+                    values[field] = int(row[col[field]].strip())
+                except ValueError:
+                    raise RowParseError(row_number, column, f"not an integer: {row[col[field]]!r}") from None
+            if not test(values[field]):
+                raise RowParseError(row_number, column, f"{rule}: {values[field]!r}")
 
         label_text = row[col["label"]].strip().lower()
         try:
@@ -237,7 +233,7 @@ def parse_dataset_csv(raw: bytes) -> Dataset:
         except ValueError:
             raise RowParseError(row_number, "Label", f"unknown label {row[col['label']]!r}") from None
 
-        obs = BeaconObservation(ssid=ssid, frequency=frequency, rssi=rssi)
+        obs = BeaconObservation(**values)
         samples.append(LabeledSample(role=role, observation=obs, location_tag=row[col["location"]], label=label))
 
     if not samples:

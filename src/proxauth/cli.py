@@ -24,11 +24,13 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .auth_service import AuthService, PolicyConfig, UserStore
 from .beacon_model import (
+    Dataset,
     Label,
     build_feature_encoder,
     dataset_to_csv_bytes,
@@ -90,6 +92,12 @@ def _load_json_file(path: str | None, cls):
         return doc, decode(cls, doc)
 
 
+def _read_dataset(path: str) -> Dataset:
+    """The dataset CSV at ``path``; a parse error's message is led by the path."""
+    with naming(path):
+        return parse_dataset_csv(Path(path).read_bytes())
+
+
 def _simulation_configs(config_path: str | None):
     config = _load_json_file(config_path, SimulationFile)[1]
     return config.environment, config.path_loss, config.campaign
@@ -143,7 +151,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
-    dataset = parse_dataset_csv(Path(args.data).read_bytes())
+    dataset = _read_dataset(args.data)
     counts = dataset.label_counts()
     ssids = {s.observation.ssid for s in dataset.samples}
     locations = {s.location_tag for s in dataset.samples}
@@ -175,7 +183,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     params_doc, params_file = _load_json_file(args.params, ParamsFile)
     if (unread := {"dt": "forest", "rf": "tree"}[args.model]) in params_doc:
         raise ValueError(f"{args.params}: --model {args.model} reads no {unread} section")
-    dataset = parse_dataset_csv(Path(args.data).read_bytes())
+    dataset = _read_dataset(args.data)
     train_set, test_set = stratified_split(dataset, _TRAIN_HOLDOUT_FRACTION, args.seed)
     encoder = build_feature_encoder(train_set)
     X, y = encode_dataset(encoder, train_set)
@@ -188,7 +196,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         params = params_file.forest
         if "seed" not in params_doc.get("forest", {}):  # --seed unless the file sets one
             params = replace(params, seed=args.seed)
-        model = train_random_forest(X, y, params)
+        with naming(args.params) if args.params else nullcontext():  # features_per_split may exceed X's width
+            model = train_random_forest(X, y, params)
         summary = f"random forest: trees={params.n_trees} features_per_split={params.features_per_split}"
     elapsed = time.perf_counter() - started
 
@@ -219,7 +228,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     seed = doc.get("train_seed") if args.seed is None else args.seed
     if type(seed) is not int:
         raise ValueError(f"{args.model} records no integer train_seed; give the split seed with --seed")
-    dataset = parse_dataset_csv(Path(args.data).read_bytes())
+    dataset = _read_dataset(args.data)
     train_set, test_set = stratified_split(dataset, _TRAIN_HOLDOUT_FRACTION, seed)
     X, y = encode_dataset(encoder, test_set)
     cm = evaluate(model, X, y)

@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import re
+import stat
 import sys
 import tempfile
 import threading
@@ -733,6 +735,28 @@ class TestStore:
         assert [reopened.get_user(r.username) for r in STORE_RECORDS] == list(STORE_RECORDS)
         UserStore(root)  # a second reopen leaves the snapshot as it was
         assert (root / "users.json").read_text() == STORE_SNAPSHOT
+
+    def test_the_log_is_emptied_once_the_snapshot_and_its_rename_are_on_disk(self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        UserStore(root).add_user(STORE_RECORDS[0])
+        log = (root / "users.log").read_bytes()
+        calls = []
+        os_fsync, os_replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+            calls.append((f"fsync {kind}", (root / "users.log").read_bytes()))
+            os_fsync(fd)
+
+        def recording_replace(src, dst):
+            calls.append((f"replace {os.path.basename(dst)}", (root / "users.log").read_bytes()))
+            os_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        UserStore(root)
+        assert calls == [("fsync file", log), ("replace users.json", log), ("fsync dir", log)]
+        assert (root / "users.log").read_bytes() == b""
 
     def test_torn_last_log_line_is_dropped(self, tmp_path):
         root = tmp_path / "data"

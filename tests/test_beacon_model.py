@@ -53,6 +53,22 @@ class TestObservationInvariants:
     def test_zero_rssi_allowed(self):
         assert BeaconObservation("Net", 2437000000, 0).rssi == 0
 
+    @pytest.mark.parametrize(
+        "field, value, rule",
+        [
+            ("ssid", "", "must be non-empty"),
+            ("frequency", 0, "must be positive"),
+            ("frequency", 2**53 + 1, "must be <= 2**53 Hz"),
+            ("rssi", 1, "must be <= 0 dBm"),
+            ("rssi", -2**53 - 1, "must be >= -2**53 dBm"),
+        ],
+        ids=["ssid-empty", "frequency-0", "frequency-above-2**53", "rssi-1", "rssi-below-2**53"],
+    )
+    def test_each_value_rule_names_the_field_the_rule_and_the_value(self, field, value, rule):
+        fields = {"ssid": "Net", "frequency": 2437000000, "rssi": -58, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{field} {rule}: {value!r}')}$"):
+            BeaconObservation(**fields)
+
     def test_bad_bssid_rejected(self):
         with pytest.raises(ValueError):
             BeaconObservation("Net", 2437000000, -58, bssid="not-a-mac")
@@ -131,6 +147,18 @@ class TestParseCsv:
         with pytest.raises(RowParseError) as err:
             parse_dataset_csv(text.encode())
         assert (err.value.row, err.value.column) == (2, "SSID")
+        assert str(err.value).endswith("(must be non-empty: '')")
+
+    @pytest.mark.parametrize(
+        "ssid, frequency, rssi, column",
+        [("", "fast", "-58", "SSID"), ("Net", "0", "x", "Frequency (Hz)")],
+        ids=["empty-ssid-and-non-integer-frequency", "frequency-0-and-non-integer-rssi"],
+    )
+    def test_a_row_breaking_two_rules_reports_the_first(self, ssid, frequency, rssi, column):
+        text = HEADER + f"\nRPI1,{ssid},{frequency},{rssi},Lab,authentic\n"
+        with pytest.raises(RowParseError) as err:
+            parse_dataset_csv(text.encode())
+        assert (err.value.row, err.value.column) == (2, column)
 
     def test_unknown_label(self):
         text = HEADER + "\nRPI1,Net,2437000000,-58,Lab,maybe\n"

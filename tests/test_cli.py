@@ -408,6 +408,31 @@ class TestCommands:
         assert main(["ingest", "--data", str(bad)]) == 1
         assert "beacon_model.RowParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["ingest", "train", "evaluate"])
+    def test_a_bad_data_csv_is_one_error_line_that_names_it(self, pipeline, tmp_path, capsys, command):
+        _, _, rf, _ = pipeline
+        bad = tmp_path / "bad.csv"
+        bad.write_text("RPI,SSID,Frequency (Hz),RSSI (dBm),Location,Label\nRPI1,Net,9007199254740993,-58,Lab,authentic\n")
+        argv = {
+            "ingest": ["ingest", "--data", bad],
+            "train": ["train", "--data", bad, "--model", "dt", "--seed", "1", "--out", tmp_path / "m.model"],
+            "evaluate": ["evaluate", "--model", rf, "--data", bad],
+        }[command]
+        assert main(list(map(str, argv))) == 1
+        assert capsys.readouterr().err == (
+            f"error: beacon_model.RowParseError: {bad}: row 2, column 'Frequency (Hz)'"
+            " (must be <= 2**53 Hz: 9007199254740993)\n")
+        assert not (tmp_path / "m.model").exists()
+
+    def test_a_params_file_past_the_width_of_x_is_one_error_line_that_names_it(self, pipeline, tmp_path, capsys):
+        _, csv, _, _ = pipeline
+        params, out = tmp_path / "params.json", tmp_path / "m.model"
+        params.write_text(json.dumps({"forest": {"features_per_split": 9}}))
+        assert main(["train", "--data", str(csv), "--model", "rf", "--params", str(params),
+                     "--seed", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {params}: features_per_split 9 exceeds the 4 columns of X\n"
+        assert not out.exists()
+
     def test_attempt_zero_locations_is_an_error(self, capsys):
         # rejected before any connection is made, so no server is needed
         code = main(["attempt", "--server", "127.0.0.1:9", "--username", "zoe",

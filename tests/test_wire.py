@@ -116,6 +116,7 @@ class TestTypedSnapshot:
             pytest.param("observations.0.rssi", -2**53 - 1, "rssi", id="rssi-below-2**53"),
             pytest.param("observations.0.frequency", int("9" * 400), "frequency", id="frequency-400-digits"),
             pytest.param("observations.0.frequency", 2**53 + 1, "frequency", id="frequency-above-2**53"),
+            pytest.param("observations.0.frequency", 0, "frequency", id="frequency-0"),
         ],
     )
     def test_wrongly_typed_or_unknown_field_is_refused(self, tmp_path, path, value, named):
