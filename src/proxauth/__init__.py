@@ -42,7 +42,6 @@ from .beacon_model import (
     build_feature_encoder,
     dataset_to_csv_bytes,
     encode_dataset,
-    encode_observation,
     encode_observations,
     parse_dataset_csv,
 )
@@ -58,7 +57,6 @@ from .colocation_ml import (
     evaluate,
     gini_impurity,
     load_model,
-    predict,
     predict_batch,
     save_model,
     stratified_split,

@@ -47,9 +47,10 @@ from itertools import takewhile
 from pathlib import Path
 from typing import Callable
 
-# encode_observation and predict are unused here but stay: perfbench/spans.py wraps them by name
-from .beacon_model import BeaconObservation, DeviceRole, ScanSnapshot, encode_observation
-from .colocation_ml import Classifier, predict
+# perfbench/spans.py patches encode_observation and predict by name; the service calls neither.
+# They go when the benchmark's serving spans wrap what it does call (ROADMAP item 18).
+from .beacon_model import BeaconObservation, DeviceRole, ScanSnapshot, encode_observations as encode_observation
+from .colocation_ml import Classifier, predict_batch as predict
 from .errors import (
     DuplicateDeviceId,
     DuplicateRoleSubmission,

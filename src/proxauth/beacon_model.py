@@ -44,7 +44,6 @@ __all__ = [
     "parse_dataset_csv",
     "dataset_to_csv_bytes",
     "build_feature_encoder",
-    "encode_observation",
     "encode_observations",
     "encode_dataset",
 ]
@@ -322,11 +321,6 @@ def encode_observations(
     lo, hi = encoder.frequency_scale
     X[:, 2] = 0.5 if hi == lo else np.clip((X[:, 2] - lo) / (hi - lo), 0.0, 1.0)
     return X
-
-
-def encode_observation(encoder: FeatureEncoder, role: DeviceRole, obs: BeaconObservation) -> np.ndarray:
-    """Encode one observation: the one row of :func:`encode_observations`."""
-    return encode_observations(encoder, [(role, obs)])[0]
 
 
 def encode_dataset(encoder: FeatureEncoder, dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:

@@ -62,7 +62,6 @@ __all__ = [
     "best_split",
     "train_decision_tree",
     "train_random_forest",
-    "predict",
     "predict_batch",
     "evaluate",
     "compute_metrics",
@@ -435,15 +434,6 @@ def _vote(layout: _Layout, X: np.ndarray) -> np.ndarray:
     return (2 * votes > n_trees).astype(np.int8)
 
 
-def predict(model: DecisionTree | RandomForest, x: np.ndarray) -> Label:
-    """Classify one feature vector, a 1-D row or a one-row 2-D array. Forests
-    take an unweighted majority vote; an even vote predicts Unauthorized."""
-    row = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if row.ndim != 2 or len(row) != 1:
-        raise ValueError(f"predict takes one row; use predict_batch for shape {np.shape(x)}")
-    return Label.AUTHENTIC if _vote(model._layout, row)[0] else Label.UNAUTHORIZED
-
-
 def predict_batch(model: DecisionTree | RandomForest, X: np.ndarray) -> np.ndarray:
     """Vectorized prediction of many rows; returns int labels (1 = Authentic)."""
     return _vote(model._layout, np.asarray(X, dtype=np.float64))
@@ -623,11 +613,14 @@ def save_model(
 
 
 def read_model_document(path: str | Path):
-    """A model file's document, parsed one tree at a time: each tree
-    object, one of exactly the stored columns, becomes its checked columns
-    as the parser closes it."""
+    """A model file's document, parsed one tree at a time: an object of
+    exactly the stored columns, each a list, is a tree, and becomes its
+    checked columns as the parser closes it. Any other object stays as
+    parsed: an SSID vocabulary may map those keys to ints, and a malformed
+    tree fails the same check in :func:`document_to_model`."""
     return parse(Path(path).read_text(encoding="utf-8"), object_hook=lambda obj: (
-        _columns_to_nodes(obj) if obj.keys() == set(_COLUMNS) else obj))
+        _columns_to_nodes(obj) if obj.keys() == set(_COLUMNS) and {type(v) for v in obj.values()} == {list}
+        else obj))
 
 
 def load_model(path: str | Path) -> Classifier:

@@ -11,8 +11,10 @@ and a nested dataclass from an object. With ``exact=True`` every field must
 be present, as in the files proxauth writes (model files, the user store);
 otherwise a field that has a default may be left out, as in config files and
 wire requests. Unknown keys are always rejected, and every failure is a
-ValueError naming the class and the field. Annotations are resolved once per
-class and mode, since the wire decodes every scan.
+ValueError naming the class and the field; a failure inside an array is led
+by the dotted path to its item, as in ``observations.2: bad BeaconObservation
+value: …``. Annotations are resolved once per class and mode, since the wire
+decodes every scan.
 
 :func:`encode` is the inverse, and writes every dataclass document proxauth
 writes: a dataclass as an object of its fields in declaration order, an
@@ -70,7 +72,11 @@ def dump(value) -> bytes:
 
 def decode(cls, doc, *, exact: bool = False):
     """Dataclass ``cls`` read from ``doc``, a value as ``json.loads`` returns it."""
-    return _reader(cls, exact)(doc)
+    try:
+        return _reader(cls, exact)(doc)
+    except _InArray as exc:
+        path, message = exc.args
+        raise ValueError(f"{'.'.join(map(str, path))}: {message}") from None
 
 
 def encode(value):
@@ -86,6 +92,12 @@ def encode(value):
 
 class _Mismatch(Exception):
     """``args`` are what a field's value must be and the value found."""
+
+    at = ()  # the array indexes from the field down to the value
+
+
+class _InArray(Exception):
+    """``args`` are the keys and indexes down to a failing array item, and its message."""
 
 
 @functools.cache
@@ -110,7 +122,10 @@ def _reader(cls, exact: bool):
                 kwargs[key] = readers[key](value)
             except _Mismatch as m:
                 expected, got = m.args
-                raise ValueError(f"bad {cls.__name__} value: {key} must be {expected}, got {got!r:.80}") from None
+                message = f"bad {cls.__name__} value: {key} must be {expected}, got {got!r:.80}"
+                raise (_InArray((key, *m.at), message) if m.at else ValueError(message)) from None
+            except _InArray as exc:
+                raise _InArray((key, *exc.args[0]), exc.args[1]) from None
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:  # the class's own checks
@@ -149,7 +164,18 @@ def _compile(t, exact: bool):
         def read(v):
             if type(v) not in (list, tuple):
                 raise _Mismatch("an array", v)
-            return tuple(map(item, v))
+            out = []  # read item by item, so that a failure names its index
+            try:
+                for x in v:
+                    out.append(item(x))
+            except _Mismatch as m:
+                m.at = (len(out), *m.at)
+                raise
+            except _InArray as exc:
+                raise _InArray((len(out), *exc.args[0]), exc.args[1]) from None
+            except ValueError as exc:  # a dataclass item's own failure
+                raise _InArray((len(out),), str(exc)) from None
+            return tuple(out)
     elif origin is tuple:
         items = [_compile(a, exact) for a in args]
 

@@ -40,14 +40,12 @@ from proxauth.beacon_model import (
     ScanSnapshot,
     build_feature_encoder,
     encode_dataset,
-    encode_observation,
     encode_observations,
 )
 from proxauth.colocation_ml import (
     Classifier,
     ForestParams,
     TreeParams,
-    predict,
     predict_batch,
     stratified_split,
     train_decision_tree,
@@ -532,13 +530,14 @@ def claimed(store, *device_ids):
 
 
 def where_read(root, where):
-    """How a store error names the file at fault: users.json, or users.log's first line."""
-    return str(root / where) + (":1" if where == "users.log" else "")
+    """How a store error names the record at fault: users.json's first, or users.log's first line."""
+    return str(root / where) + (":1" if where == "users.log" else ": users.0")
 
 
 def reference_decision(model, encoder, policy, mobile, login):
     """The per-row encode and predict loop that batched classification
-    replaced, kept as the reference: (outcome, reason, authentic fraction)."""
+    replaced, kept as the reference: one pair at a time through the batch
+    functions, then (outcome, reason, authentic fraction)."""
     if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
         return DecisionOutcome.DENY, DecisionReason.STALE_SCANS, None
     bssids = set()
@@ -549,9 +548,8 @@ def reference_decision(model, encoder, policy, mobile, login):
         return DecisionOutcome.DENY, DecisionReason.NO_OVERLAP, None
     pairs = overlap_observations(mobile, login, policy)
     authentic = 0
-    for role, o in pairs:
-        if predict(model, encode_observation(encoder, role, o)) is Label.AUTHENTIC:
-            authentic += 1
+    for pair in pairs:
+        authentic += int(predict_batch(model, encode_observations(encoder, [pair]))[0])
     fraction = authentic / len(pairs)
     if fraction >= policy.vote_threshold_tau:
         return DecisionOutcome.GRANT, DecisionReason.CLASSIFIER_AUTHENTIC, fraction

@@ -14,7 +14,6 @@ from proxauth.beacon_model import (
     dataset_to_csv_bytes,
     FeatureEncoder,
     encode_dataset,
-    encode_observation,
     encode_observations,
     parse_dataset_csv,
 )
@@ -278,7 +277,7 @@ class TestFeatureEncoder:
     def test_collapsed_frequency_scale_encodes_half(self):
         ds = Dataset(tuple(sample() for _ in range(4)))
         enc = build_feature_encoder(ds)
-        vec = encode_observation(enc, DeviceRole.MOBILE, ds.samples[0].observation)
+        vec = encode_observations(enc, [(DeviceRole.MOBILE, ds.samples[0].observation)])[0]
         assert vec[2] == 0.5
 
     @pytest.mark.parametrize(
@@ -305,17 +304,13 @@ class TestFeatureEncoder:
             (sample("A", 2412000000, -50), sample("B", 5240000000, -60))
         )
         enc = build_feature_encoder(ds)
-        vec = encode_observation(
-            enc, DeviceRole.MOBILE, BeaconObservation("A", 2412000000, -50)
-        )
+        vec = encode_observations(enc, [(DeviceRole.MOBILE, BeaconObservation("A", 2412000000, -50))])[0]
         assert vec.tolist() == [0.0, 1.0, 0.0, -50.0]
 
     def test_unseen_ssid_maps_to_zero(self):
         ds = Dataset((sample("A"),))
         enc = build_feature_encoder(ds)
-        vec = encode_observation(
-            enc, DeviceRole.MOBILE, BeaconObservation("Zzz", 2437000000, -50)
-        )
+        vec = encode_observations(enc, [(DeviceRole.MOBILE, BeaconObservation("Zzz", 2437000000, -50))])[0]
         assert vec[1] == 0.0
 
     def test_login_role_max_frequency(self):
@@ -323,9 +318,7 @@ class TestFeatureEncoder:
             (sample("A", 2412000000, -50), sample("B", 5240000000, -60))
         )
         enc = build_feature_encoder(ds)
-        vec = encode_observation(
-            enc, DeviceRole.LOGIN, BeaconObservation("B", 5240000000, -61)
-        )
+        vec = encode_observations(enc, [(DeviceRole.LOGIN, BeaconObservation("B", 5240000000, -61))])[0]
         assert vec.tolist() == [1.0, 2.0, 1.0, -61.0]
 
     def test_out_of_range_frequency_clamps(self):
@@ -333,8 +326,9 @@ class TestFeatureEncoder:
             (sample("A", 2412000000, -50), sample("B", 2462000000, -60))
         )
         enc = build_feature_encoder(ds)
-        low = encode_observation(enc, DeviceRole.MOBILE, BeaconObservation("A", 1, -50))
-        high = encode_observation(enc, DeviceRole.MOBILE, BeaconObservation("A", 9999999999, -50))
+        low, high = encode_observations(
+            enc, [(DeviceRole.MOBILE, BeaconObservation("A", f, -50)) for f in (1, 9999999999)]
+        )
         assert low[2] == 0.0 and high[2] == 1.0
 
     def test_encoding_total_and_deterministic(self):
@@ -345,12 +339,12 @@ class TestFeatureEncoder:
                                                  rng.integers(-100, 1, 50))))
         )
         enc = build_feature_encoder(ds)
-        for s in ds.samples:
-            v1 = encode_observation(enc, s.role, s.observation)
-            v2 = encode_observation(enc, s.role, s.observation)
-            assert v1.shape == (4,)
-            assert np.all(np.isfinite(v1))
-            assert np.array_equal(v1, v2)
+        pairs = [(s.role, s.observation) for s in ds.samples]
+        X1 = encode_observations(enc, pairs)
+        X2 = encode_observations(enc, pairs)
+        assert X1.shape == (50, 4)
+        assert np.all(np.isfinite(X1))
+        assert np.array_equal(X1, X2)
 
     @pytest.mark.parametrize("scale", [(2412000000.0, 5240000000.0), (2437000000.0, 2437000000.0)])
     def test_batch_matches_per_row_reference(self, scale):
@@ -372,7 +366,7 @@ class TestFeatureEncoder:
         X = encode_observations(enc, pairs)
         assert X.dtype == np.float64 and X.shape == (500, 4)
         assert X.tobytes() == reference.tobytes()
-        assert np.stack([encode_observation(enc, role, o) for role, o in pairs]).tobytes() == reference.tobytes()
+        assert np.concatenate([encode_observations(enc, [pair]) for pair in pairs]).tobytes() == reference.tobytes()
         X_ds, y = encode_dataset(enc, Dataset(samples))
         assert X_ds.tobytes() == reference.tobytes()
         assert y.dtype == np.int8 and y.tolist() == [int(s.label is Label.AUTHENTIC) for s in samples]

@@ -467,7 +467,7 @@ class TestCommands:
         monkeypatch.setenv("PROXAUTH_DATA_DIR", str(store))
         code = main(["serve", "--model", str(rf), "--listen", "127.0.0.1:0"])
         assert code == 1
-        named = f"{store / where}{':1' * (where == 'users.log')}"
+        named = f"{store / where}{':1' if where == 'users.log' else ': users.0'}"
         assert capsys.readouterr().err.startswith(f"error: {named}: UserRecord must be an object with keys")
 
     def test_train_wrongly_typed_params_is_a_clean_error(self, pipeline, tmp_path, capsys):

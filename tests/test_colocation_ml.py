@@ -31,7 +31,6 @@ from proxauth.colocation_ml import (
     gini_impurity,
     load_model,
     model_to_document,
-    predict,
     predict_batch,
     save_model,
     stratified_split,
@@ -363,7 +362,7 @@ class TestDecisionTree:
         assert tree.feature.tolist() == [-1]
         assert tree.counts.tolist() == [[2, 2]]
         assert node_doc(tree) == leaf(Label.UNAUTHORIZED, (2, 2))
-        assert predict(tree, X[0]) is Label.UNAUTHORIZED
+        assert predict_batch(tree, X[:1]).tolist() == [0]
 
     def test_mixed_node_below_min_samples_split_is_a_leaf(self):
         X = np.array([[0, 1, 0.5, -50], [0, 1, 0.5, -80]], float)
@@ -561,22 +560,22 @@ class TestNonFiniteInput:
 
 class TestPredict:
     def test_leaf_only_tree(self):
-        x = np.array([0, 1, 0.5, -50.0])
-        assert predict(leaf_tree(Label.AUTHENTIC), x) is Label.AUTHENTIC
+        X = np.array([[0, 1, 0.5, -50.0]])
+        assert predict_batch(leaf_tree(Label.AUTHENTIC), X).tolist() == [1]
 
     def test_forest_majority(self):
         forest = RandomForest(
             trees=(leaf_tree(Label.AUTHENTIC), leaf_tree(Label.AUTHENTIC), leaf_tree(Label.UNAUTHORIZED)),
             params=ForestParams(n_trees=3, seed=0),
         )
-        assert predict(forest, np.zeros(4)) is Label.AUTHENTIC
+        assert predict_batch(forest, np.zeros((1, 4))).tolist() == [1]
 
     def test_forest_tie_fails_closed(self):
         forest = RandomForest(
             trees=(leaf_tree(Label.AUTHENTIC), leaf_tree(Label.UNAUTHORIZED)),
             params=ForestParams(n_trees=2, seed=0),
         )
-        assert predict(forest, np.zeros(4)) is Label.UNAUTHORIZED
+        assert predict_batch(forest, np.zeros((1, 4))).tolist() == [0]
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(37)
@@ -584,8 +583,7 @@ class TestPredict:
         forest = train_random_forest(X, y, ForestParams(n_trees=9, seed=3))
         batch = predict_batch(forest, X)
         for i in range(len(X)):
-            single = predict(forest, X[i])
-            assert (single is Label.AUTHENTIC) == bool(batch[i] == 1)
+            assert predict_batch(forest, X[[i]]).tolist() == [batch[i]]
 
 
 def reference_leaf(node, x):
@@ -660,9 +658,7 @@ class TestCompiledDescent:
             forest = RandomForest(trees=trees[:k], params=ForestParams(n_trees=k))
             expected = reference_predict(forest, probes)
             assert np.array_equal(predict_batch(forest, probes), expected)
-            assert [predict(forest, x) is Label.AUTHENTIC for x in probes[:20]] == [
-                bool(v) for v in expected[:20]
-            ]
+            assert [predict_batch(forest, probes[[i]])[0] for i in range(20)] == expected[:20].tolist()
 
     def test_shape_matches_recursive_count(self):
         rng = np.random.default_rng(67)
@@ -690,19 +686,15 @@ class TestCompiledDescent:
                 with pytest.raises(ValueError, match="at least 4 columns"):
                     predict_batch(model, X)
             with pytest.raises(ValueError, match="at least 4 columns"):
-                predict(model, [0, 0, -99])
+                predict_batch(model, [[0, 0, -99]])
         # a leaf reads no feature, so any width is enough
         assert predict_batch(leaf_tree(Label.AUTHENTIC), np.zeros((2, 0))).tolist() == [1, 1]
 
-    def test_predict_takes_exactly_one_row(self):
+    def test_a_batch_of_one_row_and_of_two(self):
         a, u = leaf(Label.AUTHENTIC, (0, 1)), leaf(Label.UNAUTHORIZED, (1, 0))
         tree = tree_of(split(3, -60.0, a, u))
         assert predict_batch(tree, [[0, 0, 0, 0], [0, 0, 0, -99]]).tolist() == [0, 1]
-        assert predict(tree, [0, 0, 0, -99]) is Label.AUTHENTIC
-        assert predict(tree, np.array([[0, 0, 0, -99]])) is Label.AUTHENTIC
-        for X in ([[0, 0, 0, 0], [0, 0, 0, -99]], np.empty((0, 4)), np.zeros((1, 1, 4))):
-            with pytest.raises(ValueError, match="one row"):
-                predict(tree, X)
+        assert predict_batch(tree, np.array([[0, 0, 0, -99]])).tolist() == [1]
 
     def test_layout_outside_equality_hash_and_repr(self):
         a = hand_built_trees()[3]
@@ -722,7 +714,7 @@ class TestCompiledDescent:
     def test_empty_forest_predicts_unauthorized(self):
         forest = RandomForest(trees=(), params=ForestParams(n_trees=1))
         assert predict_batch(forest, np.zeros((3, 4))).tolist() == [0, 0, 0]
-        assert predict(forest, np.zeros(4)) is Label.UNAUTHORIZED
+        assert predict_batch(forest, np.zeros((1, 4))).tolist() == [0]
 
 
 class TestEvaluate:
@@ -840,6 +832,20 @@ class TestSerialization:
         text = json.dumps(doc)
         again, _ = document_to_model(json.loads(text))
         assert json.dumps(model_to_document(again, self._encoder())) == text
+
+    def test_a_vocabulary_keyed_like_a_tree_round_trips(self, tmp_path):
+        X, y = np.array([[0, 1, 0.5, -50], [0, 2, 0.5, -80]], float), np.array([1, 0], np.int8)
+        tree = train_decision_tree(X, y)
+        encoder = FeatureEncoder({"feature": 1, "threshold": 2, "counts": 3}, (2412000000.0, 5240000000.0))
+        save_model(tmp_path / "tree.model", tree, encoder)
+        assert load_model(tmp_path / "tree.model") == (tree, encoder)
+
+    def test_a_tree_with_a_column_that_is_no_list_is_refused_as_before(self, tmp_path):
+        doc = model_to_document(hand_built_trees()[1], self._encoder())
+        doc["tree"]["feature"] = 3
+        (tmp_path / "tree.model").write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"^bad tree \{'feature': 3, .*: not an object of the columns"):
+            load_model(tmp_path / "tree.model")
 
     def test_hand_written_tree_reserializes_as_written(self):
         a, u = leaf(Label.AUTHENTIC, (0, 3)), leaf(Label.UNAUTHORIZED, (0, 0))

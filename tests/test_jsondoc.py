@@ -44,6 +44,27 @@ class Every:
     factory: tuple[str, ...] = field(default_factory=tuple)
 
 
+@dataclass(frozen=True)
+class Positive:
+    n: int
+
+    def __post_init__(self):
+        if self.n <= 0:
+            raise ValueError("n must be positive")
+
+
+@dataclass(frozen=True)
+class Nest:
+    inners: tuple[Inner, ...]
+    positives: tuple[Positive, ...] = ()
+
+
+@dataclass(frozen=True)
+class Outer:
+    nests: tuple[Nest, ...]
+    nest: Nest | None = None
+
+
 FULL = {
     "i": 1, "f": 0.5, "s": "x", "b": False, "maybe": None, "optional": None, "color": "red",
     "pair": [1.5, 2], "many": [], "counts": {}, "inner": {"n": 1, "tag": "t"},
@@ -148,17 +169,54 @@ def test_only_partial_mode_fills_defaults():
 
 
 def test_the_class_checks_fail_as_value_errors_naming_it():
-    @dataclass(frozen=True)
-    class Positive:
-        n: int
-
-        def __post_init__(self):
-            if self.n <= 0:
-                raise ValueError("n must be positive")
-
     assert decode(Positive, {"n": 1}) == Positive(1)
     with pytest.raises(ValueError, match="^bad Positive value: n must be positive$"):
         decode(Positive, {"n": 0})
+
+
+class TestAnArrayItemFailure:
+    """A failure inside an array is led by the dotted path to its item; every other failure reads as before."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"nests": [{"inners": [{"n": 1}, {"n": "2"}]}]}, "nests.0.inners.1: bad Inner value: n must be int, got '2'"),
+            ({"nests": [{"inners": []}, {"inners": [{"n": 1, "x": 0}]}]},
+             "nests.1.inners.0: Inner must be an object with keys ['n', 'tag'], got unknown ['x']"),
+            ({"nests": [{"inners": [], "positives": [{"n": 1}, {"n": 0}]}]},
+             "nests.0.positives.1: bad Positive value: n must be positive"),
+            ({"nests": [{"inners": []}, 5]}, "nests.1: Nest must be an object with keys ['inners', 'positives'], got 5"),
+            ({"nests": [], "nest": {"inners": [{"n": 1}, {"n": 2}, {"n": True}]}},
+             "nest.inners.2: bad Inner value: n must be int, got True"),
+            ({"nests": [], "nest": {"inners": 3}}, "bad Nest value: inners must be an array, got 3"),
+            ({"nests": [], "nest": {"inners": [], "extra": 1}},
+             "Nest must be an object with keys ['inners', 'positives'], got unknown ['extra']"),
+        ],
+    )
+    def test_names_the_item(self, doc, message):
+        with pytest.raises(ValueError) as caught:
+            decode(Outer, doc)
+        assert str(caught.value) == message
+        assert type(caught.value) is ValueError
+
+    def test_a_scalar_item_is_named_after_its_field(self):
+        with pytest.raises(ValueError) as caught:
+            decode(Every, {**FULL, "many": [1, 2, "3"], "factory": ["a"]})
+        assert str(caught.value) == "many.2: bad Every value: many must be int, got '3'"
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("pair", [True, 2], "bad Every value: pair must be float, got True"),
+            ("many", "3", "bad Every value: many must be an array, got '3'"),
+            ("inner", {"n": "2"}, "bad Inner value: n must be int, got '2'"),
+            ("counts", {"a": 1.5}, "bad Every value: counts must be int, got 1.5"),
+        ],
+    )
+    def test_a_failure_outside_a_variable_length_array_reads_as_before(self, key, value, message):
+        with pytest.raises(ValueError) as caught:
+            decode(Every, {**FULL, key: value})
+        assert str(caught.value) == message
 
 
 def test_an_unsupported_annotation_is_a_type_error():

@@ -132,6 +132,22 @@ class TestTypedSnapshot:
         assert named in response["message"]
         assert service.get_session(sid).mobile_scan is None
 
+    @pytest.mark.parametrize("rssi, rule", [("x", "must be int, got 'x'"), (3, "must be <= 0 dBm: 3")])
+    def test_a_bad_observation_is_named_by_its_index(self, tmp_path, rssi, rule):
+        doc = snapshot_to_doc(make_snapshot())
+        doc["observations"] = [doc["observations"][0]] * 2 + [{**doc["observations"][0], "rssi": rssi}]
+        with pytest.raises(ValueError) as caught:
+            snapshot_from_doc(doc)
+        assert str(caught.value) == f"observations.2: bad BeaconObservation value: rssi {rule}"
+        service = grant_all(tmp_path / "data")
+        service.enroll_user("gil", "gils-secret", "g-m", "g-l")
+        sid = service.begin_session("gil", "gils-secret").session_id
+        request = {"op": "submit_scan", "session_id": sid, "device_id": "g-m", "snapshot": doc}
+        assert handle_request_line(service, json.dumps(request)) == {
+            "ok": False, "error": "BadRequest",
+            "message": f"snapshot.observations.2: bad BeaconObservation value: rssi {rule}",
+        }
+
     def test_optional_fields_may_be_left_out(self):
         doc = _edited("location_tag", _DROP)
         del doc["observations"][0]["bssid"]
