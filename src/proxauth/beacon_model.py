@@ -51,7 +51,7 @@ __all__ = [
 #: Canonical CSV column names, in order.
 CSV_COLUMNS = ("RPI", "SSID", "Frequency (Hz)", "RSSI (dBm)", "Location", "Label")
 
-_BSSID_RE = re.compile(r"^[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}$")
+_BSSID_RE = re.compile(r"[0-9A-Fa-f]{2}(:[0-9A-Fa-f]{2}){5}")
 _FLOAT64_EXACT = 2**53  # float64 holds every integer up to this; frequency and |RSSI| stay within it
 
 # An observation's value rules, each written once as (field, CSV column, test, rule text);
@@ -93,7 +93,7 @@ class BeaconObservation:
             value = getattr(self, field)
             if not test(value):
                 raise ValueError(f"{field} {rule}: {value!r}")
-        if self.bssid is not None and not _BSSID_RE.match(self.bssid):
+        if self.bssid is not None and not _BSSID_RE.fullmatch(self.bssid):
             raise ValueError(f"bssid must be six colon-separated hex octets, got {self.bssid!r}")
 
 

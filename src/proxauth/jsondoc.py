@@ -11,10 +11,13 @@ and a nested dataclass from an object. With ``exact=True`` every field must
 be present, as in the files proxauth writes (model files, the user store);
 otherwise a field that has a default may be left out, as in config files and
 wire requests. Unknown keys are always rejected, and every failure is a
-ValueError naming the class and the field; a failure inside an array is led
-by the dotted path to its item, as in ``observations.2: bad BeaconObservation
-value: …``. Annotations are resolved once per class and mode, since the wire
-decodes every scan.
+ValueError naming the class and the field. A refused value takes one path up:
+the reader that finds it raises it with what it must be, the dataclass reader
+of its field words it once, each array above prepends its index (and each
+dataclass above that its key), and ``decode`` alone makes it a ValueError, led
+by that dotted path when there is one, as in ``observations.2: bad
+BeaconObservation value: …``. Annotations are resolved once per class and
+mode, since the wire decodes every scan.
 
 :func:`encode` is the inverse, and writes every dataclass document proxauth
 writes: a dataclass as an object of its fields in declaration order, an
@@ -74,9 +77,9 @@ def decode(cls, doc, *, exact: bool = False):
     """Dataclass ``cls`` read from ``doc``, a value as ``json.loads`` returns it."""
     try:
         return _reader(cls, exact)(doc)
-    except _InArray as exc:
-        path, message = exc.args
-        raise ValueError(f"{'.'.join(map(str, path))}: {message}") from None
+    except _Refusal as r:
+        path, message = r.args
+        raise ValueError(f"{'.'.join(map(str, path))}: {message}" if path else message) from None
 
 
 def encode(value):
@@ -90,14 +93,12 @@ def encode(value):
     return value.value if isinstance(value, Enum) else value
 
 
-class _Mismatch(Exception):
-    """``args`` are what a field's value must be and the value found."""
-
-    at = ()  # the array indexes from the field down to the value
-
-
-class _InArray(Exception):
-    """``args`` are the keys and indexes down to a failing array item, and its message."""
+class _Refusal(Exception):
+    """A refused value on its one way up, from the reader that finds it to :func:`decode`,
+    the only reader that makes it a ValueError. ``args`` are the keys and indexes down to
+    the value, then either what it must be and the value, as a leaf reader raises it, or
+    its message, once the dataclass reader of its field has worded it or a dataclass has
+    refused its own shape or ``__post_init__``."""
 
 
 @functools.cache
@@ -112,24 +113,23 @@ def _reader(cls, exact: bool):
 
     def read(doc):
         if type(doc) is not dict:
-            raise ValueError(f"{shape} {doc!r:.80}")
+            raise _Refusal((), f"{shape} {doc!r:.80}")
         if not required <= doc.keys() <= readers.keys():
             found = (("unknown", sorted(doc.keys() - readers.keys())), ("missing", sorted(required - doc.keys())))
-            raise ValueError(f"{shape} " + ", ".join(f"{word} {keys}" for word, keys in found if keys))
+            raise _Refusal((), f"{shape} " + ", ".join(f"{word} {keys}" for word, keys in found if keys))
         kwargs = {}
         for key, value in doc.items():
             try:
                 kwargs[key] = readers[key](value)
-            except _Mismatch as m:
-                expected, got = m.args
-                message = f"bad {cls.__name__} value: {key} must be {expected}, got {got!r:.80}"
-                raise (_InArray((key, *m.at), message) if m.at else ValueError(message)) from None
-            except _InArray as exc:
-                raise _InArray((key, *exc.args[0]), exc.args[1]) from None
+            except _Refusal as r:
+                path, message, *got = r.args
+                if got:  # a leaf reader's: what the value must be, and the value
+                    message = f"bad {cls.__name__} value: {key} must be {message}, got {got[0]!r:.80}"
+                raise _Refusal((key, *path) if path else (), message) from None
         try:
             return cls(**kwargs)
         except (TypeError, ValueError) as exc:  # the class's own checks
-            raise ValueError(f"bad {cls.__name__} value: {exc}") from None
+            raise _Refusal((), f"bad {cls.__name__} value: {exc}") from None
 
     return read
 
@@ -141,12 +141,12 @@ def _compile(t, exact: bool):
         def read(v):
             if type(v) is float and math.isfinite(v) or type(v) is int and abs(v) < _FLOAT_OVERFLOW:
                 return v
-            raise _Mismatch("float", v)
+            raise _Refusal((), "float", v)
     elif t in _SCALARS:
         def read(v):
             if type(v) is t:
                 return v
-            raise _Mismatch(t.__name__, v)
+            raise _Refusal((), t.__name__, v)
     elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = _compile(next(a for a in args if a is not type(None)), exact)
 
@@ -157,38 +157,33 @@ def _compile(t, exact: bool):
             try:
                 return t(v)
             except ValueError:
-                raise _Mismatch(f"one of {[m.value for m in t]}", v) from None
+                raise _Refusal((), f"one of {[m.value for m in t]}", v) from None
     elif origin is tuple and args[-1] is Ellipsis:
         item = _compile(args[0], exact)
 
         def read(v):
             if type(v) not in (list, tuple):
-                raise _Mismatch("an array", v)
-            out = []  # read item by item, so that a failure names its index
+                raise _Refusal((), "an array", v)
+            out = []  # read item by item, so that a refusal names its index
             try:
                 for x in v:
                     out.append(item(x))
-            except _Mismatch as m:
-                m.at = (len(out), *m.at)
-                raise
-            except _InArray as exc:
-                raise _InArray((len(out), *exc.args[0]), exc.args[1]) from None
-            except ValueError as exc:  # a dataclass item's own failure
-                raise _InArray((len(out),), str(exc)) from None
+            except _Refusal as r:
+                raise _Refusal((len(out), *r.args[0]), *r.args[1:]) from None
             return tuple(out)
     elif origin is tuple:
         items = [_compile(a, exact) for a in args]
 
         def read(v):
             if type(v) not in (list, tuple) or len(v) != len(items):
-                raise _Mismatch(f"an array of {len(items)}", v)
+                raise _Refusal((), f"an array of {len(items)}", v)
             return tuple(r(x) for r, x in zip(items, v))
     elif origin is dict and args[0] is str:
         item = _compile(args[1], exact)
 
         def read(v):
             if type(v) is not dict:
-                raise _Mismatch("an object", v)
+                raise _Refusal((), "an object", v)
             return {k: item(x) for k, x in v.items()}
     elif dataclasses.is_dataclass(t):
         read = _reader(t, exact)

@@ -69,8 +69,9 @@ class TestObservationInvariants:
             BeaconObservation(**fields)
 
     def test_bad_bssid_rejected(self):
-        with pytest.raises(ValueError):
-            BeaconObservation("Net", 2437000000, -58, bssid="not-a-mac")
+        for bssid in ("not-a-mac", "02:00:5e:00:00:00\n"):  # a regex's $ also matches before a final newline
+            with pytest.raises(ValueError):
+                BeaconObservation("Net", 2437000000, -58, bssid=bssid)
 
 
 class TestScanSnapshot:

@@ -441,18 +441,20 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: --locations")
 
     def test_attempt_out_of_range_port_is_an_error(self, capsys):
-        # 70000 must not wrap to port 4464
-        code = main(["attempt", "--server", "127.0.0.1:70000", "--username", "zoe",
-                     "--secret", "zoes-secret", "--scenario", "near"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
+        # 70000 must not wrap to port 4464, and a non-ASCII digit is not a port
+        for port in ("70000", "\u00b2"):
+            code = main(["attempt", "--server", f"127.0.0.1:{port}", "--username", "zoe",
+                         "--secret", "zoes-secret", "--scenario", "near"])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
 
     def test_serve_out_of_range_port_is_an_error(self, pipeline, tmp_path, capsys, monkeypatch):
         _, _, rf, _ = pipeline
         monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
-        code = main(["serve", "--model", str(rf), "--listen", "127.0.0.1:70000"])
-        assert code == 1
-        assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
+        for port in ("70000", "\u00b2"):
+            code = main(["serve", "--model", str(rf), "--listen", f"127.0.0.1:{port}"])
+            assert code == 1
+            assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
 
     @pytest.mark.parametrize("where", ["users.json", "users.log"])
     def test_serve_with_a_malformed_user_record_is_a_clean_error(
@@ -635,9 +637,11 @@ class TestCommands:
          "bad CampaignConfig value: min_band_gap_dbm must be >= 0 and at most 2**53 dB, got 1e+308"),
         ({"environment": {"n_aps": 65537}},
          "bad EnvironmentConfig value: n_aps must be >= 1 and at most 65536, one BSSID per 16-bit index, got 65537"),
+        ({"environment": {"frequency_set_hz": [2412000000, "x"]}},
+         "environment.frequency_set_hz.1: bad EnvironmentConfig value: frequency_set_hz must be int, got 'x'"),
     ], ids=["no-frequency", "frequency-past-2**53", "unknown-field", "positional-field", "empty-ssid",
             "clamp-above-0-dbm", "exponent-overflows", "noise-overflows", "d0-underflows", "shadow-overflows",
-            "jitter-overflows", "area-overflows", "band-gap-overflows", "bssids-repeat"])
+            "jitter-overflows", "area-overflows", "band-gap-overflows", "bssids-repeat", "frequency-item-not-int"])
     def test_a_config_that_would_fail_mid_run_is_one_error_line(self, tmp_path, capsys, command, content, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(content))

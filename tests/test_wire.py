@@ -103,6 +103,7 @@ class TestTypedSnapshot:
             ("observations.0.rssi", -50.0, "rssi"),
             ("observations.0.frequency", 2437000000.0, "frequency"),
             ("observations.0.bssid", 7, "bssid"),
+            pytest.param("observations.0.bssid", "02:00:5e:00:00:00\n", "bssid", id="bssid-trailing-newline"),
             ("device_id", None, "device_id"),
             ("location_tag", 3, "location_tag"),
             ("role", "admin", "role"),
