@@ -194,10 +194,9 @@ class AuthSession:
         return SessionState.AWAITING_SCANS if self.decision is None else SessionState.DECIDED
 
 
-def hash_secret(secret: str, salt: bytes | None = None) -> str:
-    """Salted PBKDF2-SHA256 of a first-factor secret, self-describing."""
-    if salt is None:
-        salt = _secrets.token_bytes(16)
+def hash_secret(secret: str) -> str:
+    """PBKDF2-SHA256 of a first-factor secret under 16 fresh random salt bytes, self-describing."""
+    salt = _secrets.token_bytes(16)
     digest = hashlib.pbkdf2_hmac("sha256", secret.encode("utf-8"), salt, _PBKDF2_ITERATIONS)
     return f"pbkdf2-sha256${_PBKDF2_ITERATIONS}${salt.hex()}${digest.hex()}"
 

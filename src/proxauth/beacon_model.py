@@ -148,11 +148,11 @@ class Dataset:
             counts[s.label] += 1
         return counts
 
-    def is_balanced(self, min_ratio: float = 0.9) -> bool:
-        """True when the smaller class holds at least ``min_ratio`` of the larger."""
+    def is_balanced(self) -> bool:
+        """True when the smaller class holds at least 0.9 of the larger."""
         counts = self.label_counts()
         lo, hi = min(counts.values()), max(counts.values())
-        return hi > 0 and lo / hi >= min_ratio
+        return hi > 0 and lo / hi >= 0.9
 
 
 def _role_of_rpi(value: str) -> DeviceRole | None:
@@ -179,8 +179,8 @@ _CANONICAL = tuple(_normalize_header_cell(c) for c in CSV_COLUMNS)
 
 
 def parse_dataset_csv(raw: bytes) -> Dataset:
-    """Parse the six-column beacon dataset CSV, as UTF-8 bytes, into a
-    :class:`Dataset`.
+    """Parse the six-column beacon dataset CSV, as UTF-8 bytes (a leading
+    byte-order mark is accepted), into a :class:`Dataset`.
 
     The header must contain exactly the six canonical columns (any order;
     quotes and unit parentheticals are tolerated). Raises
@@ -188,7 +188,7 @@ def parse_dataset_csv(raw: bytes) -> Dataset:
     row numbers, header = row 1), or :class:`EmptyDataset`.
     """
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         raise MalformedHeader(f"input is not UTF-8 text: {exc}") from None
 

@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .auth_service import AuthService, PolicyConfig, UserStore
+from .auth_service import AuthService, PolicyConfig, SessionState, UserStore
 from .beacon_model import (
     Dataset,
     Label,
@@ -109,9 +109,10 @@ def _policy_config(policy_path: str | None) -> PolicyConfig:
 
 def _parse_listen(value: str) -> tuple[str, int]:
     host, _, port = value.rpartition(":")
-    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+    digits = port.lstrip("0") or port[-1:]  # 000080 is port 80; int() never meets more than five digits
+    if not host or not (port.isascii() and port.isdigit()) or len(digits) > 5 or int(digits) > 65535:
         raise ValueError(f"address must be HOST:PORT with PORT in 0-65535, got {value!r}")
-    return host, int(port)
+    return host, int(digits)
 
 
 def _fmt_metric(value: float | None) -> str:
@@ -315,7 +316,7 @@ def cmd_attempt(args: argparse.Namespace) -> int:
     with AuthClient(host, port) as client:
         _reply("enroll", client.enroll(args.username, args.secret, mobile_id, login_id), "DuplicateUser")
         final = _reply("begin", client.begin(args.username, args.secret))
-        if final.get("state") == "AwaitingScans":
+        if final.get("state") == SessionState.AWAITING_SCANS.value:
             _reply("submit", client.submit_scan(final["session_id"], mobile_id, mobile))
             final = _reply("submit", client.submit_scan(final["session_id"], login_id, login))
 

@@ -124,13 +124,12 @@ class ForestParams:
 
 
 class _Layout(NamedTuple):
-    """Preorder parallel node arrays of one or more trees, the layout of
-    scikit-learn's ``Tree``; tree t starts at node ``roots[t]``. ``feature``
-    is -1 at a leaf, whose ``left`` and ``right`` point back at itself."""
+    """Preorder parallel node arrays of one or more trees: scikit-learn's ``Tree``
+    less its left column, as a split's left child is the next node. Tree t starts
+    at node ``roots[t]``; ``feature`` is -1 at a leaf, whose ``right`` is itself."""
 
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     authentic: np.ndarray
     roots: np.ndarray
@@ -195,14 +194,13 @@ def _compile(trees: Sequence[DecisionTree]) -> _Layout:
     feature, counts = joined("feature", np.empty(0, np.int32)), joined("counts", np.empty((0, 2), np.int64))
     index = np.arange(len(feature), dtype=np.int32)
     is_leaf = feature < 0
-    left = index + ~is_leaf
     right = np.where(is_leaf, index, joined("right", np.empty(0, np.int32)) + np.repeat(starts, sizes))
     depth, level = 0, starts
     while (splits := level[~is_leaf[level]]).size:
         depth, level = depth + 1, np.concatenate((splits + 1, right[splits]))
     width = int(feature.max(initial=-1)) + 1
     authentic = counts[:, 1] > counts[:, 0]
-    return _Layout(feature, joined("threshold", np.empty(0)), left, right, authentic, starts, depth, width)
+    return _Layout(feature, joined("threshold", np.empty(0)), right, authentic, starts, depth, width)
 
 
 @dataclass(frozen=True)
@@ -427,9 +425,10 @@ def _vote(layout: _Layout, X: np.ndarray) -> np.ndarray:
     n_trees, (n_rows, width) = len(layout.roots), X.shape
     row_start = np.tile(np.arange(n_rows) * width, n_trees)
     pos = np.repeat(layout.roots, n_rows)
-    for _ in range(layout.depth):  # a leaf reads any value and stays put
-        x = X.take(row_start + layout.feature.take(pos))
-        pos = np.where(x <= layout.threshold.take(pos), layout.left.take(pos), layout.right.take(pos))
+    for _ in range(layout.depth):  # a leaf reads any value and stays put; a split's left child is next
+        feature = layout.feature.take(pos)
+        x = X.take(row_start + feature)
+        pos = np.where(x <= layout.threshold.take(pos), pos + (feature >= 0), layout.right.take(pos))
     votes = layout.authentic.take(pos).reshape(n_trees, n_rows).sum(axis=0)
     return (2 * votes > n_trees).astype(np.int8)
 

@@ -29,11 +29,10 @@ class RowParseError(ProxauthError):
 
     domain = "beacon_model"
 
-    def __init__(self, row: int, column: str, message: str = ""):
+    def __init__(self, row: int, column: str, message: str):
         self.row = row
         self.column = column
-        detail = f" ({message})" if message else ""
-        super().__init__(f"row {row}, column {column!r}{detail}")
+        super().__init__(f"row {row}, column {column!r} ({message})")
 
 
 class EmptyDataset(ProxauthError):

@@ -468,8 +468,8 @@ def _campaign_sessions(
     seed: int,
     stream: int,
     per_location: Sequence[int],
-) -> Iterator[tuple[LocationGeometry, ScanSnapshot, ScanSnapshot, Label]]:
-    """Yield (geometry, mobile, login, label) for ``per_location[j]`` sessions
+) -> Iterator[tuple[ScanSnapshot, ScanSnapshot, Label]]:
+    """Yield (mobile, login, label) for ``per_location[j]`` sessions
     of each class at location j of ``len(per_location)``; each (location,
     zone) pair draws from its own rng on ``stream``."""
     for j, count in enumerate(per_location):
@@ -477,7 +477,7 @@ def _campaign_sessions(
         for zone, scenario in enumerate(_SCENARIOS):
             rng = derived_rng(seed, stream, j, zone)
             for _ in range(count):
-                yield (geo, *generate_session(env, loss, scenario, rng, geo, campaign))
+                yield generate_session(env, loss, scenario, rng, geo, campaign)
 
 
 def _allocation(total: int, buckets: int) -> list[int]:
@@ -510,10 +510,10 @@ def generate_dataset(
         LabeledSample(
             role=snap.role,
             observation=replace(obs, bssid=None),
-            location_tag=geo.tag,
+            location_tag=snap.location_tag,
             label=label,
         )
-        for geo, mobile, login, label in _campaign_sessions(
+        for mobile, login, label in _campaign_sessions(
             env, loss, campaign, seed, _SESSION_STREAM, per_location
         )
         for snap in (mobile, login)
@@ -538,7 +538,7 @@ def sessions_for_target_rows(
         raise ValueError("locations must be >= 1")
     rows = [
         len(mobile.observations) + len(login.observations)
-        for _, mobile, login, _ in _campaign_sessions(
+        for mobile, login, _ in _campaign_sessions(
             env, loss, campaign, seed, _PROBE_STREAM, [_PROBE_SESSIONS_PER_CLASS] * locations
         )
     ]

@@ -237,6 +237,8 @@ class TestCsvRoundTrip:
         ds = Dataset(samples)
         again = parse_dataset_csv(dataset_to_csv_bytes(ds))
         assert again == ds
+        # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        assert parse_dataset_csv(b"\xef\xbb\xbf" + dataset_to_csv_bytes(ds)) == ds
 
     def test_writer_emits_canonical_header(self):
         assert dataset_to_csv_bytes(Dataset((sample(),))).decode().splitlines()[0] == HEADER

@@ -117,7 +117,10 @@ class TestHelpers:
         assert _parse_listen("127.0.0.1:4980") == ("127.0.0.1", 4980)
         assert _parse_listen("127.0.0.1:0") == ("127.0.0.1", 0)
         assert _parse_listen("127.0.0.1:65535") == ("127.0.0.1", 65535)
-        for bad in ("nope", "127.0.0.1:65536", "127.0.0.1:70000", "127.0.0.1:-1", ":80"):
+        # leading zeros are dropped, however many, and a long digit string is refused before int()
+        assert _parse_listen("127.0.0.1:000080") == ("127.0.0.1", 80)
+        assert _parse_listen("127.0.0.1:" + "0" * 5000 + "80") == ("127.0.0.1", 80)
+        for bad in ("nope", "127.0.0.1:65536", "127.0.0.1:70000", "127.0.0.1:-1", ":80", "127.0.0.1:" + "1" * 5000):
             with pytest.raises(ValueError):
                 _parse_listen(bad)
 
@@ -441,8 +444,8 @@ class TestCommands:
         assert capsys.readouterr().err.startswith("error: --locations")
 
     def test_attempt_out_of_range_port_is_an_error(self, capsys):
-        # 70000 must not wrap to port 4464, and a non-ASCII digit is not a port
-        for port in ("70000", "\u00b2"):
+        # 70000 must not wrap to port 4464, a non-ASCII digit is not a port, nor are 5,000 digits
+        for port in ("70000", "\u00b2", "1" * 5000):
             code = main(["attempt", "--server", f"127.0.0.1:{port}", "--username", "zoe",
                          "--secret", "zoes-secret", "--scenario", "near"])
             assert code == 1
@@ -451,7 +454,7 @@ class TestCommands:
     def test_serve_out_of_range_port_is_an_error(self, pipeline, tmp_path, capsys, monkeypatch):
         _, _, rf, _ = pipeline
         monkeypatch.setenv("PROXAUTH_DATA_DIR", str(tmp_path / "store"))
-        for port in ("70000", "\u00b2"):
+        for port in ("70000", "\u00b2", "1" * 5000):
             code = main(["serve", "--model", str(rf), "--listen", f"127.0.0.1:{port}"])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
