@@ -23,7 +23,6 @@ from .auth_service import (
     AuthSession,
     DecisionOutcome,
     DecisionReason,
-    MatchKey,
     PolicyConfig,
     SessionState,
     UserRecord,

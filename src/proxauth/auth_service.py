@@ -17,10 +17,10 @@ Secrets are stored only as salted PBKDF2 hashes and never appear in scan
 records, the audit log, or decisions. Sessions are in memory and live for
 the policy's pairing window after ``begin``, by the server clock; a decided
 session keeps only its id, user, creation time and decision, not its scans.
-A scan or a status request that comes after the window denies a session
-still open MissingScan, and each ``begin`` first forgets the sessions whose
-window has passed, denying MissingScan any still open, so the server holds
-about the request rate times the window of them however long it runs.
+One window rule denies MissingScan a session still open past its window;
+a scan, a status request and each ``begin``'s sweep apply it, and the sweep
+forgets every session past its window, so the server holds about the
+request rate times the window of them however long it runs.
 
 Concurrency: one service-wide lock is held only while shared state changes
 (a user added, a session created, a scan slot filled, a decision set) and
@@ -41,7 +41,7 @@ import threading
 import time
 import uuid
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import takewhile
 from pathlib import Path
@@ -65,7 +65,6 @@ from .errors import (
 from .jsondoc import decode, dump, encode, naming, parse
 
 __all__ = [
-    "MatchKey",
     "PolicyConfig",
     "UserRecord",
     "SessionState",
@@ -85,20 +84,14 @@ _PBKDF2_ITERATIONS = 20_000
 _MIN_SECRET_LENGTH = 8
 
 
-class MatchKey(Enum):
-    BSSID_THEN_SSID = "BssidThenSsid"
-    SSID_ONLY = "SsidOnly"
-
-
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Decision policy: scan pairing window, vote threshold, and AP matching.
-    The pairing window also bounds a session's life after ``begin``."""
+    """Decision policy: scan pairing window, vote threshold, and the fewest
+    shared APs. The pairing window also bounds a session's life after ``begin``."""
 
     pairing_window_ms: int = 10_000
     vote_threshold_tau: float = 0.6
     min_overlap_aps: int = 1
-    match_key: MatchKey = MatchKey.BSSID_THEN_SSID
 
     def __post_init__(self):
         if not 0.0 < self.vote_threshold_tau <= 1.0:
@@ -180,13 +173,13 @@ class AuthDecision:
 @dataclass(slots=True)
 class AuthSession:
     """One attempt. ``user`` is the record ``begin`` verified; records are
-    immutable and never removed, so a scan's device is checked against it."""
+    immutable and never removed, so a scan's device is checked against it,
+    and ``scans`` keys each scan by the role ``user`` gives its device."""
 
     session_id: str
     user: UserRecord
     created_at: int
-    mobile_scan: ScanSnapshot | None = None
-    login_scan: ScanSnapshot | None = None
+    scans: dict[DeviceRole, ScanSnapshot] = field(default_factory=dict)
     decision: AuthDecision | None = None
 
     @property
@@ -297,24 +290,19 @@ def _append_json_line(path: Path, doc: dict) -> None:
         f.write(dump(doc))
 
 
-def overlap_observations(
-    mobile: ScanSnapshot,
-    login: ScanSnapshot,
-    policy: PolicyConfig = PolicyConfig(),
-) -> list[tuple[DeviceRole, BeaconObservation]]:
+def overlap_observations(mobile: ScanSnapshot, login: ScanSnapshot) -> list[tuple[DeviceRole, BeaconObservation]]:
     """Observations of every AP seen by both devices.
 
-    APs match by BSSID first and then, among the observations left, by SSID
-    (or by SSID alone, per the policy's match key). For each key, every
+    APs match by BSSID first and then, among the observations left, by SSID,
+    so scans without BSSIDs match by SSID alone. For each key, every
     observation on either side whose value both sides carry is kept: the
     mobile device's, then the login device's, each in its snapshot's order.
     An observation without the key matches nothing. The result is empty when
     the devices share no AP.
     """
-    keys = ("bssid", "ssid") if policy.match_key is MatchKey.BSSID_THEN_SSID else ("ssid",)
     left = {DeviceRole.MOBILE: mobile.observations, DeviceRole.LOGIN: login.observations}
     pairs: list[tuple[DeviceRole, BeaconObservation]] = []
-    for key in keys:
+    for key in ("bssid", "ssid"):
         shared = set.intersection(*({getattr(o, key) for o in side} for side in left.values())) - {None}
         for role, side in left.items():
             pairs += [(role, o) for o in side if getattr(o, key) in shared]
@@ -322,11 +310,10 @@ def overlap_observations(
     return pairs
 
 
-def _shared_aps(pairs: list[tuple[DeviceRole, BeaconObservation]], policy: PolicyConfig) -> int:
+def _shared_aps(pairs: list[tuple[DeviceRole, BeaconObservation]]) -> int:
     """The APs the overlap pairs show, each counted once: a mobile observation
     names the BSSID it shares with a login observation, or else its SSID."""
-    by_bssid = policy.match_key is MatchKey.BSSID_THEN_SSID
-    login_bssids = {o.bssid for role, o in pairs if by_bssid and role is DeviceRole.LOGIN} - {None}
+    login_bssids = {o.bssid for role, o in pairs if role is DeviceRole.LOGIN} - {None}
     return len({("bssid", o.bssid) if o.bssid in login_bssids else ("ssid", o.ssid)
                 for role, o in pairs if role is DeviceRole.MOBILE})
 
@@ -340,8 +327,8 @@ def decide(
     in one batch and the authentic fraction grants when it reaches tau."""
     if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
         return AuthDecision(DecisionReason.STALE_SCANS, None, now)
-    pairs = overlap_observations(mobile, login, policy)
-    if _shared_aps(pairs, policy) < policy.min_overlap_aps:
+    pairs = overlap_observations(mobile, login)
+    if _shared_aps(pairs) < policy.min_overlap_aps:
         return AuthDecision(DecisionReason.NO_OVERLAP, None, now)
     fraction = int(classifier.votes(pairs).sum()) / len(pairs)
     if fraction >= policy.vote_threshold_tau:
@@ -414,16 +401,17 @@ class AuthService:
                 self._finalize(session, AuthDecision(DecisionReason.FIRST_FACTOR_FAILED, None, now))
             return session
 
-    def _expired(self, session: AuthSession, now: int) -> bool:
-        return now - session.created_at > self.policy.pairing_window_ms
+    def _lapsed(self, session: AuthSession, now: int) -> bool:
+        """Whether the window has passed at ``now``; a session still open is then denied MissingScan."""
+        lapsed = now - session.created_at > self.policy.pairing_window_ms
+        if lapsed and session.decision is None:
+            self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
+        return lapsed
 
     def _evict(self, now: int) -> None:
-        """Forget the sessions past their window from the oldest, denying
-        MissingScan any still open. The first one inside its window stops
-        the sweep, so a clock that steps back evicts late, never early."""
-        for session in list(takewhile(lambda s: self._expired(s, now), self._sessions.values())):
-            if session.decision is None:
-                self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
+        """Forget the sessions past their window from the oldest; the first one inside
+        its window stops the sweep, so a clock that steps back evicts late, never early."""
+        for session in list(takewhile(lambda s: self._lapsed(s, now), self._sessions.values())):
             del self._sessions[session.session_id]
 
     def get_session(self, session_id: str) -> AuthSession:
@@ -431,8 +419,8 @@ class AuthService:
         while it was open."""
         with self._lock:
             session = self._session(session_id)
-            if session.decision is None and self._expired(session, now := self._clock()):
-                self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
+            if session.decision is None:
+                self._lapsed(session, self._clock())
             return session
 
     def _session(self, session_id: str) -> AuthSession:
@@ -452,8 +440,7 @@ class AuthService:
             session = self._session(session_id)
             if session.decision is not None:
                 raise SessionDecided(f"session {session_id!r} already decided")
-            if self._expired(session, now := self._clock()):
-                self._finalize(session, AuthDecision(DecisionReason.MISSING_SCAN, None, now))
+            if self._lapsed(session, self._clock()):
                 return session
             user = session.user
             role = {user.mobile_device_id: DeviceRole.MOBILE, user.login_device_id: DeviceRole.LOGIN}.get(device_id)
@@ -462,11 +449,10 @@ class AuthService:
 
             # the enrollment binding is authoritative for role and identity
             snapshot = replace(snapshot, device_id=device_id, role=role)
-            slot = f"{role.value}_scan"
-            if getattr(session, slot) is not None:
+            if role in session.scans:
                 raise DuplicateRoleSubmission(f"{role.value} scan already submitted")
-            setattr(session, slot, snapshot)
-            completed = session.mobile_scan is not None and session.login_scan is not None
+            session.scans[role] = snapshot
+            completed = len(session.scans) == len(DeviceRole)
 
         if completed:
             # a begin past the window may evict the session, and so decide it, before this looks it up
@@ -486,10 +472,10 @@ class AuthService:
             session = self._session(session_id)
             if session.decision is not None:
                 return session.decision
-            if session.mobile_scan is None or session.login_scan is None:
+            if len(session.scans) < len(DeviceRole):
                 raise MissingScan("both device scans are required before deciding")
             # read under the lock: a racing _finalize clears them
-            mobile, login = session.mobile_scan, session.login_scan
+            mobile, login = session.scans[DeviceRole.MOBILE], session.scans[DeviceRole.LOGIN]
 
         decision = decide(self.classifier, self.policy, mobile, login, self._clock())
         with self._lock:
@@ -499,7 +485,7 @@ class AuthService:
 
     def _finalize(self, session: AuthSession, decision: AuthDecision) -> None:
         session.decision = decision
-        session.mobile_scan = session.login_scan = None  # a decided session needs no scans
+        session.scans.clear()  # a decided session needs no scans
         self.store.audit(
             {"ts": decision.decided_at, "event": "decision", "session_id": session.session_id,
              "username": session.user.username, **decision.as_dict()}

@@ -313,7 +313,11 @@ def cmd_attempt(args: argparse.Namespace) -> int:
     )
 
     host, port = _parse_listen(args.server)
-    with AuthClient(host, port) as client:
+    try:
+        client = AuthClient(host, port)
+    except OSError as exc:  # refused, unresolved or timed out: name the address with the reason
+        raise ValueError(f"cannot connect to {args.server}: {exc.strerror or exc}") from None
+    with client:
         _reply("enroll", client.enroll(args.username, args.secret, mobile_id, login_id), "DuplicateUser")
         final = _reply("begin", client.begin(args.username, args.secret))
         if final.get("state") == SessionState.AWAITING_SCANS.value:

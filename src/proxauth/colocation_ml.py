@@ -267,12 +267,11 @@ def gini_impurity(class_counts: Sequence) -> float | np.ndarray:
     """Gini impurity 1 - sum(p_c^2) of two-class (unauthorized, authentic)
     counts: a pair of ints gives one node's float, a pair of equal-length
     arrays one impurity per element. An empty node raises :class:`EmptyNode`."""
-    neg, pos = np.asarray(class_counts[0], np.float64), np.asarray(class_counts[1], np.float64)
+    neg, pos = class_counts
     total = neg + pos
-    if not total.all():
+    if not np.all(total):
         raise EmptyNode("gini impurity is undefined for an empty node")
-    gini = 1.0 - ((neg / total) ** 2 + (pos / total) ** 2)
-    return float(gini) if gini.ndim == 0 else gini
+    return 1.0 - ((p := neg / total) * p + (q := pos / total) * q)  # p * p: a float's ** 2 calls pow
 
 
 def best_split(

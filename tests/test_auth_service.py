@@ -22,7 +22,6 @@ from proxauth.auth_service import (
     AuthSession,
     DecisionOutcome,
     DecisionReason,
-    MatchKey,
     PolicyConfig,
     SessionState,
     UserRecord,
@@ -255,9 +254,8 @@ class TestSubmitScan:
         session = svc.begin_session("alice", "sesame-street")
         # client claims LOGIN role but the device id is the enrolled mobile
         svc.submit_scan(session.session_id, "alice-m", snap("alice-m", DeviceRole.LOGIN, [obs()]))
-        assert session.mobile_scan is not None
-        assert session.mobile_scan.role is DeviceRole.MOBILE
-        assert session.login_scan is None
+        assert list(session.scans) == [DeviceRole.MOBILE]
+        assert session.scans[DeviceRole.MOBILE].role is DeviceRole.MOBILE
 
     def test_a_round_reads_no_record_after_begin(self, monkeypatch):
         svc = enrolled_service()
@@ -311,12 +309,6 @@ class TestOverlap:
             (DeviceRole.LOGIN, "aa:aa:aa:aa:aa:02"),
         ]
 
-    def test_ssid_only_policy_ignores_bssid(self):
-        policy = PolicyConfig(match_key=MatchKey.SSID_ONLY)
-        mobile = snap("m", DeviceRole.MOBILE, [obs("NetA", -60, "aa:aa:aa:aa:aa:01")])
-        login = snap("l", DeviceRole.LOGIN, [obs("NetA", -65, "aa:aa:aa:aa:aa:02")])
-        assert len(overlap_observations(mobile, login, policy)) == 2
-
     def test_no_cross_ssid_bssid_confusion(self):
         mobile = snap("m", DeviceRole.MOBILE, [obs("NetA"), obs("NetB", -70)])
         login = snap("l", DeviceRole.LOGIN, [obs("NetB", -71), obs("NetA", -55)])
@@ -334,13 +326,8 @@ class TestOverlap:
             (DeviceRole.MOBILE, "aa:aa:aa:aa:aa:01"),
             (DeviceRole.LOGIN, "aa:aa:aa:aa:aa:01"),
         ]
-        ssid_only = PolicyConfig(match_key=MatchKey.SSID_ONLY)
-        assert len(overlap_observations(mobile, login, ssid_only)) == 3
 
-    @pytest.mark.parametrize("match_key", list(MatchKey))
-    def test_matches_set_oracle_on_random_scans(self, match_key):
-        keys = ("bssid", "ssid") if match_key is MatchKey.BSSID_THEN_SSID else ("ssid",)
-        policy = PolicyConfig(match_key=match_key)
+    def test_matches_set_oracle_on_random_scans(self):
         # 3 SSIDs over 4 BSSIDs or none: shared SSIDs at several BSSIDs, some BSSIDs missing
         combos = [(s, b) for s in ("NetA", "NetB", "NetC")
                   for b in (None, *(f"aa:aa:aa:aa:aa:0{i}" for i in range(4)))]
@@ -354,7 +341,7 @@ class TestOverlap:
         def oracle(mobile, login):
             left = {DeviceRole.MOBILE: list(mobile.observations), DeviceRole.LOGIN: list(login.observations)}
             kept = Counter()
-            for key in keys:
+            for key in ("bssid", "ssid"):
                 shared = set.intersection(*({getattr(o, key) for o in side} - {None}
                                             for side in left.values()))
                 for role, side in left.items():
@@ -364,7 +351,7 @@ class TestOverlap:
 
         for _ in range(500):
             mobile, login = random_snap(DeviceRole.MOBILE), random_snap(DeviceRole.LOGIN)
-            pairs = overlap_observations(mobile, login, policy)
+            pairs = overlap_observations(mobile, login)
             assert Counter(pairs) == oracle(mobile, login)
 
 
@@ -443,20 +430,18 @@ class TestDecision:
         assert session.decision.reason is DecisionReason.NO_OVERLAP
 
     @pytest.mark.parametrize(
-        "match_key, mobile_obs, login_obs",
+        "mobile_obs, login_obs",
         [
-            (MatchKey.BSSID_THEN_SSID, [obs(ssid, bssid=BSSIDS[0]) for ssid in ("NetA", "NetB", "NetC")],
-             [obs("NetA", bssid=BSSIDS[0])]),
-            (MatchKey.BSSID_THEN_SSID, [obs("NetA", bssid=b) for b in BSSIDS], [obs("NetA")]),
-            (MatchKey.SSID_ONLY, [obs("NetA", bssid=b) for b in BSSIDS], [obs("NetA", bssid=BSSIDS[0])]),
+            ([obs(ssid, bssid=BSSIDS[0]) for ssid in ("NetA", "NetB", "NetC")], [obs("NetA", bssid=BSSIDS[0])]),
+            ([obs("NetA", bssid=b) for b in BSSIDS], [obs("NetA")]),
         ],
-        ids=["one-bssid-under-three-ssids", "three-bssids-of-one-ssid", "ssid-only-three-bssids-of-one-ssid"],
+        ids=["one-bssid-under-three-ssids", "three-bssids-of-one-ssid"],
     )
-    def test_min_overlap_aps_counts_aps_not_observations(self, match_key, mobile_obs, login_obs):
+    def test_min_overlap_aps_counts_aps_not_observations(self, mobile_obs, login_obs):
         """One shared AP seen in four observations is one AP, whichever key matched it."""
-        policy = PolicyConfig(min_overlap_aps=2, match_key=match_key)
+        policy = PolicyConfig(min_overlap_aps=2)
         mobile, login = snap("m", DeviceRole.MOBILE, mobile_obs), snap("l", DeviceRole.LOGIN, login_obs)
-        assert len(overlap_observations(mobile, login, policy)) == 4
+        assert len(overlap_observations(mobile, login)) == 4
         classifier = Classifier(ALWAYS_AUTHENTIC, ENCODER)
         assert decide(classifier, policy, mobile, login, 5) == AuthDecision(DecisionReason.NO_OVERLAP, None, 5)
         # a second shared AP, seen once by each device, reaches the minimum
@@ -540,13 +525,11 @@ def reference_decision(model, encoder, policy, mobile, login):
     functions, then (outcome, reason, authentic fraction)."""
     if abs(mobile.timestamp - login.timestamp) > policy.pairing_window_ms:
         return DecisionOutcome.DENY, DecisionReason.STALE_SCANS, None
-    bssids = set()
-    if policy.match_key is MatchKey.BSSID_THEN_SSID:
-        bssids = {o.bssid for o in mobile.observations} & {o.bssid for o in login.observations} - {None}
+    bssids = {o.bssid for o in mobile.observations} & {o.bssid for o in login.observations} - {None}
     ssids = set.intersection(*({o.ssid for o in s.observations if o.bssid not in bssids} for s in (mobile, login)))
     if len(bssids) + len(ssids) < policy.min_overlap_aps:  # shared APs, each counted once
         return DecisionOutcome.DENY, DecisionReason.NO_OVERLAP, None
-    pairs = overlap_observations(mobile, login, policy)
+    pairs = overlap_observations(mobile, login)
     authentic = 0
     for pair in pairs:
         authentic += int(predict_batch(model, encode_observations(encoder, [pair]))[0])
@@ -583,7 +566,6 @@ class TestBatchedDecision:
             policy = PolicyConfig(
                 vote_threshold_tau=float(rng.choice([0.3, 0.5, 0.6, 1.0])),
                 min_overlap_aps=int(rng.integers(1, 3)),
-                match_key=(MatchKey.BSSID_THEN_SSID, MatchKey.SSID_ONLY)[(i // 2) % 2],
             )
             mobile = random_snapshot(rng, DeviceRole.MOBILE)
             login = random_snapshot(rng, DeviceRole.LOGIN)
@@ -641,7 +623,7 @@ class TestSessionTable:
         for sessions in cases.values():
             decisions = [decide(classifier, policy, mobile, login, 777) for mobile, login in sessions]
             for decision, (mobile, login) in zip(decisions, sessions):
-                pairs = overlap_observations(mobile, login, policy)
+                pairs = overlap_observations(mobile, login)
                 fraction = int(predict_batch(models[kind], encode_observations(encoder, pairs)).sum()) / len(pairs)
                 authentic = fraction >= policy.vote_threshold_tau
                 assert decision == AuthDecision(
@@ -1000,7 +982,7 @@ class TestConcurrency:
 
         def decide_once_paired():
             for _ in range(5000):
-                if session.login_scan is not None:
+                if DeviceRole.LOGIN in session.scans:
                     break
                 time.sleep(0.001)
             return svc.decide_session(session.session_id)
@@ -1067,7 +1049,7 @@ class TestConcurrency:
         assert all(decision is session.decision for session, decision in returned)
         per_session = Counter(entry["session_id"] for entry in decision_lines(tmp_path))
         assert per_session == Counter(s.session_id for s in sessions)
-        assert all(s.mobile_scan is None and s.login_scan is None for s in sessions)
+        assert all(s.scans == {} for s in sessions)
 
 
 class TestDecidedSessionsReleaseScans:
@@ -1086,7 +1068,7 @@ class TestDecidedSessionsReleaseScans:
             svc.submit_scan(session.session_id, "alice-m", snap("alice-m", DeviceRole.MOBILE, [obs()]))
             svc.submit_scan(session.session_id, "alice-l", snap("alice-l", DeviceRole.LOGIN, [obs()]))
         assert session.state is SessionState.DECIDED
-        assert session.mobile_scan is None and session.login_scan is None
+        assert session.scans == {}
         with AuthWireServer(svc, "127.0.0.1", 0) as server, AuthClient(*server.address) as client:
             status = client.status(session.session_id)
         assert status["ok"] and status["state"] == "Decided"
@@ -1128,7 +1110,7 @@ class TestSessionExpiry:
         assert out is session
         assert session.decision == AuthDecision(DecisionReason.MISSING_SCAN, None, clock.now)
         assert session.decision.outcome is DecisionOutcome.DENY
-        assert session.mobile_scan is None and session.login_scan is None
+        assert session.scans == {}
         assert [(e["session_id"], e["reason"], e["ts"]) for e in decision_lines(tmp_path)] == [
             (session.session_id, "MissingScan", clock.now)
         ]
@@ -1153,7 +1135,7 @@ class TestSessionExpiry:
         }
         assert handle_request_line(svc, status) == decided
         assert session.decision == AuthDecision(DecisionReason.MISSING_SCAN, None, clock.now)
-        assert session.mobile_scan is None
+        assert session.scans == {}
         clock.now += 1
         assert handle_request_line(svc, status) == decided  # decided once, at the first late status
         assert svc.get_session(session.session_id).decision.decided_at == clock.now - 1

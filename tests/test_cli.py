@@ -5,6 +5,7 @@ import os
 import re
 import select
 import signal
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from proxauth import cli
-from proxauth.auth_service import MatchKey, PolicyConfig, StoreSnapshot, UserRecord
+from proxauth.auth_service import PolicyConfig, StoreSnapshot, UserRecord
 from proxauth.beacon_model import (
     BeaconObservation,
     DeviceRole,
@@ -121,7 +122,7 @@ class TestHelpers:
         assert _parse_listen("127.0.0.1:000080") == ("127.0.0.1", 80)
         assert _parse_listen("127.0.0.1:" + "0" * 5000 + "80") == ("127.0.0.1", 80)
         for bad in ("nope", "127.0.0.1:65536", "127.0.0.1:70000", "127.0.0.1:-1", ":80", "127.0.0.1:" + "1" * 5000):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="address must be HOST:PORT"):
                 _parse_listen(bad)
 
     def test_make_config_overrides(self):
@@ -189,12 +190,12 @@ class TestHelpers:
         assert json.dumps(encode(value)) == written
         assert _make_config(cls, encode(value), exact=True) == value
 
-    def test_policy_match_key_parsing(self, tmp_path):
+    def test_a_policy_with_a_match_key_is_refused(self, tmp_path):
+        # APs match by one rule, so a policy file that picks one names a key the policy does not have
         path = tmp_path / "policy.json"
         path.write_text(json.dumps({"vote_threshold_tau": 0.7, "match_key": "SsidOnly"}))
-        policy = _policy_config(str(path))
-        assert policy.vote_threshold_tau == 0.7
-        assert policy.match_key is MatchKey.SSID_ONLY
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: PolicyConfig .* got unknown \['match_key'\]$"):
+            _policy_config(str(path))
 
 
 def _run_pipeline(root, seed):
@@ -450,6 +451,17 @@ class TestCommands:
                          "--secret", "zoes-secret", "--scenario", "near"])
             assert code == 1
             assert capsys.readouterr().err.startswith("error: address must be HOST:PORT")
+
+    def test_attempt_where_nothing_listens_names_the_address(self, capsys):
+        with socket.socket() as probe:  # a port just bound and closed, so nothing listens on it
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        code = main(["attempt", "--server", f"127.0.0.1:{port}", "--username", "zoe",
+                     "--secret", "zoes-secret", "--scenario", "near"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and f"127.0.0.1:{port}" in err
+        assert "Traceback" not in err
 
     def test_serve_out_of_range_port_is_an_error(self, pipeline, tmp_path, capsys, monkeypatch):
         _, _, rf, _ = pipeline

@@ -131,7 +131,7 @@ class TestTypedSnapshot:
         response = handle_request_line(service, json.dumps(request))
         assert response["ok"] is False and response["error"] == "BadRequest"
         assert named in response["message"]
-        assert service.get_session(sid).mobile_scan is None
+        assert service.get_session(sid).scans == {}
 
     @pytest.mark.parametrize("rssi, rule", [("x", "must be int, got 'x'"), (3, "must be <= 0 dBm: 3")])
     def test_a_bad_observation_is_named_by_its_index(self, tmp_path, rssi, rule):
