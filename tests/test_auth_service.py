@@ -309,6 +309,18 @@ class TestOverlap:
             (DeviceRole.LOGIN, "aa:aa:aa:aa:aa:02"),
         ]
 
+    def test_bssid_less_scans_match_by_ssid(self):
+        # the paper's scans carry no BSSID: the shared SSIDs are kept, mobile's then login's, each in scan order
+        mobile = snap("m", DeviceRole.MOBILE, [obs("NetA", -60), obs("NetB", -70), obs("NetD", -80)])
+        login = snap("l", DeviceRole.LOGIN, [obs("NetD", -75), obs("NetC", -50), obs("NetA", -65)])
+        pairs = overlap_observations(mobile, login)
+        assert [(r, o.ssid, o.rssi) for r, o in pairs] == [
+            (DeviceRole.MOBILE, "NetA", -60),
+            (DeviceRole.MOBILE, "NetD", -80),
+            (DeviceRole.LOGIN, "NetD", -75),
+            (DeviceRole.LOGIN, "NetA", -65),
+        ]
+
     def test_no_cross_ssid_bssid_confusion(self):
         mobile = snap("m", DeviceRole.MOBILE, [obs("NetA"), obs("NetB", -70)])
         login = snap("l", DeviceRole.LOGIN, [obs("NetB", -71), obs("NetA", -55)])
@@ -434,8 +446,9 @@ class TestDecision:
         [
             ([obs(ssid, bssid=BSSIDS[0]) for ssid in ("NetA", "NetB", "NetC")], [obs("NetA", bssid=BSSIDS[0])]),
             ([obs("NetA", bssid=b) for b in BSSIDS], [obs("NetA")]),
+            ([obs("NetA", bssid=BSSIDS[0]), obs("NetA")], [obs("NetA", bssid=BSSIDS[1]), obs("NetA")]),
         ],
-        ids=["one-bssid-under-three-ssids", "three-bssids-of-one-ssid"],
+        ids=["one-bssid-under-three-ssids", "three-bssids-of-one-ssid", "one-ssid-with-and-without-bssid"],
     )
     def test_min_overlap_aps_counts_aps_not_observations(self, mobile_obs, login_obs):
         """One shared AP seen in four observations is one AP, whichever key matched it."""
